@@ -144,7 +144,7 @@ class ProofCheck:
 def _lists_alpha_eq(xs: Sequence[Formula], ys: Sequence[Formula]) -> bool:
     if len(xs) != len(ys):
         return False
-    return all(x == y or alpha_eq(x, y) for x, y in zip(xs, ys))
+    return all(alpha_eq(x, y) for x, y in zip(xs, ys))
 
 
 def _theory_contains(theory, phi: Formula) -> bool:
@@ -574,7 +574,7 @@ class _Search:
                 return ProofTree(s, Rule("RTop", pos=j))
         for i, a in enumerate(ant):
             for j, b in enumerate(suc):
-                if a == b or alpha_eq(a, b):
+                if alpha_eq(a, b):
                     return self.close_with_id(s, i, j)
         if self.signature is not None and self.signature.has_equality:
             for j, phi in enumerate(suc):
@@ -589,13 +589,13 @@ class _Search:
         # drop duplicates (via weakening, read backwards)
         for i in range(len(ant)):
             for i2 in range(i + 1, len(ant)):
-                if ant[i] == ant[i2] or alpha_eq(ant[i], ant[i2]):
+                if alpha_eq(ant[i], ant[i2]):
                     prem = Sequent(s.context, ant[:i2] + ant[i2 + 1:], suc)
                     sub = self.prove(prem, depth, seen)
                     return ProofTree(s, Rule("LW", pos=i2), (sub,)) if sub else None
         for j in range(len(suc)):
             for j2 in range(j + 1, len(suc)):
-                if suc[j] == suc[j2] or alpha_eq(suc[j], suc[j2]):
+                if alpha_eq(suc[j], suc[j2]):
                     prem = Sequent(s.context, ant, suc[:j2] + suc[j2 + 1:])
                     sub = self.prove(prem, depth, seen)
                     return ProofTree(s, Rule("RW", pos=j2), (sub,)) if sub else None
@@ -671,7 +671,7 @@ class _Search:
                 continue
             for t in witnesses:
                 inst = substitute(phi.body, {phi.var: t}, avoid=s.context.vars)
-                if any(inst == a or alpha_eq(inst, a) for a in ant):
+                if any(alpha_eq(inst, a) for a in ant):
                     continue
                 dup = Sequent(s.context, ant[:i + 1] + (phi,) + ant[i + 1:], suc)
                 inner = Sequent(
@@ -686,7 +686,7 @@ class _Search:
                 continue
             for t in witnesses:
                 inst = substitute(phi.body, {phi.var: t}, avoid=s.context.vars)
-                if any(inst == b or alpha_eq(inst, b) for b in suc):
+                if any(alpha_eq(inst, b) for b in suc):
                     continue
                 dup = Sequent(s.context, ant, suc[:j + 1] + (phi,) + suc[j + 1:])
                 inner = Sequent(s.context, ant, dup.succedent[:j] + (inst,) + dup.succedent[j + 1:])

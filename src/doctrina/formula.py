@@ -35,7 +35,25 @@ class Formula:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """`@dataclass(frozen=True)` that keeps its hash on the node after first
+    use, as `free_vars` and `canonical_form` keep theirs, so dict lookups do
+    not re-hash the whole tree.  Equality stays field-wise."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Pred(Formula):
     name: str
     args: tuple[Term, ...] = ()
@@ -46,7 +64,7 @@ class Pred(Formula):
         return f"{self.name}({', '.join(map(repr, self.args))})"
 
 
-@dataclass(frozen=True)
+@_node
 class Eq(Formula):
     left: Term
     right: Term
@@ -55,19 +73,19 @@ class Eq(Formula):
         return f"{self.left!r} = {self.right!r}"
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     def __repr__(self):
         return "true"
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     def __repr__(self):
         return "false"
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     body: Formula
 
@@ -75,7 +93,7 @@ class Not(Formula):
         return f"not({self.body!r})"
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
@@ -84,7 +102,7 @@ class And(Formula):
         return f"({self.left!r} and {self.right!r})"
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
@@ -93,7 +111,7 @@ class Or(Formula):
         return f"({self.left!r} or {self.right!r})"
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
@@ -102,7 +120,7 @@ class Imp(Formula):
         return f"({self.left!r} -> {self.right!r})"
 
 
-@dataclass(frozen=True)
+@_node
 class Forall(Formula):
     var: str
     body: Formula
@@ -111,7 +129,7 @@ class Forall(Formula):
         return f"forall {self.var}. {self.body!r}"
 
 
-@dataclass(frozen=True)
+@_node
 class Exists(Formula):
     var: str
     body: Formula
@@ -153,11 +171,8 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return out
 
 
-_FREE_CACHE: dict[Formula, frozenset[str]] = {}
-
-
 def free_vars(phi: Formula) -> frozenset[str]:
-    cached = _FREE_CACHE.get(phi)
+    cached = getattr(phi, "_free_vars", None)
     if cached is not None:
         return cached
     if isinstance(phi, Pred):
@@ -176,9 +191,7 @@ def free_vars(phi: Formula) -> frozenset[str]:
         out = free_vars(phi.body) - {phi.var}
     else:
         raise FormulaError(f"not a formula: {phi!r}")
-    if len(_FREE_CACHE) > 200000:
-        _FREE_CACHE.clear()
-    _FREE_CACHE[phi] = out
+    object.__setattr__(phi, "_free_vars", out)
     return out
 
 
@@ -239,18 +252,15 @@ def _map_terms(phi: Formula, env: dict[str, str]) -> Formula:
     return Eq(_rename_term(phi.left, env), _rename_term(phi.right, env))
 
 
-_CANONICAL_CACHE: dict[Formula, Formula] = {}
-
-
 def canonical_form(phi: Formula) -> Formula:
     """Rename bound variables to pool names in binder-encounter order.
 
     Two formulas are alpha-equivalent iff their canonical forms are equal;
     the pool names are chosen to avoid the free variables, so the canonical
-    form only depends on the alpha-class.  Memoized: formulas are immutable
-    and this sits on the prover's hot path.
+    form only depends on the alpha-class.  Kept on the node after the first
+    call: formulas are immutable and this sits on the prover's hot path.
     """
-    cached = _CANONICAL_CACHE.get(phi)
+    cached = getattr(phi, "_canonical", None)
     if cached is not None:
         return cached
     supply = iter(fresh_vars(size(phi), free_vars(phi)))
@@ -270,14 +280,12 @@ def canonical_form(phi: Formula) -> Formula:
         raise FormulaError(f"not a formula: {f!r}")
 
     out = walk(phi, {})
-    if len(_CANONICAL_CACHE) > 200000:
-        _CANONICAL_CACHE.clear()
-    _CANONICAL_CACHE[phi] = out
+    object.__setattr__(phi, "_canonical", out)
     return out
 
 
 def alpha_eq(a: Formula, b: Formula) -> bool:
-    return canonical_form(a) == canonical_form(b)
+    return a is b or canonical_form(a) == canonical_form(b)
 
 
 def rectify(phi: Formula, avoid: Iterable[str] = ()) -> Formula:

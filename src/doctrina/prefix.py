@@ -243,7 +243,13 @@ class PrefixOracle(EntailmentOracle):
             return Unknown(str(e))
         for p_atoms, n_atoms in parsed:
             if not prefix_entails(p_atoms, n_atoms):
-                model, assignment = word_countermodel(p_atoms, n_atoms, len(s.context))
+                # truncated above every atom of the sequent, so that each
+                # predicate it mentions is interpreted; word_countermodel
+                # keys its assignment by x1..xk, the sequent by its context
+                model, pooled = word_countermodel(
+                    p_atoms, n_atoms, len(s.context), max(arities) + 1
+                )
+                assignment = {v: pooled[pool_var(i)] for i, v in enumerate(s.context.vars, 1)}
                 return Refuted(model.as_structure(), assignment, self.name)
         axioms = self.theory.relevant_axioms(max(arities))
         proof = prove_bounded(s, axioms, self.budget, SIGNATURE)

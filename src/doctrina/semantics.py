@@ -8,18 +8,17 @@ calculus to set semantics in tests.
 
 `eval_in_structure` walks the formula tree and is the reference semantics.
 Sequents are checked by a faster route: `sequent_valid_in_structure`,
-`falsifying_assignment` and `countermodel_search` compile each sequent once,
-for as long as the sequent lives, into one Python function that loops over
-the context assignments with every variable in a positional slot.  The
-compiled form agrees with the reference on every input, including the first
-falsifying assignment and the `SemanticsError`s raised (lazily, for what is
-actually evaluated); tests/test_semantics.py compares the two.
+`falsifying_assignment` and `countermodel_search` compile each sequent once
+into one Python function, kept on the sequent, that loops over the context
+assignments with every variable in a positional slot.  The compiled form
+agrees with the reference on every input, including the first falsifying
+assignment and the `SemanticsError`s raised (lazily, for what is actually
+evaluated); tests/test_semantics.py compares the two.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
@@ -306,19 +305,11 @@ class _CompiledSequent:
         return None if values is None else dict(zip(self.vars, values))
 
 
-# Each sequent's compiled form lives as long as the sequent does.  The table
-# is keyed by identity, not by equality: hashing a sequent walks all of its
-# formulas, which costs a third as much as evaluating it in a structure.
-_COMPILED: dict[int, tuple[weakref.ref, _CompiledSequent]] = {}
-
-
 def _compiled(s: Sequent) -> _CompiledSequent:
-    key = id(s)
-    entry = _COMPILED.get(key)
-    if entry is not None and entry[0]() is s:
-        return entry[1]
-    compiled = _CompiledSequent(s)
-    _COMPILED[key] = (weakref.ref(s, lambda _, key=key: _COMPILED.pop(key, None)), compiled)
+    compiled = getattr(s, "_compiled", None)
+    if compiled is None:
+        compiled = _CompiledSequent(s)
+        object.__setattr__(s, "_compiled", compiled)
     return compiled
 
 

@@ -2,7 +2,8 @@
 formulas, sequents, signatures, theories, structures, proofs, doctrine
 descriptions, and markings.  Parsing is whitespace-insensitive with
 position-annotated errors; printing is canonical, so parse after print is
-the identity on every document the suite produces."""
+the identity on every document the suite produces.  Documents nest at most
+`MAX_NESTING` brackets deep."""
 
 from __future__ import annotations
 
@@ -56,6 +57,12 @@ SNode = Union[SAtom, SList]
 
 _DELIMS = set("(); \t\r\n")
 
+# The formula, term and proof walkers recurse once per bracket of their
+# input, with up to four Python frames each; within this limit they stay
+# under Python's default recursion limit of 1000, so deeper input is refused
+# here instead.
+MAX_NESTING = 200
+
 
 def tokenize(text: str):
     line, col = 1, 0
@@ -100,6 +107,8 @@ def parse_many(text: str) -> list[SNode]:
     out: list[SNode] = []
     for tok, line, col in tokenize(text):
         if tok == "(":
+            if len(stack) == MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} brackets", line, col)
             stack.append(SList([], line, col))
         elif tok == ")":
             if not stack:

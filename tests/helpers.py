@@ -184,6 +184,19 @@ def random_sequent(rng: random.Random, max_size: int = 5) -> Sequent:
     return Sequent(ctx, ants, sucs)
 
 
+def random_prefix_formula(rng: random.Random, k: int, size: int) -> Formula:
+    """A quantifier-free formula over R0..R3 applied to variables among x1..xk."""
+    if size <= 1:
+        m = rng.randint(0, 3)
+        return Pred(f"R{m}", tuple(Var(pool_var(rng.randint(1, k))) for _ in range(m)))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Not(random_prefix_formula(rng, k, size - 1))
+    ls = rng.randint(1, size - 2) if size > 2 else 1
+    ctor = (And, Or, Imp)[kind - 1]
+    return ctor(random_prefix_formula(rng, k, ls), random_prefix_formula(rng, k, size - 1 - ls))
+
+
 # --- exhaustive truncated word-model search (oracle for the prefix criterion) ----
 
 

@@ -1,10 +1,14 @@
 import io
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
 
 from doctrina.cli import main
 from doctrina import sexpr
+from doctrina.sexpr import MAX_NESTING
 from doctrina.doctrine import subset_doctrine
 from doctrina.doctrine import full_marking
 
@@ -201,3 +205,64 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DOCTRINA_BUDGET", "8")
     code, out = run_cli(["prove", goal], capsys)
     assert code == 0
+
+
+def _run_subprocess(argv, seed="0"):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-m", "doctrina.cli"] + argv,
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+
+
+def _nested_not(depth):
+    return "(not " * depth + "P" + ")" * depth
+
+
+def _deep_documents(depth):
+    # each document nests exactly `depth` brackets deep
+    return {
+        "qa-depth": ["qa-depth", _nested_not(depth)],
+        "prove": ["prove", f"(seq (ctx) (ants) (sucs {_nested_not(depth - 2)}))"],
+    }
+
+
+def test_nesting_limit_itself_parses(capsys):
+    for verb, argv in _deep_documents(MAX_NESTING).items():
+        code, out = run_cli(argv, capsys)
+        assert code in (0, 2), verb
+        assert out
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+def test_nesting_beyond_limit_exits_3_without_traceback(depth):
+    for verb, argv in _deep_documents(depth).items():
+        run = _run_subprocess(argv)
+        assert run.returncode == 3, (verb, run.stderr[-300:])
+        assert run.stderr.startswith("ERROR "), verb
+        assert "nesting deeper than" in run.stderr
+        assert "Traceback" not in run.stderr
+
+
+PQ_THEORY = (
+    "(theory (signature (predicates (P 1) (Q 2)))"
+    " (axioms (forall x (P x)) (forall x (forall y (imp (Q x y) (Q y x))))))"
+)
+
+
+def test_reports_do_not_depend_on_hash_seed():
+    runs = [
+        ["prove", "(seq (ctx x y) (ants (Q x y)) (sucs (and (P y) (Q y x))))",
+         "--theory", PQ_THEORY],
+        ["entail", "(Q x1 x2)", "(Q x1 x1)", "--oracle", "bounded", "--theory", PQ_THEORY],
+        ["entail", "(and (R2 x1 x2) (R1 x2))", "(R3 x2 x1 x1)", "--oracle", "prefix"],
+        ["models", "(seq (ctx x y) (ants (Q x y)) (sucs (Q y x)))", "--size", "2"],
+        ["complete", PQ_THEORY, "--body-size", "2", "--ctx-size", "1"],
+    ]
+    for argv in runs:
+        first, second = (_run_subprocess(argv, seed) for seed in ("1", "2"))
+        assert first.stdout, (argv[0], first.stderr[-300:])
+        assert "Traceback" not in first.stderr + second.stderr
+        assert (first.returncode, first.stdout) == (second.returncode, second.stdout), argv[0]

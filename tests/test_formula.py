@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,9 @@ from doctrina.formula import (
     to_dnf,
 )
 
-from helpers import brute_layer_index, enumerate_formulas
+from doctrina.sexpr import formula_sexpr, parse_formula, parse_sexpr
+
+from helpers import brute_layer_index, enumerate_formulas, random_formula
 
 
 def R(*names):
@@ -266,3 +269,39 @@ def test_qa_depth_is_alpha_invariant():
     for phi, _ in pairs:
         assert qa_depth(canonical_form(phi)) == qa_depth(phi)
         assert qa_depth(rectify(phi)) == qa_depth(phi)
+
+
+def _fill_caches(phi):
+    hash(phi)
+    free_vars(phi)
+    canonical_form(phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.booleans())
+def test_cached_node_data_matches_an_uncached_twin(seed, size, fill_original):
+    rng = random.Random(seed)
+    variables = ("x1", "x2")
+    phi = random_formula(rng, variables, size)
+    other = random_formula(rng, variables, size)
+
+    def twin():
+        # rebuilt from text, so no node is shared and no cache is filled
+        return parse_formula(parse_sexpr(formula_sexpr(phi)))
+
+    before = twin()
+    assert before is not phi and before == phi and phi == before
+    _fill_caches(phi if fill_original else before)
+    after = twin()
+    for t in (before, after):
+        assert t == phi and phi == t
+        assert hash(t) == hash(phi)
+        assert free_vars(t) == free_vars(phi)
+        assert canonical_form(t) == canonical_form(phi)
+    assert len({phi, before, after}) == 1
+
+    variant = rectify(phi, avoid=("x4", "x5", "x6"))
+    for a, b in ((phi, other), (phi, after), (phi, variant), (other, variant)):
+        same = canonical_form(a) == canonical_form(b)
+        assert alpha_eq(a, b) == alpha_eq(b, a) == same
+    assert alpha_eq(phi, variant)

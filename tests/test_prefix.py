@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from doctrina.formula import (
 from doctrina.calculus import Budget, Sequent, check_proof
 from doctrina.semantics import eval_in_structure
 from doctrina.syntactic import Proved, Refuted, Unknown
+from doctrina.cli import infer_context, main
+from doctrina.sexpr import parse_formula, parse_sexpr, parse_structure
 from doctrina.prefix import (
     PrefixAtom,
     PrefixError,
@@ -35,7 +38,7 @@ from doctrina.prefix import (
     word_countermodel,
 )
 
-from helpers import word_refutable
+from helpers import random_prefix_formula, word_refutable
 
 
 def atom(*positions):
@@ -163,6 +166,49 @@ def test_prefix_oracle_certificates():
     assert isinstance(v2, Refuted)
     assert eval_in_structure(r2, v2.structure, v2.assignment)
     assert not eval_in_structure(atom(2).formula(ctx), v2.structure, v2.assignment)
+
+
+def _falsifies(phi, psi, structure, assignment):
+    return eval_in_structure(phi, structure, assignment) and not eval_in_structure(
+        psi, structure, assignment
+    )
+
+
+@pytest.mark.parametrize(
+    "phi, psi",
+    [
+        # the context is (x2), not (x1)
+        ("(R2 x2 x2)", "(R3 x2 x2 x2)"),
+        # the refuting clause has no ternary atom, the goal has one
+        ("R0", "(and (R3 x1 x1 x1) (R1 x1))"),
+    ],
+)
+def test_prefix_entail_refutation_falsifies_the_goal(phi, psi, capsys):
+    assert main(["entail", phi, psi, "--oracle", "prefix"]) == 1
+    report = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+    structure = parse_structure(parse_sexpr(report["CERTIFICATE"]))
+    pairs = report["NOTE"].removeprefix("assignment [").removesuffix("]").split(", ")
+    assignment = dict(pair.split("=") for pair in pairs)
+    phi_f, psi_f = (parse_formula(parse_sexpr(text)) for text in (phi, psi))
+    assert _falsifies(phi_f, psi_f, structure, assignment)
+
+
+def test_prefix_oracle_refutations_falsify_random_goals():
+    rng = random.Random(20240917)
+    oracle = PrefixOracle()
+    refuted = 0
+    for i in range(300):
+        k = i % 3 + 1
+        phi = random_prefix_formula(rng, k, rng.randint(1, 4))
+        psi = random_prefix_formula(rng, k, rng.randint(1, 3))
+        ctx = infer_context(phi, psi)
+        if qf_entails_modT(phi, psi, ctx):
+            continue
+        v = oracle.decide(Sequent(ctx, (phi,), (psi,)))
+        assert isinstance(v, Refuted), (phi, psi)
+        assert _falsifies(phi, psi, v.structure, v.assignment), (phi, psi)
+        refuted += 1
+    assert refuted >= 100
 
 
 def test_prefix_oracle_declines_non_prefix_atoms():
