@@ -11,15 +11,21 @@ rule names the position of its principal formula, with the head/tail
 positions recovering the textbook layout.  Cut is checkable but the prover
 never searches with it (it only splices theory axioms below a finished
 cut-free tree).
+
+Every rule with premises except Cut is written down once, in `premises`:
+the checker compares each node's premises with what it returns, and the
+prover builds each premise it searches through it.  `_check_node` checks the
+six leaf rules and Cut itself.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .lang import App, Context, LangError, Signature, Term, Var
+from .lang import App, Context, Signature, Term, Var
 from .formula import (
     And,
     Bot,
@@ -27,11 +33,9 @@ from .formula import (
     Exists,
     Forall,
     Formula,
-    FormulaError,
     Imp,
     Not,
     Or,
-    Pred,
     Top,
     alpha_eq,
     canonical_form,
@@ -52,9 +56,10 @@ class Sequent:
     succedent: tuple[Formula, ...] = ()
 
     def __post_init__(self):
+        ctx = set(self.context.vars)
         for phi in self.antecedent + self.succedent:
-            extra = free_vars(phi) - set(self.context.vars)
-            if extra:
+            if not free_vars(phi) <= ctx:
+                extra = free_vars(phi) - ctx
                 raise ProofError(
                     f"free variables {sorted(extra)} outside sequent context {self.context.vars}"
                 )
@@ -106,19 +111,19 @@ class Rule:
         return f"{self.tag}({inner})" if inner else self.tag
 
 
-_POSITIONAL = {
-    "LW", "RW", "LC", "RC", "LE", "RE", "RTop", "LBot",
-    "LAnd", "RAnd", "LOr", "ROr", "LNeg", "RNeg", "LImp", "RImp",
-    "LForall", "RForall", "LExists", "RExists",
+_LEAVES = ("Id", "RTop", "LBot", "EqRefl", "EqSubst", "TheoryAxiom")
+
+_STRUCTURAL = ("LW", "RW", "LC", "RC", "LE", "RE")
+
+# the connective each logical rule decomposes; L rules act on the antecedent
+_PRINCIPAL = {
+    "LAnd": And, "RAnd": And, "LOr": Or, "ROr": Or, "LNeg": Not, "RNeg": Not,
+    "LImp": Imp, "RImp": Imp, "LForall": Forall, "RForall": Forall,
+    "LExists": Exists, "RExists": Exists,
 }
 
-_ARITY = {
-    "Id": 0, "RTop": 0, "LBot": 0, "EqRefl": 0, "EqSubst": 0, "TheoryAxiom": 0,
-    "LW": 1, "RW": 1, "LC": 1, "RC": 1, "LE": 1, "RE": 1, "CtxEnlarge": 1,
-    "LAnd": 1, "ROr": 1, "LNeg": 1, "RNeg": 1, "RImp": 1,
-    "LForall": 1, "RForall": 1, "LExists": 1, "RExists": 1, "AlphaRename": 1,
-    "RAnd": 2, "LOr": 2, "LImp": 2, "Cut": 2,
-}
+# the rules whose instances name a position (printed as `pos`)
+_POSITIONAL = frozenset(_STRUCTURAL + ("RTop", "LBot") + tuple(_PRINCIPAL))
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,11 @@ class ProofTree:
     premises: tuple["ProofTree", ...] = ()
 
     def node_count(self) -> int:
-        return 1 + sum(p.node_count() for p in self.premises)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().premises)
+        return count
 
 
 @dataclass(frozen=True)
@@ -159,23 +168,109 @@ def _term_in_context(t: Term, ctx: Context) -> bool:
     return t.variables() <= set(ctx.vars)
 
 
+def _on_side(c: Sequent, left: bool, formulas: tuple[Formula, ...], ctx: Optional[Context] = None) -> Sequent:
+    """`c` with its antecedent (left) or succedent replaced by `formulas`."""
+    ctx = c.context if ctx is None else ctx
+    if left:
+        return Sequent(ctx, formulas, c.succedent)
+    return Sequent(ctx, c.antecedent, formulas)
+
+
+def _instance(phi: Formula, t: Term, ctx: Context) -> Formula:
+    """The body of the quantified formula `phi` with the term `t` for its
+    bound variable, in context `ctx`.  The last instance is kept on `phi`, as
+    formula nodes keep their canonical form, so the prover's duplicate-instance
+    check and the premise it then builds share one substitution."""
+    last = getattr(phi, "_instance", None)
+    if last is not None and last[0] is t and last[1] is ctx:
+        return last[2]
+    inst = substitute(phi.body, {phi.var: t}, avoid=ctx.vars)
+    object.__setattr__(phi, "_instance", (t, ctx, inst))
+    return inst
+
+
+def premises(c: Sequent, r: Rule) -> tuple[Sequent, ...]:
+    """The premises, in order, of the instance of rule `r` that concludes `c`.
+
+    This is the one definition of every rule except the leaves and Cut.  A
+    side condition that fails raises `ProofError` naming the rule.  The
+    premise of AlphaRename is `c` itself: any alpha-variant of it in the
+    same context is a valid premise.
+    """
+    tag, ctx, ant, suc = r.tag, c.context, c.antecedent, c.succedent
+    if tag == "AlphaRename":
+        return (c,)
+    if tag == "CtxEnlarge":
+        if r.var is None:
+            raise ProofError("CtxEnlarge needs a variable")
+        if ctx.vars[-1:] != (r.var,):
+            raise ProofError("CtxEnlarge must append exactly the rule's variable")
+        if any(r.var in free_vars(phi) for phi in ant + suc):
+            raise ProofError(f"CtxEnlarge variable {r.var} occurs free in the formulas")
+        return (Sequent(Context(ctx.vars[:-1]), ant, suc),)
+    if tag in _LEAVES or tag == "Cut":
+        raise ProofError(f"{tag} has no fixed premise shape")
+    if tag not in _POSITIONAL:
+        raise ProofError(f"unknown rule {tag}")
+    left = tag[0] == "L"
+    here = ant if left else suc
+    i = r.pos
+    if not 0 <= i < len(here):
+        raise ProofError(f"{tag} position out of range")
+    before, after = here[:i], here[i + 1:]
+    kind = tag[1:]
+    if kind == "W":
+        return (_on_side(c, left, before + after),)
+    if kind == "C":
+        return (_on_side(c, left, here[:i + 1] + here[i:]),)
+    if kind == "E":
+        if not after:
+            raise ProofError(f"{tag} needs two adjacent formulas")
+        return (_on_side(c, left, before + (after[0], here[i]) + after[1:]),)
+    phi = here[i]
+    if not isinstance(phi, _PRINCIPAL[tag]):
+        raise ProofError(f"{tag} principal formula has the wrong connective")
+    if tag == "LAnd" or tag == "ROr":
+        if r.which not in (0, 1):
+            raise ProofError(f"{tag} selector must be 0 or 1")
+        return (_on_side(c, left, before + (phi.right if r.which else phi.left,) + after),)
+    if tag == "RAnd" or tag == "LOr":
+        return (
+            _on_side(c, left, before + (phi.left,) + after),
+            _on_side(c, left, before + (phi.right,) + after),
+        )
+    if tag == "LNeg":
+        return (Sequent(ctx, before + after, suc + (phi.body,)),)
+    if tag == "RNeg":
+        return (Sequent(ctx, (phi.body,) + ant, before + after),)
+    if tag == "LImp":
+        return (
+            Sequent(ctx, before + after, suc + (phi.left,)),
+            Sequent(ctx, (phi.right,) + before + after, suc),
+        )
+    if tag == "RImp":
+        return (Sequent(ctx, (phi.left,) + ant, before + after + (phi.right,)),)
+    if tag == "LForall" or tag == "RExists":
+        if r.term is None:
+            raise ProofError(f"{tag} needs an instantiation term")
+        if not _term_in_context(r.term, ctx):
+            raise ProofError(f"{tag} witness term has variables outside the context")
+        return (_on_side(c, left, before + (_instance(phi, r.term, ctx),) + after),)
+    # RForall, LExists: the bound variable joins the context
+    if phi.var in ctx:
+        raise ProofError(f"{tag} bound variable {phi.var} already occurs in the context")
+    return (_on_side(c, left, before + (phi.body,) + after, ctx.extended(phi.var)),)
+
+
 def _check_node(node: ProofTree, theory, signature: Optional[Signature]) -> Optional[str]:
     """None if the node is a correct rule instance, else the violation."""
     c = node.conclusion
     r = node.rule
     ps = node.premises
-    if r.tag not in _ARITY:
-        return f"unknown rule {r.tag}"
-    if len(ps) != _ARITY[r.tag]:
-        return f"{r.tag} expects {_ARITY[r.tag]} premises, got {len(ps)}"
-
-    def same_ctx() -> Optional[str]:
-        for p in ps:
-            if p.conclusion.context != c.context:
-                return f"{r.tag} premise context {p.conclusion.context.vars} differs from {c.context.vars}"
-        return None
-
     ant, suc = c.antecedent, c.succedent
+
+    if r.tag in _LEAVES and ps:
+        return f"{r.tag} expects 0 premises, got {len(ps)}"
 
     if r.tag == "Id":
         if len(ant) == 1 == len(suc) and alpha_eq(ant[0], suc[0]):
@@ -236,33 +331,13 @@ def _check_node(node: ProofTree, theory, signature: Optional[Signature]) -> Opti
             return "EqSubst succedent formula must be zeta[u/x]"
         return None
 
-    # everything below has at least one premise
-    p0 = ps[0].conclusion
-
-    if r.tag == "CtxEnlarge":
-        if r.var is None:
-            return "CtxEnlarge needs a variable"
-        if r.var in p0.context:
-            return f"variable {r.var} already occurs in the context"
-        if c.context.vars != p0.context.vars + (r.var,):
-            return "CtxEnlarge must append exactly the rule's variable"
-        if not (_lists_alpha_eq(ant, p0.antecedent) and _lists_alpha_eq(suc, p0.succedent)):
-            return "CtxEnlarge must keep the formulas unchanged"
-        return None
-
-    if r.tag == "AlphaRename":
-        err = same_ctx()
-        if err:
-            return err
-        if _lists_alpha_eq(ant, p0.antecedent) and _lists_alpha_eq(suc, p0.succedent):
-            return None
-        return "AlphaRename premise is not alpha-equivalent to the conclusion"
-
     if r.tag == "Cut":
-        err = same_ctx()
-        if err:
-            return err
+        if len(ps) != 2:
+            return f"Cut expects 2 premises, got {len(ps)}"
         p1, p2 = ps[0].conclusion, ps[1].conclusion
+        for p in (p1, p2):
+            if p.context != c.context:
+                return f"Cut premise context {p.context.vars} differs from {c.context.vars}"
         if not p1.succedent:
             return "Cut left premise needs the cut formula last in its succedent"
         if not p2.antecedent:
@@ -276,172 +351,22 @@ def _check_node(node: ProofTree, theory, signature: Optional[Signature]) -> Opti
             return "Cut conclusion succedent must concatenate the premise succedents"
         return None
 
-    if r.tag in ("LW", "RW", "LC", "RC", "LE", "RE"):
-        err = same_ctx()
-        if err:
-            return err
-        here, there = (ant, suc) if r.tag[0] == "L" else (suc, ant)
-        phere, pthere = (
-            (p0.antecedent, p0.succedent) if r.tag[0] == "L" else (p0.succedent, p0.antecedent)
-        )
-        if not _lists_alpha_eq(there, pthere):
-            return f"{r.tag} must keep the other side unchanged"
-        i = r.pos
-        if not 0 <= i < len(here):
-            return f"{r.tag} position out of range"
-        if r.tag in ("LW", "RW"):
-            want = here[:i] + here[i + 1:]
-        elif r.tag in ("LC", "RC"):
-            want = here[:i + 1] + (here[i],) + here[i + 1:]
-        else:  # exchange
-            if i + 1 >= len(here):
-                return f"{r.tag} needs two adjacent formulas"
-            want = here[:i] + (here[i + 1], here[i]) + here[i + 2:]
-        if _lists_alpha_eq(want, phere):
-            return None
-        return f"{r.tag} premise does not match the expected list"
-
-    # logical rules with a principal formula at r.pos
-    side = "L" if r.tag[0] == "L" else "R"
-    lst = ant if side == "L" else suc
-    if not 0 <= r.pos < len(lst):
-        return f"{r.tag} position out of range"
-    principal = lst[r.pos]
-
-    def replaced(new: Formula, which_list: tuple[Formula, ...]) -> tuple[Formula, ...]:
-        return which_list[: r.pos] + (new,) + which_list[r.pos + 1:]
-
-    def removed(which_list: tuple[Formula, ...]) -> tuple[Formula, ...]:
-        return which_list[: r.pos] + which_list[r.pos + 1:]
-
-    if r.tag in ("LAnd", "ROr"):
-        err = same_ctx()
-        if err:
-            return err
-        want_type = And if r.tag == "LAnd" else Or
-        if not isinstance(principal, want_type):
-            return f"{r.tag} principal formula has the wrong connective"
-        if r.which not in (0, 1):
-            return f"{r.tag} selector must be 0 or 1"
-        part = principal.left if r.which == 0 else principal.right
-        if side == "L":
-            ok = _lists_alpha_eq(p0.antecedent, replaced(part, ant)) and _lists_alpha_eq(p0.succedent, suc)
-        else:
-            ok = _lists_alpha_eq(p0.succedent, replaced(part, suc)) and _lists_alpha_eq(p0.antecedent, ant)
-        return None if ok else f"{r.tag} premise does not match"
-
-    if r.tag in ("RAnd", "LOr"):
-        err = same_ctx()
-        if err:
-            return err
-        want_type = And if r.tag == "RAnd" else Or
-        if not isinstance(principal, want_type):
-            return f"{r.tag} principal formula has the wrong connective"
-        q0, q1 = ps[0].conclusion, ps[1].conclusion
-        if side == "R":
-            ok = (
-                _lists_alpha_eq(q0.succedent, replaced(principal.left, suc))
-                and _lists_alpha_eq(q1.succedent, replaced(principal.right, suc))
-                and _lists_alpha_eq(q0.antecedent, ant)
-                and _lists_alpha_eq(q1.antecedent, ant)
-            )
-        else:
-            ok = (
-                _lists_alpha_eq(q0.antecedent, replaced(principal.left, ant))
-                and _lists_alpha_eq(q1.antecedent, replaced(principal.right, ant))
-                and _lists_alpha_eq(q0.succedent, suc)
-                and _lists_alpha_eq(q1.succedent, suc)
-            )
-        return None if ok else f"{r.tag} premises do not match"
-
-    if r.tag == "LNeg":
-        err = same_ctx()
-        if err:
-            return err
-        if not isinstance(principal, Not):
-            return "LNeg principal formula must be a negation"
-        ok = _lists_alpha_eq(p0.antecedent, removed(ant)) and _lists_alpha_eq(
-            p0.succedent, suc + (principal.body,)
-        )
-        return None if ok else "LNeg premise does not match"
-
-    if r.tag == "RNeg":
-        err = same_ctx()
-        if err:
-            return err
-        if not isinstance(principal, Not):
-            return "RNeg principal formula must be a negation"
-        ok = _lists_alpha_eq(p0.antecedent, (principal.body,) + ant) and _lists_alpha_eq(
-            p0.succedent, removed(suc)
-        )
-        return None if ok else "RNeg premise does not match"
-
-    if r.tag == "LImp":
-        err = same_ctx()
-        if err:
-            return err
-        if not isinstance(principal, Imp):
-            return "LImp principal formula must be an implication"
-        gamma = removed(ant)
-        q0, q1 = ps[0].conclusion, ps[1].conclusion
-        ok = (
-            _lists_alpha_eq(q0.antecedent, gamma)
-            and _lists_alpha_eq(q0.succedent, suc + (principal.left,))
-            and _lists_alpha_eq(q1.antecedent, (principal.right,) + gamma)
-            and _lists_alpha_eq(q1.succedent, suc)
-        )
-        return None if ok else "LImp premises do not match"
-
-    if r.tag == "RImp":
-        err = same_ctx()
-        if err:
-            return err
-        if not isinstance(principal, Imp):
-            return "RImp principal formula must be an implication"
-        ok = _lists_alpha_eq(p0.antecedent, (principal.left,) + ant) and _lists_alpha_eq(
-            p0.succedent, removed(suc) + (principal.right,)
-        )
-        return None if ok else "RImp premise does not match"
-
-    if r.tag in ("LForall", "RExists"):
-        err = same_ctx()
-        if err:
-            return err
-        want_type = Forall if r.tag == "LForall" else Exists
-        if not isinstance(principal, want_type):
-            return f"{r.tag} principal formula has the wrong quantifier"
-        t = r.term
-        if t is None:
-            return f"{r.tag} needs an instantiation term"
-        if not _term_in_context(t, c.context):
-            return f"{r.tag} witness term has variables outside the context"
-        inst = substitute(principal.body, {principal.var: t}, avoid=c.context.vars)
-        if side == "L":
-            ok = _lists_alpha_eq(p0.antecedent, replaced(inst, ant)) and _lists_alpha_eq(p0.succedent, suc)
-        else:
-            ok = _lists_alpha_eq(p0.succedent, replaced(inst, suc)) and _lists_alpha_eq(p0.antecedent, ant)
-        return None if ok else f"{r.tag} premise is not the stated instance"
-
-    if r.tag in ("RForall", "LExists"):
-        want_type = Forall if r.tag == "RForall" else Exists
-        if not isinstance(principal, want_type):
-            return f"{r.tag} principal formula has the wrong quantifier"
-        x = principal.var
-        if x in c.context:
-            return f"{r.tag} bound variable {x} already occurs in the context"
-        if p0.context.vars != c.context.vars + (x,):
-            return f"{r.tag} premise context must be the context extended by {x}"
-        if side == "R":
-            ok = _lists_alpha_eq(p0.succedent, replaced(principal.body, suc)) and _lists_alpha_eq(
-                p0.antecedent, ant
-            )
-        else:
-            ok = _lists_alpha_eq(p0.antecedent, replaced(principal.body, ant)) and _lists_alpha_eq(
-                p0.succedent, suc
-            )
-        return None if ok else f"{r.tag} premise does not match"
-
-    return f"unhandled rule {r.tag}"
+    try:
+        wanted = premises(c, r)
+    except ProofError as e:
+        return str(e)
+    if len(ps) != len(wanted):
+        return f"{r.tag} expects {len(wanted)} premises, got {len(ps)}"
+    for k, (p, want) in enumerate(zip(ps, wanted)):
+        q = p.conclusion
+        if q.context != want.context:
+            return f"{r.tag} premise context {q.context.vars} differs from {want.context.vars}"
+        if not (
+            _lists_alpha_eq(q.antecedent, want.antecedent)
+            and _lists_alpha_eq(q.succedent, want.succedent)
+        ):
+            return f"{r.tag} premise {k} does not match"
+    return None
 
 
 def check_proof(tree: ProofTree, theory=(), signature: Optional[Signature] = None) -> ProofCheck:
@@ -492,41 +417,6 @@ def terms_over(ctx: Context, signature: Optional[Signature], max_depth: int) -> 
     return [t for layer in layers for t in layer]
 
 
-def _sequent_key(s: Sequent):
-    from collections import Counter
-
-    return (
-        s.context.vars,
-        frozenset(Counter(canonical_form(f) for f in s.antecedent).items()),
-        frozenset(Counter(canonical_form(f) for f in s.succedent).items()),
-    )
-
-
-def pad_with_weakenings(core: ProofTree, target: Sequent, ant_keep: int, suc_keep: int) -> ProofTree:
-    """Wrap a proof of the single kept antecedent/succedent formulas of
-    `target` with weakenings until it concludes `target` exactly.  A negative
-    keep index means the corresponding side of the core is empty."""
-    tree = core
-    ant = [target.antecedent[ant_keep]] if ant_keep >= 0 else []
-    for k, phi in enumerate(target.antecedent):
-        if k == ant_keep:
-            continue
-        # inserting in index order keeps every earlier formula in place
-        pos = min(k, len(ant))
-        ant.insert(pos, phi)
-        concl = Sequent(target.context, tuple(ant), tree.conclusion.succedent)
-        tree = ProofTree(concl, Rule("LW", pos=pos), (tree,))
-    suc = [target.succedent[suc_keep]] if suc_keep >= 0 else []
-    for k, phi in enumerate(target.succedent):
-        if k == suc_keep:
-            continue
-        pos = min(k, len(suc))
-        suc.insert(pos, phi)
-        concl = Sequent(target.context, tree.conclusion.antecedent, tuple(suc))
-        tree = ProofTree(concl, Rule("RW", pos=pos), (tree,))
-    return tree
-
-
 class _Search:
     def __init__(self, budget: Budget, signature: Optional[Signature]):
         self.budget = budget
@@ -545,18 +435,31 @@ class _Search:
             self._witnesses[ctx.vars] = cached
         return cached
 
-    # -- tree builders --------------------------------------------------
+    def apply(self, s: Sequent, rules: Sequence[Rule], depth: int, seen) -> Optional[ProofTree]:
+        """Apply the chain of unary `rules[:-1]` upwards from `s`, then prove
+        every premise of `rules[-1]` at `depth` (none when it is a leaf);
+        the tree, or None."""
+        chain = [s]
+        for r in rules[:-1]:
+            chain += premises(chain[-1], r)
+        subs = []
+        if rules[-1].tag not in _LEAVES:
+            for p in premises(chain[-1], rules[-1]):
+                sub = self.prove(p, depth, seen)
+                if sub is None:
+                    return None
+                subs.append(sub)
+        tree = ProofTree(chain[-1], rules[-1], tuple(subs))
+        for k in range(len(rules) - 2, -1, -1):
+            tree = ProofTree(chain[k], rules[k], (tree,))
+        return tree
 
-    def close_with_id(self, s: Sequent, i: int, j: int) -> ProofTree:
-        core = ProofTree(
-            Sequent(s.context, (s.antecedent[i],), (s.succedent[j],)), Rule("Id")
-        )
-        return pad_with_weakenings(core, s, i, j)
-
-    def close_with_eqrefl(self, s: Sequent, j: int) -> ProofTree:
-        t = s.succedent[j].left
-        core = ProofTree(Sequent(s.context, (), (s.succedent[j],)), Rule("EqRefl", term=t))
-        return pad_with_weakenings(core, s, -1, j)
+    def close(self, s: Sequent, i: int, j: int, leaf: Rule) -> ProofTree:
+        """Weaken `s` down to its antecedent formula `i` (none when negative)
+        and its succedent formula `j`, and close that with `leaf`."""
+        rules = [Rule("RW", pos=k) for k in reversed(range(len(s.succedent))) if k != j]
+        rules += [Rule("LW", pos=k) for k in reversed(range(len(s.antecedent))) if k != i]
+        return self.apply(s, rules + [leaf], 0, frozenset())
 
     # -- the search proper ----------------------------------------------
 
@@ -572,63 +475,52 @@ class _Search:
         for j, phi in enumerate(suc):
             if isinstance(phi, Top):
                 return ProofTree(s, Rule("RTop", pos=j))
-        for i, a in enumerate(ant):
-            for j, b in enumerate(suc):
-                if alpha_eq(a, b):
-                    return self.close_with_id(s, i, j)
+        # formulas are compared up to alpha-equivalence by their canonical forms
+        cant = [canonical_form(a) for a in ant]
+        csuc = [canonical_form(b) for b in suc]
+        for i, a in enumerate(cant):
+            if a in csuc:
+                return self.close(s, i, csuc.index(a), Rule("Id"))
         if self.signature is not None and self.signature.has_equality:
             for j, phi in enumerate(suc):
                 if isinstance(phi, Eq) and phi.left == phi.right:
-                    return self.close_with_eqrefl(s, j)
+                    return self.close(s, -1, j, Rule("EqRefl", term=phi.left))
 
-        key = _sequent_key(s)
+        key = (s.context.vars, frozenset(Counter(cant).items()), frozenset(Counter(csuc).items()))
         if key in seen:
             return None
         seen = seen | {key}
 
         # drop duplicates (via weakening, read backwards)
-        for i in range(len(ant)):
-            for i2 in range(i + 1, len(ant)):
-                if alpha_eq(ant[i], ant[i2]):
-                    prem = Sequent(s.context, ant[:i2] + ant[i2 + 1:], suc)
-                    sub = self.prove(prem, depth, seen)
-                    return ProofTree(s, Rule("LW", pos=i2), (sub,)) if sub else None
-        for j in range(len(suc)):
-            for j2 in range(j + 1, len(suc)):
-                if alpha_eq(suc[j], suc[j2]):
-                    prem = Sequent(s.context, ant, suc[:j2] + suc[j2 + 1:])
-                    sub = self.prove(prem, depth, seen)
-                    return ProofTree(s, Rule("RW", pos=j2), (sub,)) if sub else None
+        for i, a in enumerate(cant):
+            if a in cant[i + 1:]:
+                return self.apply(s, (Rule("LW", pos=cant.index(a, i + 1)),), depth, seen)
+        for j, b in enumerate(csuc):
+            if b in csuc[j + 1:]:
+                return self.apply(s, (Rule("RW", pos=csuc.index(b, j + 1)),), depth, seen)
 
-        # non-branching invertible rules, first applicable position
+        # non-branching invertible rules, first applicable position; a
+        # conjunction (disjunction) is contracted to keep both parts
         for i, phi in enumerate(ant):
             if isinstance(phi, Top):
-                prem = Sequent(s.context, ant[:i] + ant[i + 1:], suc)
-                sub = self.prove(prem, depth, seen)
-                return ProofTree(s, Rule("LW", pos=i), (sub,)) if sub else None
+                return self.apply(s, (Rule("LW", pos=i),), depth, seen)
             if isinstance(phi, And):
-                return self._expand_land(s, i, depth, seen)
+                chain = (Rule("LC", pos=i), Rule("LAnd", pos=i), Rule("LAnd", pos=i + 1, which=1))
+                return self.apply(s, chain, depth, seen)
             if isinstance(phi, Not):
-                prem = Sequent(s.context, ant[:i] + ant[i + 1:], suc + (phi.body,))
-                sub = self.prove(prem, depth, seen)
-                return ProofTree(s, Rule("LNeg", pos=i), (sub,)) if sub else None
+                return self.apply(s, (Rule("LNeg", pos=i),), depth, seen)
             if isinstance(phi, Exists):
                 return self._expand_fresh(s, "LExists", i, depth, seen)
         for j, phi in enumerate(suc):
             if isinstance(phi, Bot):
-                prem = Sequent(s.context, ant, suc[:j] + suc[j + 1:])
-                sub = self.prove(prem, depth, seen)
-                return ProofTree(s, Rule("RW", pos=j), (sub,)) if sub else None
+                return self.apply(s, (Rule("RW", pos=j),), depth, seen)
             if isinstance(phi, Or):
-                return self._expand_ror(s, j, depth, seen)
+                chain = (Rule("RC", pos=j), Rule("ROr", pos=j), Rule("ROr", pos=j + 1, which=1))
+                return self.apply(s, chain, depth, seen)
             if isinstance(phi, Not):
-                prem = Sequent(s.context, (phi.body,) + ant, suc[:j] + suc[j + 1:])
-                sub = self.prove(prem, depth, seen)
-                return ProofTree(s, Rule("RNeg", pos=j), (sub,)) if sub else None
+                return self.apply(s, (Rule("RNeg", pos=j),), depth, seen)
             if isinstance(phi, Imp):
-                prem = Sequent(s.context, (phi.left,) + ant, suc[:j] + suc[j + 1:] + (phi.right,))
-                sub = self.prove(prem, depth, seen)
-                return ProofTree(s, Rule("RImp", pos=j), (sub,)) if sub else None
+                return self.apply(s, (Rule("RImp", pos=j),), depth, seen)
             if isinstance(phi, Forall):
                 return self._expand_fresh(s, "RForall", j, depth, seen)
 
@@ -638,118 +530,42 @@ class _Search:
         # branching invertible rules
         for j, phi in enumerate(suc):
             if isinstance(phi, And):
-                p1 = Sequent(s.context, ant, suc[:j] + (phi.left,) + suc[j + 1:])
-                p2 = Sequent(s.context, ant, suc[:j] + (phi.right,) + suc[j + 1:])
-                t1 = self.prove(p1, depth - 1, seen)
-                if t1 is None:
-                    return None
-                t2 = self.prove(p2, depth - 1, seen)
-                return ProofTree(s, Rule("RAnd", pos=j), (t1, t2)) if t2 else None
+                return self.apply(s, (Rule("RAnd", pos=j),), depth - 1, seen)
         for i, phi in enumerate(ant):
             if isinstance(phi, Or):
-                p1 = Sequent(s.context, ant[:i] + (phi.left,) + ant[i + 1:], suc)
-                p2 = Sequent(s.context, ant[:i] + (phi.right,) + ant[i + 1:], suc)
-                t1 = self.prove(p1, depth - 1, seen)
-                if t1 is None:
-                    return None
-                t2 = self.prove(p2, depth - 1, seen)
-                return ProofTree(s, Rule("LOr", pos=i), (t1, t2)) if t2 else None
+                return self.apply(s, (Rule("LOr", pos=i),), depth - 1, seen)
             if isinstance(phi, Imp):
-                gamma = ant[:i] + ant[i + 1:]
-                p1 = Sequent(s.context, gamma, suc + (phi.left,))
-                p2 = Sequent(s.context, (phi.right,) + gamma, suc)
-                t1 = self.prove(p1, depth - 1, seen)
-                if t1 is None:
-                    return None
-                t2 = self.prove(p2, depth - 1, seen)
-                return ProofTree(s, Rule("LImp", pos=i), (t1, t2)) if t2 else None
+                return self.apply(s, (Rule("LImp", pos=i),), depth - 1, seen)
 
-        # quantifier instantiation (keeps the quantified formula via contraction)
+        # quantifier instantiation, keeping the quantified formula by contraction
         witnesses = self.witnesses_for(s.context)
-        for i, phi in enumerate(ant):
-            if not isinstance(phi, Forall):
-                continue
-            for t in witnesses:
-                inst = substitute(phi.body, {phi.var: t}, avoid=s.context.vars)
-                if any(alpha_eq(inst, a) for a in ant):
+        for tag, formulas, canon in (("LForall", ant, cant), ("RExists", suc, csuc)):
+            for i, phi in enumerate(formulas):
+                if not isinstance(phi, _PRINCIPAL[tag]):
                     continue
-                dup = Sequent(s.context, ant[:i + 1] + (phi,) + ant[i + 1:], suc)
-                inner = Sequent(
-                    s.context, dup.antecedent[:i] + (inst,) + dup.antecedent[i + 1:], suc
-                )
-                sub = self.prove(inner, depth - 1, seen)
-                if sub is not None:
-                    step = ProofTree(dup, Rule("LForall", pos=i, term=t), (sub,))
-                    return ProofTree(s, Rule("LC", pos=i), (step,))
-        for j, phi in enumerate(suc):
-            if not isinstance(phi, Exists):
-                continue
-            for t in witnesses:
-                inst = substitute(phi.body, {phi.var: t}, avoid=s.context.vars)
-                if any(alpha_eq(inst, b) for b in suc):
-                    continue
-                dup = Sequent(s.context, ant, suc[:j + 1] + (phi,) + suc[j + 1:])
-                inner = Sequent(s.context, ant, dup.succedent[:j] + (inst,) + dup.succedent[j + 1:])
-                sub = self.prove(inner, depth - 1, seen)
-                if sub is not None:
-                    step = ProofTree(dup, Rule("RExists", pos=j, term=t), (sub,))
-                    return ProofTree(s, Rule("RC", pos=j), (step,))
+                contract = Rule("LC" if tag == "LForall" else "RC", pos=i)
+                (dup,) = premises(s, contract)
+                for t in witnesses:
+                    if canonical_form(_instance(phi, t, s.context)) in canon:
+                        continue
+                    sub = self.apply(dup, (Rule(tag, pos=i, term=t),), depth - 1, seen)
+                    if sub is not None:
+                        return ProofTree(s, contract, (sub,))
         return None
-
-    def _expand_land(self, s: Sequent, i: int, depth: int, seen) -> Optional[ProofTree]:
-        """Contract the conjunction and keep both conjuncts."""
-        phi = s.antecedent[i]
-        assert isinstance(phi, And)
-        dup = Sequent(s.context, s.antecedent[:i + 1] + (phi,) + s.antecedent[i + 1:], s.succedent)
-        step1 = Sequent(s.context, dup.antecedent[:i] + (phi.left,) + dup.antecedent[i + 1:], s.succedent)
-        step2 = Sequent(
-            s.context, step1.antecedent[:i + 1] + (phi.right,) + step1.antecedent[i + 2:], s.succedent
-        )
-        sub = self.prove(step2, depth, seen)
-        if sub is None:
-            return None
-        t1 = ProofTree(step1, Rule("LAnd", pos=i + 1, which=1), (sub,))
-        t0 = ProofTree(dup, Rule("LAnd", pos=i, which=0), (t1,))
-        return ProofTree(s, Rule("LC", pos=i), (t0,))
-
-    def _expand_ror(self, s: Sequent, j: int, depth: int, seen) -> Optional[ProofTree]:
-        phi = s.succedent[j]
-        assert isinstance(phi, Or)
-        dup = Sequent(s.context, s.antecedent, s.succedent[:j + 1] + (phi,) + s.succedent[j + 1:])
-        step1 = Sequent(s.context, s.antecedent, dup.succedent[:j] + (phi.left,) + dup.succedent[j + 1:])
-        step2 = Sequent(
-            s.context, s.antecedent, step1.succedent[:j + 1] + (phi.right,) + step1.succedent[j + 2:]
-        )
-        sub = self.prove(step2, depth, seen)
-        if sub is None:
-            return None
-        t1 = ProofTree(step1, Rule("ROr", pos=j + 1, which=1), (sub,))
-        t0 = ProofTree(dup, Rule("ROr", pos=j, which=0), (t1,))
-        return ProofTree(s, Rule("RC", pos=j), (t0,))
 
     def _expand_fresh(self, s: Sequent, tag: str, pos: int, depth: int, seen) -> Optional[ProofTree]:
         """Apply RForall/LExists, renaming the binder first when it clashes."""
-        lst = s.antecedent if tag == "LExists" else s.succedent
-        phi = lst[pos]
-        renamed = phi
-        if phi.var in s.context or not free_vars(phi.body) <= set(s.context.vars) | {phi.var}:
-            renamed = rectify(phi, avoid=s.context.vars)
+        left = tag == "LExists"
+        formulas = s.antecedent if left else s.succedent
+        phi = formulas[pos]
+        if phi.var not in s.context and free_vars(phi.body) <= set(s.context.vars) | {phi.var}:
+            return self.apply(s, (Rule(tag, pos=pos),), depth, seen)
+        renamed = rectify(phi, avoid=s.context.vars)
         if renamed.var in s.context:
             return None  # context exhausted the pool; cannot happen with fresh_vars
-        new_ctx = s.context.extended(renamed.var)
-        if tag == "LExists":
-            mid = Sequent(s.context, lst[:pos] + (renamed,) + lst[pos + 1:], s.succedent)
-            prem = Sequent(new_ctx, mid.antecedent[:pos] + (renamed.body,) + mid.antecedent[pos + 1:], s.succedent)
-        else:
-            mid = Sequent(s.context, s.antecedent, lst[:pos] + (renamed,) + lst[pos + 1:])
-            prem = Sequent(new_ctx, s.antecedent, mid.succedent[:pos] + (renamed.body,) + mid.succedent[pos + 1:])
-        sub = self.prove(prem, depth, seen)
-        if sub is None:
-            return None
-        inner = ProofTree(mid, Rule(tag, pos=pos), (sub,))
-        if renamed is phi:
-            return inner
-        return ProofTree(s, Rule("AlphaRename"), (inner,))
+        mid = _on_side(s, left, formulas[:pos] + (renamed,) + formulas[pos + 1:])
+        sub = self.apply(mid, (Rule(tag, pos=pos),), depth, seen)
+        return ProofTree(s, Rule("AlphaRename"), (sub,)) if sub else None
 
 
 def _axiom_lemma(ax: Formula, ctx: Context) -> ProofTree:

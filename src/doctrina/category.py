@@ -10,8 +10,8 @@ projection is the identity and markings are monotone across layers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 
 class CategoryError(Exception):

@@ -18,9 +18,10 @@ from typing import Optional
 
 from .lang import Context, LangError, Signature
 from .formula import FormulaError, FormulaInContext, free_vars, qa_depth
-from .calculus import Budget, ProofError, Sequent, check_proof, prove_bounded
+from .calculus import Budget, ProofError, check_proof
+# an explicit re-export: bench/tracing.py wraps cli.prove_bounded
+from .calculus import prove_bounded as prove_bounded
 from .doctrine import (
-    Doctrine,
     DoctrineError,
     check_forall_tables,
     find_fibered_equalities,
@@ -30,29 +31,27 @@ from .doctrine import (
     verify_first_order,
 )
 from .stratify import (
-    compute_layers,
     layer_step,
     stratify,
     verify_one_step,
     verify_qa_stratified,
     verify_qff,
 )
-from .semantics import countermodel_search
+from .semantics import SemanticsError, countermodel_search
 from .syntactic import (
     BoundedOracle,
     Proved,
     Refuted,
+    SyntacticError,
     Theory,
     TruthTableOracle,
-    Unknown,
     lt_leq,
-    predicates_of,
     universal_consequences,
     completion_leq,
     enumerate_qf,
     atom_pool,
 )
-from .prefix import PrefixOracle, prefix_theory
+from .prefix import PrefixError, PrefixOracle, prefix_theory
 from . import sexpr
 from .sexpr import ParseError
 
@@ -155,22 +154,16 @@ def cmd_prove(args) -> int:
     report = Report()
     s = sexpr.parse_sequent(sexpr.parse_sexpr(load_text(args.sequent)))
     theory = load_theory(args.theory)
-    budget = default_budget(args)
-    oracle = BoundedOracle(theory, budget, model_size=args.model_size)
-    axioms = oracle.axioms_for(s)
-    proof = prove_bounded(s, axioms, budget, theory.signature)
-    if proof is not None:
+    verdict = BoundedOracle(theory, default_budget(args), model_size=args.model_size).decide(s)
+    if isinstance(verdict, Proved):
         report.add("VERDICT proved")
-        report.add("CERTIFICATE " + sexpr.proof_sexpr(proof))
+        report.add("CERTIFICATE " + sexpr.proof_sexpr(verdict.proof))
         report.flush()
         return EXIT_POSITIVE
-    found = countermodel_search(
-        s, axioms, theory.signature, args.model_size, oracle.predicates_for(s, axioms)
-    )
-    if found is not None:
-        m, assignment = found
+    if isinstance(verdict, Refuted):
+        m = verdict.structure
         name = "empty structure" if not m.carrier else f"structure of size {len(m.carrier)}"
-        report.add(f"NOTE countermodel: {name}, assignment " + _assignment_text(assignment))
+        report.add(f"NOTE countermodel: {name}, assignment " + _assignment_text(verdict.assignment))
         report.add("CERTIFICATE " + sexpr.structure_sexpr(m))
     report.add("VERDICT unknown")
     report.flush()
@@ -437,10 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--psi", default=None)
     sp.add_argument("--body-size", dest="body_size", type=int, default=3)
     sp.add_argument("--ctx-size", dest="ctx_size", type=int, default=2)
-    sp.add_argument("--budget", type=int, default=None)
-    sp.add_argument("--term-depth", dest="term_depth", type=int, default=2)
-    sp.add_argument("--max-nodes", dest="max_nodes", type=int, default=20000)
-    sp.add_argument("--model-size", dest="model_size", type=int, default=2)
+    common(sp, theory=False)
     sp.set_defaults(func=cmd_complete)
 
     sp = sub.add_parser("models")
@@ -457,7 +447,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, LangError, FormulaError, ProofError, DoctrineError, OSError) as e:
+    except (
+        ParseError, LangError, FormulaError, ProofError, DoctrineError, SemanticsError,
+        SyntacticError, PrefixError, OSError,
+    ) as e:
         print(f"ERROR {e}", file=sys.stderr)
         return EXIT_PARSE
 

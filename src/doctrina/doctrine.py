@@ -11,20 +11,17 @@ first.
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Iterable, Optional
 
 from .boolalg import BoolAlg, BAHom, boolean_closure, right_adjoint_of, subalgebra_atoms
 from .category import (
-    CategoryError,
     FPCategory,
     Functor,
     chain_category,
     finset_category,
     identity_functor,
-    terminal_category,
 )
 
 

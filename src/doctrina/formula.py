@@ -17,13 +17,11 @@ from .lang import (
     App,
     Context,
     CtxMorphism,
-    LangError,
     Signature,
     Term,
     Var,
     check_term,
     fresh_vars,
-    substitute_term,
 )
 
 

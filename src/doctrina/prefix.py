@@ -12,25 +12,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lang import Context, PredicateFamily, Signature, Var, canonical_context, pool_var
 from .formula import (
     Bot,
-    Eq,
     Exists,
     Forall,
     Formula,
-    FormulaInContext,
     Not,
     Pred,
     Top,
-    free_vars,
     iff,
     is_quantifier_free,
     to_dnf,
 )
-from .calculus import Budget, ProofTree, Rule, Sequent, pad_with_weakenings, prove_bounded
+from .calculus import Budget, Sequent, prove_bounded
 from .doctrine import Violation, violation
 from .semantics import FiniteStructure, eval_in_structure
 from .syntactic import (

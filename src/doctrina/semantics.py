@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional
 
-from .lang import App, Context, CtxMorphism, Signature, Term, Var
+from .lang import App, CtxMorphism, Signature, Term, Var
 from .formula import (
     And,
     Bot,

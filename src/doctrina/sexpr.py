@@ -24,7 +24,7 @@ from .formula import (
     Pred,
     Top,
 )
-from .calculus import ProofTree, Rule, Sequent
+from .calculus import _POSITIONAL, ProofTree, Rule, Sequent
 from .boolalg import BoolAlg
 from .category import FPCategory
 from .doctrine import Doctrine, Marking
@@ -446,28 +446,35 @@ def parse_proof(node: SNode) -> ProofTree:
 
 
 def proof_sexpr(p: ProofTree) -> str:
-    r = p.rule
-    args = []
-    if r.tag in ("LW", "RW", "LC", "RC", "LE", "RE", "RTop", "LBot", "LAnd", "RAnd",
-                 "LOr", "ROr", "LNeg", "RNeg", "LImp", "RImp", "LForall", "RForall",
-                 "LExists", "RExists"):
-        args.append(f"(pos {r.pos})")
-    if r.tag in ("LAnd", "ROr"):
-        args.append(f"(which {r.which})")
-    if r.term is not None:
-        args.append(f"(term {term_sexpr(r.term)})")
-    if r.term2 is not None:
-        args.append(f"(term2 {term_sexpr(r.term2)})")
-    if r.var is not None:
-        args.append(f"(var {r.var})")
-    if r.formula is not None:
-        args.append(f"(formula {formula_sexpr(r.formula)})")
-    rule = "(rule " + " ".join([r.tag] + args) + ")"
-    prem = " ".join(proof_sexpr(q) for q in p.premises)
-    return (
-        f"(proof {rule} (concl {sequent_sexpr(p.conclusion)}) "
-        f"(premises{' ' + prem if prem else ''}))"
-    )
+    """Printed with an explicit stack, so proofs deeper than Python's
+    recursion limit print too."""
+    out: list[str] = []
+    stack: list = [p]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        r = item.rule
+        args = []
+        if r.tag in _POSITIONAL:
+            args.append(f"(pos {r.pos})")
+        if r.tag in ("LAnd", "ROr"):
+            args.append(f"(which {r.which})")
+        if r.term is not None:
+            args.append(f"(term {term_sexpr(r.term)})")
+        if r.term2 is not None:
+            args.append(f"(term2 {term_sexpr(r.term2)})")
+        if r.var is not None:
+            args.append(f"(var {r.var})")
+        if r.formula is not None:
+            args.append(f"(formula {formula_sexpr(r.formula)})")
+        rule = "(rule " + " ".join([r.tag] + args) + ")"
+        out.append(f"(proof {rule} (concl {sequent_sexpr(item.conclusion)}) (premises")
+        stack.append("))")
+        for q in reversed(item.premises):
+            stack += (q, " ")
+    return "".join(out)
 
 
 # --- doctrines and markings -------------------------------------------------------

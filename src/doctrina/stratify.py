@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .boolalg import BoolAlg, boolean_closure
+from .boolalg import boolean_closure
 from .doctrine import (
     Doctrine,
     DoctrineError,

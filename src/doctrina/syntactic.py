@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lang import App, Context, CtxMorphism, Signature, Term, Var, canonical_context
+from .lang import App, Context, CtxMorphism, Signature, Term, Var
 from .formula import (
     And,
     Bot,
@@ -38,7 +38,7 @@ from .formula import (
     size,
     substitute_formula,
 )
-from .calculus import Budget, ProofTree, Sequent, check_proof, prove_bounded
+from .calculus import Budget, ProofTree, Sequent, prove_bounded
 from .doctrine import Doctrine, Violation, violation
 from .semantics import (
     FiniteStructure,

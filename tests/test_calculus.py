@@ -1,11 +1,15 @@
+import ast
+import inspect
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
+from doctrina import calculus
 from doctrina.lang import Context, Signature, Var, canonical_context
 from doctrina.formula import (
     And,
@@ -287,3 +291,202 @@ def test_prover_renames_clashing_binder():
 
     walk(tree)
     assert "AlphaRename" in tags
+
+
+# --- one hand-written instance of every rule ----------------------------------
+#
+# Written from the textbook rules, independently of `calculus.premises`, which
+# both the checker and the prover read.  Premises are closed by RTop or LBot,
+# so each side formula ⊤ (for rules acting on the antecedent) or ⊥ (for rules
+# acting on the succedent) is carried through.
+
+X = Context(("x",))
+XY = Context(("x", "y"))
+F, G, H = P("x"), Q("x", "x"), Pred("R", (Var("x"),))
+T, B = Top(), Bot()
+EQ_SIG = Signature(predicates=(("P", 1),), has_equality=True)
+AXIOM = Forall("x", P("x"))
+
+
+def seq(ctx, ants, sucs):
+    return Sequent(ctx, tuple(ants), tuple(sucs))
+
+
+# tag -> (conclusion, rule, premise conclusions)
+RULE_TABLE = {
+    "Id": (seq(X, [F], [F]), Rule("Id"), []),
+    "RTop": (seq(X, [], [F, T]), Rule("RTop", pos=1), []),
+    "LBot": (seq(X, [F, B], []), Rule("LBot", pos=1), []),
+    "EqRefl": (seq(X, [], [Eq(Var("x"), Var("x"))]), Rule("EqRefl", term=Var("x")), []),
+    "EqSubst": (
+        seq(XY, [Eq(Var("x"), Var("y")), P("x")], [P("y")]),
+        Rule("EqSubst", term=Var("x"), term2=Var("y"), formula=P("z"), var="z"),
+        [],
+    ),
+    "TheoryAxiom": (seq(Context(), [], [AXIOM]), Rule("TheoryAxiom", formula=AXIOM), []),
+    "Cut": (
+        seq(X, [F, B], [T, F]),
+        Rule("Cut"),
+        [seq(X, [F], [T, H]), seq(X, [H, B], [F])],
+    ),
+    "CtxEnlarge": (seq(XY, [F], [T]), Rule("CtxEnlarge", var="y"), [seq(X, [F], [T])]),
+    "AlphaRename": (
+        seq(X, [Forall("y", Q("x", "y"))], [T]),
+        Rule("AlphaRename"),
+        [seq(X, [Forall("z", Q("x", "z"))], [T])],
+    ),
+    "LW": (seq(X, [F, G], [T]), Rule("LW", pos=1), [seq(X, [F], [T])]),
+    "RW": (seq(X, [B], [G, F]), Rule("RW", pos=0), [seq(X, [B], [F])]),
+    "LC": (seq(X, [F, G], [T]), Rule("LC", pos=0), [seq(X, [F, F, G], [T])]),
+    "RC": (seq(X, [B], [F, G]), Rule("RC", pos=1), [seq(X, [B], [F, G, G])]),
+    "LE": (seq(X, [F, G], [T]), Rule("LE", pos=0), [seq(X, [G, F], [T])]),
+    "RE": (seq(X, [B], [F, G]), Rule("RE", pos=0), [seq(X, [B], [G, F])]),
+    "LAnd": (seq(X, [And(F, G), H], [T]), Rule("LAnd", pos=0, which=1), [seq(X, [G, H], [T])]),
+    "ROr": (seq(X, [B], [H, Or(F, G)]), Rule("ROr", pos=1, which=0), [seq(X, [B], [H, F])]),
+    "RAnd": (
+        seq(X, [B], [And(F, G), H]),
+        Rule("RAnd", pos=0),
+        [seq(X, [B], [F, H]), seq(X, [B], [G, H])],
+    ),
+    "LOr": (
+        seq(X, [H, Or(F, G)], [T]),
+        Rule("LOr", pos=1),
+        [seq(X, [H, F], [T]), seq(X, [H, G], [T])],
+    ),
+    "LNeg": (seq(X, [Not(F), H], [T]), Rule("LNeg", pos=0), [seq(X, [H], [T, F])]),
+    "RNeg": (seq(X, [B], [Not(F), H]), Rule("RNeg", pos=0), [seq(X, [F, B], [H])]),
+    "LImp": (
+        seq(X, [H, Imp(F, G)], [T]),
+        Rule("LImp", pos=1),
+        [seq(X, [H], [T, F]), seq(X, [G, H], [T])],
+    ),
+    "RImp": (seq(X, [B], [Imp(F, G), H]), Rule("RImp", pos=0), [seq(X, [F, B], [H, G])]),
+    "LForall": (
+        seq(X, [Forall("y", Q("x", "y"))], [T]),
+        Rule("LForall", pos=0, term=Var("x")),
+        [seq(X, [G], [T])],
+    ),
+    "RExists": (
+        seq(X, [B], [H, Exists("y", Q("y", "x"))]),
+        Rule("RExists", pos=1, term=Var("x")),
+        [seq(X, [B], [H, G])],
+    ),
+    "RForall": (seq(X, [B], [Forall("y", Q("x", "y"))]), Rule("RForall", pos=0), [seq(XY, [B], [Q("x", "y")])]),
+    "LExists": (seq(X, [Exists("y", Q("x", "y"))], [T]), Rule("LExists", pos=0), [seq(XY, [Q("x", "y")], [T])]),
+}
+
+LOGICAL = {"LAnd", "RAnd", "LOr", "ROr", "LNeg", "RNeg", "LImp", "RImp",
+           "LForall", "RForall", "LExists", "RExists"}
+STRUCTURAL = {"LW", "RW", "LC", "RC", "LE", "RE"}
+
+
+def closed(s):
+    """A leaf for a premise that carries ⊤ in its succedent or ⊥ in its antecedent."""
+    if T in s.succedent:
+        return ProofTree(s, Rule("RTop", pos=s.succedent.index(T)))
+    return ProofTree(s, Rule("LBot", pos=s.antecedent.index(B)))
+
+
+def instance(tag, conclusion=None, rule=None, prems=None):
+    c, r, ps = RULE_TABLE[tag]
+    return ProofTree(
+        conclusion or c, rule or r, tuple(closed(p) for p in (ps if prems is None else prems))
+    )
+
+
+def check(tree):
+    return check_proof(tree, theory=[AXIOM], signature=EQ_SIG)
+
+
+def other_connective(phi):
+    if isinstance(phi, And):
+        return Or(phi.left, phi.right)
+    if isinstance(phi, (Or, Imp)):
+        return And(phi.left, phi.right)
+    if isinstance(phi, Not):
+        return phi.body
+    if isinstance(phi, Forall):
+        return Exists(phi.var, phi.body)
+    return Forall(phi.var, phi.body)
+
+
+def changed(s):
+    """`s` with its first formula other than ⊤ and ⊥ negated."""
+    ants, sucs = list(s.antecedent), list(s.succedent)
+    for lst in (ants, sucs):
+        for k, phi in enumerate(lst):
+            if phi not in (T, B):
+                lst[k] = Not(phi)
+                return seq(s.context, ants, sucs)
+    raise AssertionError(s)
+
+
+@pytest.mark.parametrize("tag", sorted(RULE_TABLE))
+def test_rule_table_instance_checks(tag):
+    result = check(instance(tag))
+    assert result.ok, result
+
+
+VARIANT_WORDS = {
+    "connective": "connective",
+    "position": "out of range",
+    "context": "context",
+    "witness": "witness",
+    "eigenvariable": "already occurs",
+    "variable": "variable",
+}
+
+
+def broken_variants(tag):
+    c, r, ps = RULE_TABLE[tag]
+    side = c.antecedent if tag[0] == "L" else c.succedent
+    out = {}
+    if tag in LOGICAL:
+        wrong = side[:r.pos] + (other_connective(side[r.pos]),) + side[r.pos + 1:]
+        if tag[0] == "L":
+            concl = Sequent(c.context, wrong, c.succedent)
+        else:
+            concl = Sequent(c.context, c.antecedent, wrong)
+        out["connective"] = instance(tag, conclusion=concl)
+    if tag in LOGICAL | STRUCTURAL:
+        out["position"] = instance(tag, rule=Rule(tag, pos=len(side), which=r.which, term=r.term))
+    if tag in ("LForall", "RExists"):
+        out["witness"] = instance(tag, rule=Rule(tag, pos=r.pos, term=Var("w")))
+    if tag in ("RForall", "LExists"):
+        # the bound variable y is already in the conclusion's context
+        out["eigenvariable"] = instance(tag, conclusion=Sequent(XY, c.antecedent, c.succedent))
+    if tag == "CtxEnlarge":
+        out["variable"] = instance(tag, rule=Rule(tag, var="w"))
+    out["formula"] = instance(tag, prems=[changed(ps[0])] + ps[1:])
+    wider = Context(ps[0].context.vars + ("w",))
+    out["context"] = instance(tag, prems=[Sequent(wider, ps[0].antecedent, ps[0].succedent)] + ps[1:])
+    return out
+
+
+@pytest.mark.parametrize("tag", sorted(set(RULE_TABLE) - {"Id", "RTop", "LBot", "EqRefl", "EqSubst", "TheoryAxiom"}))
+def test_rule_table_broken_variants_fail_at_the_node(tag):
+    variants = broken_variants(tag)
+    assert {"formula", "context"} <= set(variants)
+    for what, tree in variants.items():
+        result = check(tree)
+        assert not result.ok, (what, tree.rule)
+        assert result.path == (), (what, result)
+        assert tag in result.reason, (what, result.reason)
+        assert VARIANT_WORDS.get(what, "") in result.reason, (what, result.reason)
+
+
+def test_rule_table_covers_every_tag_the_checker_accepts():
+    # Every capitalised string constant in calculus.py that the checker does
+    # not reject as an unknown rule is a rule tag, and has a table entry.
+    words = {
+        node.value
+        for node in ast.walk(ast.parse(inspect.getsource(calculus)))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and re.fullmatch(r"[A-Z][A-Za-z]+", node.value)
+    }
+    probe = Sequent(Context(), (), ())
+    accepted = {w for w in words if "unknown rule" not in check(ProofTree(probe, Rule(w))).reason}
+    assert len(RULE_TABLE) == 27
+    assert accepted == set(RULE_TABLE)
+    assert check(ProofTree(probe, Rule("Bogus"))).reason == "unknown rule Bogus"

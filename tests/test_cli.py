@@ -266,3 +266,34 @@ def test_reports_do_not_depend_on_hash_seed():
         assert first.stdout, (argv[0], first.stderr[-300:])
         assert "Traceback" not in first.stderr + second.stderr
         assert (first.returncode, first.stdout) == (second.returncode, second.stdout), argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # SemanticsError: the countermodel search meets f with no table
+        ["prove", "(seq (ctx x) (ants) (sucs (Q (f (f x)))))", "--budget", "3"],
+        # SyntacticError: a theory axiom with a free variable
+        ["complete", "(theory (signature (predicates (P 1))) (axioms (P x)))",
+         "--body-size", "1", "--ctx-size", "0"],
+        # PrefixError: the experiment's atom space is too large
+        ["prefix-demo", "intersection", "--k", "2", "--arity", "3"],
+    ],
+    ids=["semantics", "syntactic", "prefix"],
+)
+def test_ill_formed_input_exits_3_without_traceback(argv):
+    run = _run_subprocess(argv)
+    assert run.returncode == 3, run.stderr[-300:]
+    assert run.stderr.startswith("ERROR "), run.stderr[-300:]
+    assert "Traceback" not in run.stderr
+
+
+def test_deep_proof_prints_its_certificate():
+    # 175 nested implications: the proof is twice as deep as the formula
+    chain = "P"
+    for _ in range(175):
+        chain = f"(imp P {chain})"
+    run = _run_subprocess(["prove", f"(seq (ctx) (ants) (sucs {chain}))"])
+    assert run.returncode == 0, run.stderr[-300:]
+    assert "Traceback" not in run.stderr
+    assert "\nCERTIFICATE (proof " in "\n" + run.stdout
