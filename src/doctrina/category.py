@@ -183,14 +183,6 @@ def chain_category(n: int) -> FPCategory:
     return semilattice_category(names, lambda a, b: rank[a] <= rank[b])
 
 
-@dataclass(frozen=True)
-class FinSetObj:
-    """A named finite set with a fixed element order."""
-
-    name: str
-    elems: tuple
-
-
 def finset_category(sets: dict[str, tuple]) -> tuple[FPCategory, dict]:
     """The category of the given finite sets and all functions between them.
 

@@ -83,7 +83,10 @@ def load_text(arg: str) -> str:
     """Documents are read from a file when the argument names one, otherwise
     the argument itself is the document text."""
     if not arg.lstrip().startswith("(") and Path(arg).exists():
-        return Path(arg).read_text(encoding="utf-8")
+        try:
+            return Path(arg).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{arg} is not valid UTF-8: {e.reason} at byte {e.start}") from None
     return arg
 
 
@@ -98,7 +101,11 @@ def load_theory(arg: Optional[str]) -> Theory:
 def default_budget(args) -> Budget:
     depth = args.budget
     if depth is None:
-        depth = int(os.environ.get("DOCTRINA_BUDGET", "8"))
+        text = os.environ.get("DOCTRINA_BUDGET", "8")
+        try:
+            depth = int(text)
+        except ValueError:
+            raise ParseError(f"DOCTRINA_BUDGET must be an integer, got {text!r}") from None
     return Budget(
         max_depth=depth,
         max_term_depth=getattr(args, "term_depth", 2),
@@ -452,6 +459,10 @@ def main(argv=None) -> int:
         SyntacticError, PrefixError, OSError,
     ) as e:
         print(f"ERROR {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except RecursionError:
+        # the recursive walkers and the prover's two frames per proof level
+        print("ERROR input too deep or too wide to process", file=sys.stderr)
         return EXIT_PARSE
 
 

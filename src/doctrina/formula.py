@@ -5,16 +5,21 @@ connectives top, bottom, not, and, or, imp and the two quantifiers.  Bound
 variables are kept rectified (pairwise distinct, distinct from free
 variables); alpha-equivalence is the working notion of formula equality,
 with structural equality used only after canonical renaming.
+
+Two mechanisms carry the module.  `_rebind` is the one walk that renames
+binders: `canonical_form`, `rectify` and `substitute` each pass it only
+their naming rule.  `subformulas` is an iterative pre-order iterator, and
+the folds (`size`, `all_vars`, `is_quantifier_free`, `atoms_of`) loop over
+it, so they work on formulas of any depth.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .lang import (
-    App,
     Context,
     CtxMorphism,
     Signature,
@@ -22,6 +27,7 @@ from .lang import (
     Var,
     check_term,
     fresh_vars,
+    subst_term,
 )
 
 
@@ -169,6 +175,23 @@ def disj(parts: Iterable[Formula]) -> Formula:
     return out
 
 
+def subformulas(phi: Formula) -> Iterator[Formula]:
+    """Every subformula occurrence of `phi` in pre-order, left to right.
+
+    Iterative, with an explicit stack, so the folds built on it do not run
+    out of Python frames on deep formulas."""
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Not, Forall, Exists)):
+            stack.append(f.body)
+        elif isinstance(f, _BINARY):
+            stack += (f.right, f.left)
+        elif not isinstance(f, (Pred, Eq, Top, Bot)):
+            raise FormulaError(f"not a formula: {f!r}")
+        yield f
+
+
 def free_vars(phi: Formula) -> frozenset[str]:
     cached = getattr(phi, "_free_vars", None)
     if cached is not None:
@@ -195,59 +218,57 @@ def free_vars(phi: Formula) -> frozenset[str]:
 
 def all_vars(phi: Formula) -> frozenset[str]:
     """Every variable name occurring, free or bound."""
-    if isinstance(phi, Pred):
-        out: frozenset[str] = frozenset()
-        for a in phi.args:
-            out |= a.variables()
-        return out
-    if isinstance(phi, Eq):
-        return phi.left.variables() | phi.right.variables()
-    if isinstance(phi, (Top, Bot)):
-        return frozenset()
-    if isinstance(phi, Not):
-        return all_vars(phi.body)
-    if isinstance(phi, _BINARY):
-        return all_vars(phi.left) | all_vars(phi.right)
-    if isinstance(phi, _QUANT):
-        return all_vars(phi.body) | {phi.var}
-    raise FormulaError(f"not a formula: {phi!r}")
+    out: set[str] = set()
+    for f in subformulas(phi):
+        if isinstance(f, _QUANT):
+            out.add(f.var)
+        elif isinstance(f, (Pred, Eq)):
+            out |= free_vars(f)
+    return frozenset(out)
 
 
 def size(phi: Formula) -> int:
     """Tree size: atoms count one, each connective or binder adds one."""
-    if isinstance(phi, (Pred, Eq, Top, Bot)):
-        return 1
-    if isinstance(phi, Not):
-        return 1 + size(phi.body)
-    if isinstance(phi, _BINARY):
-        return 1 + size(phi.left) + size(phi.right)
-    if isinstance(phi, _QUANT):
-        return 1 + size(phi.body)
-    raise FormulaError(f"not a formula: {phi!r}")
+    return sum(1 for _ in subformulas(phi))
 
 
 def is_quantifier_free(phi: Formula) -> bool:
-    if isinstance(phi, (Pred, Eq, Top, Bot)):
-        return True
-    if isinstance(phi, Not):
-        return is_quantifier_free(phi.body)
-    if isinstance(phi, _BINARY):
-        return is_quantifier_free(phi.left) and is_quantifier_free(phi.right)
-    return False
+    return not any(isinstance(f, _QUANT) for f in subformulas(phi))
 
 
-def _rename_term(t: Term, env: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    assert isinstance(t, App)
-    return App(t.symbol, tuple(_rename_term(a, env) for a in t.args))
+def _rebind(phi: Formula, env: dict[str, Term], binder: Callable[[str], str]) -> Formula:
+    """Substitute `env` into the atoms and rename each binder to
+    `binder(old_name)`, called once per binder in pre-order, left to right.
 
-
-def _map_terms(phi: Formula, env: dict[str, str]) -> Formula:
+    The one binder-renaming walk: `canonical_form`, `rectify` and
+    `substitute` differ only in the naming rule they pass as `binder`."""
     if isinstance(phi, Pred):
-        return Pred(phi.name, tuple(_rename_term(a, env) for a in phi.args))
-    assert isinstance(phi, Eq)
-    return Eq(_rename_term(phi.left, env), _rename_term(phi.right, env))
+        return Pred(phi.name, tuple(subst_term(a, env) for a in phi.args))
+    if isinstance(phi, Eq):
+        return Eq(subst_term(phi.left, env), subst_term(phi.right, env))
+    if isinstance(phi, (Top, Bot)):
+        return phi
+    if isinstance(phi, Not):
+        return Not(_rebind(phi.body, env, binder))
+    if isinstance(phi, _BINARY):
+        return type(phi)(_rebind(phi.left, env, binder), _rebind(phi.right, env, binder))
+    if isinstance(phi, _QUANT):
+        nv = binder(phi.var)
+        return type(phi)(nv, _rebind(phi.body, {**env, phi.var: Var(nv)}, binder))
+    raise FormulaError(f"not a formula: {phi!r}")
+
+
+def _keep_unless(forbidden: set[str], occupied: set[str]) -> Callable[[str], str]:
+    """Binder rule: keep a name unless it is forbidden, otherwise take the
+    first pool name not occupied; the chosen name is then forbidden too."""
+
+    def binder(v: str) -> str:
+        nv = fresh_vars(1, occupied)[0] if v in forbidden else v
+        forbidden.add(nv)
+        occupied.add(nv)
+        return nv
+
+    return binder
 
 
 def canonical_form(phi: Formula) -> Formula:
@@ -262,22 +283,7 @@ def canonical_form(phi: Formula) -> Formula:
     if cached is not None:
         return cached
     supply = iter(fresh_vars(size(phi), free_vars(phi)))
-
-    def walk(f: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(f, (Pred, Eq)):
-            return _map_terms(f, env)
-        if isinstance(f, (Top, Bot)):
-            return f
-        if isinstance(f, Not):
-            return Not(walk(f.body, env))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, _QUANT):
-            nv = next(supply)
-            return type(f)(nv, walk(f.body, {**env, f.var: nv}))
-        raise FormulaError(f"not a formula: {f!r}")
-
-    out = walk(phi, {})
+    out = _rebind(phi, {}, lambda _: next(supply))
     object.__setattr__(phi, "_canonical", out)
     return out
 
@@ -290,51 +296,12 @@ def rectify(phi: Formula, avoid: Iterable[str] = ()) -> Formula:
     """An alpha-variant with bound variables pairwise distinct and distinct
     from the free variables and from `avoid`.  Existing names are kept when
     already admissible, so rectification is idempotent."""
-    occupied = set(all_vars(phi)) | set(avoid)
     forbidden = set(free_vars(phi)) | set(avoid)
-
-    def walk(f: Formula, env: dict[str, str]) -> Formula:
-        if isinstance(f, (Pred, Eq)):
-            return _map_terms(f, env)
-        if isinstance(f, (Top, Bot)):
-            return f
-        if isinstance(f, Not):
-            return Not(walk(f.body, env))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, _QUANT):
-            v = f.var
-            if v in forbidden:
-                nv = fresh_vars(1, occupied | forbidden)[0]
-            else:
-                nv = v
-            occupied.add(nv)
-            forbidden.add(nv)
-            return type(f)(nv, walk(f.body, {**env, v: nv}))
-        raise FormulaError(f"not a formula: {f!r}")
-
-    return walk(phi, {})
+    return _rebind(phi, {}, _keep_unless(forbidden, set(all_vars(phi)) | forbidden))
 
 
 def is_rectified(phi: Formula) -> bool:
-    free = free_vars(phi)
-    seen: set[str] = set()
-
-    def walk(f: Formula) -> bool:
-        if isinstance(f, (Pred, Eq, Top, Bot)):
-            return True
-        if isinstance(f, Not):
-            return walk(f.body)
-        if isinstance(f, _BINARY):
-            return walk(f.left) and walk(f.right)
-        if isinstance(f, _QUANT):
-            if f.var in free or f.var in seen:
-                return False
-            seen.add(f.var)
-            return walk(f.body)
-        raise FormulaError(f"not a formula: {f!r}")
-
-    return walk(phi)
+    return rectify(phi) == phi
 
 
 def substitute(phi: Formula, subst: dict[str, Term], avoid: Iterable[str] = ()) -> Formula:
@@ -343,39 +310,10 @@ def substitute(phi: Formula, subst: dict[str, Term], avoid: Iterable[str] = ()) 
     Bound variables clashing with `avoid` or with variables of the
     substituted terms are renamed from the reserved pool.
     """
-    range_vars: set[str] = set()
+    blocked = set(avoid) | set(all_vars(phi)) | set(subst)
     for t in subst.values():
-        range_vars |= t.variables()
-    blocked = set(avoid) | range_vars | set(all_vars(phi)) | set(subst)
-
-    def walk(f: Formula, env: dict[str, Term]) -> Formula:
-        if isinstance(f, Pred):
-            return Pred(f.name, tuple(_subst_term(a, env) for a in f.args))
-        if isinstance(f, Eq):
-            return Eq(_subst_term(f.left, env), _subst_term(f.right, env))
-        if isinstance(f, (Top, Bot)):
-            return f
-        if isinstance(f, Not):
-            return Not(walk(f.body, env))
-        if isinstance(f, _BINARY):
-            return type(f)(walk(f.left, env), walk(f.right, env))
-        if isinstance(f, _QUANT):
-            v = f.var
-            if v in blocked:
-                nv = fresh_vars(1, blocked)[0]
-            else:
-                nv = v
-            blocked.add(nv)
-            return type(f)(nv, walk(f.body, {**env, v: Var(nv)}))
-        raise FormulaError(f"not a formula: {f!r}")
-
-    def _subst_term(t: Term, env: dict[str, Term]) -> Term:
-        if isinstance(t, Var):
-            return env.get(t.name, t)
-        assert isinstance(t, App)
-        return App(t.symbol, tuple(_subst_term(a, env) for a in t.args))
-
-    return walk(phi, dict(subst))
+        blocked |= t.variables()
+    return _rebind(phi, dict(subst), _keep_unless(blocked, blocked))
 
 
 @dataclass(frozen=True)
@@ -477,21 +415,11 @@ Clause = tuple[tuple[Formula, ...], tuple[Formula, ...]]
 def atoms_of(phi: Formula) -> list[Formula]:
     """The distinct atoms of a quantifier-free formula, in a fixed order."""
     seen: dict[Formula, None] = {}
-
-    def walk(f: Formula):
+    for f in subformulas(phi):
+        if isinstance(f, _QUANT):
+            raise FormulaError(f"not quantifier-free: {f!r}")
         if isinstance(f, (Pred, Eq)):
             seen.setdefault(f)
-        elif isinstance(f, (Top, Bot)):
-            pass
-        elif isinstance(f, Not):
-            walk(f.body)
-        elif isinstance(f, _BINARY):
-            walk(f.left)
-            walk(f.right)
-        else:
-            raise FormulaError(f"not quantifier-free: {f!r}")
-
-    walk(phi)
     return sorted(seen, key=repr)
 
 

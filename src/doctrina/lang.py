@@ -226,17 +226,23 @@ def identity_morphism(ctx: Context) -> CtxMorphism:
     return CtxMorphism(ctx, ctx, tuple(Var(v) for v in ctx))
 
 
+def subst_term(t: Term, env: dict[str, Term]) -> Term:
+    """Simultaneously replace each variable named in `env` by its term."""
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    assert isinstance(t, App)
+    return App(t.symbol, tuple(subst_term(a, env) for a in t.args))
+
+
 def substitute_term(t: Term, f: CtxMorphism) -> Term:
     """Simultaneously replace each variable of `t` by its component under `f`.
 
     `t` must be a term over target(f); the result is a term over source(f).
     """
-    if isinstance(t, Var):
-        if t.name not in f.target:
-            raise LangError(f"variable {t.name} not bound by morphism into {f.target.vars}")
-        return f.component_for(t.name)
-    assert isinstance(t, App)
-    return App(t.symbol, tuple(substitute_term(a, f) for a in t.args))
+    unbound = t.variables() - set(f.target.vars)
+    if unbound:
+        raise LangError(f"variable {min(unbound)} not bound by morphism into {f.target.vars}")
+    return subst_term(t, dict(zip(f.target.vars, f.components)))
 
 
 def compose_ctx(g: CtxMorphism, f: CtxMorphism) -> CtxMorphism:

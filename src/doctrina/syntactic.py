@@ -36,6 +36,7 @@ from .formula import (
     qa_depth,
     rectify,
     size,
+    subformulas,
     substitute_formula,
 )
 from .calculus import Budget, ProofTree, Sequent, prove_bounded
@@ -86,33 +87,20 @@ class Theory:
 
 
 def max_pred_arity(phi: Formula) -> int:
-    if isinstance(phi, Pred):
-        return len(phi.args)
-    if isinstance(phi, Eq):
-        return 2
-    if isinstance(phi, (Top, Bot)):
-        return 0
-    if isinstance(phi, Not):
-        return max_pred_arity(phi.body)
-    if isinstance(phi, (And, Or, Imp)):
-        return max(max_pred_arity(phi.left), max_pred_arity(phi.right))
-    if isinstance(phi, (Forall, Exists)):
-        return max_pred_arity(phi.body)
-    raise SyntacticError(f"not a formula: {phi!r}")
+    atoms = (f for f in subformulas(phi) if isinstance(f, (Pred, Eq)))
+    return max((2 if isinstance(f, Eq) else len(f.args) for f in atoms), default=0)
 
 
 def predicates_of(phi: Formula) -> set[tuple[str, int]]:
-    if isinstance(phi, Pred):
-        return {(phi.name, len(phi.args))}
-    if isinstance(phi, (Eq, Top, Bot)):
-        return set()
-    if isinstance(phi, Not):
-        return predicates_of(phi.body)
-    if isinstance(phi, (And, Or, Imp)):
-        return predicates_of(phi.left) | predicates_of(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return predicates_of(phi.body)
-    raise SyntacticError(f"not a formula: {phi!r}")
+    return {(f.name, len(f.args)) for f in subformulas(phi) if isinstance(f, Pred)}
+
+
+def _predicates_with(signature: Signature, formulas: Iterable[Formula]) -> list[tuple[str, int]]:
+    """The signature's predicates and those occurring in `formulas`, sorted."""
+    preds = set(signature.predicates)
+    for f in formulas:
+        preds |= predicates_of(f)
+    return sorted(preds)
 
 
 # --- oracle verdicts ---------------------------------------------------------
@@ -245,10 +233,7 @@ class BoundedOracle(EntailmentOracle):
         return self.theory.relevant_axioms(bound)
 
     def predicates_for(self, s: Sequent, axioms: list[Formula]) -> list[tuple[str, int]]:
-        preds = set(self.theory.signature.predicates)
-        for f in list(s.antecedent) + list(s.succedent) + axioms:
-            preds |= predicates_of(f)
-        return sorted(preds)
+        return _predicates_with(self.theory.signature, [*s.antecedent, *s.succedent, *axioms])
 
     def decide(self, s: Sequent) -> Verdict:
         axioms = self.axioms_for(s)
@@ -261,22 +246,6 @@ class BoundedOracle(EntailmentOracle):
         if found is not None:
             return Refuted(found[0], found[1], self.name)
         return Unknown("budget exhausted")
-
-
-class CompositeOracle(EntailmentOracle):
-    name = "composite"
-
-    def __init__(self, parts: Sequence[EntailmentOracle]):
-        self.parts = list(parts)
-
-    def decide(self, s: Sequent) -> Verdict:
-        notes = []
-        for oracle in self.parts:
-            v = oracle.decide(s)
-            if not isinstance(v, Unknown):
-                return v
-            notes.append(f"{oracle.name}: {v.note}")
-        return Unknown("; ".join(notes))
 
 
 def lt_leq(oracle: EntailmentOracle, phi: FormulaInContext, psi: FormulaInContext) -> Verdict:
@@ -607,15 +576,10 @@ def universal_consequences(
 
     axioms = theory.relevant_axioms(family_up_to)
     body_lists = [(ctx, list(bodies(ctx))) for ctx in contexts]
-    preds = set(theory.signature.predicates)
-    for f in axioms:
-        preds |= predicates_of(f)
-    for _, lst in body_lists:
-        for body in lst:
-            preds |= predicates_of(body)
+    preds = _predicates_with(theory.signature, axioms + [b for _, lst in body_lists for b in lst])
     models = [
         m
-        for m in enumerate_structures(theory.signature, 2, sorted(preds))
+        for m in enumerate_structures(theory.signature, 2, preds)
         if all(eval_in_structure(ax, m, {}) for ax in axioms)
     ]
     out: list[tuple[Formula, ProofTree]] = []
@@ -810,10 +774,8 @@ def epr_valid(signature: Signature, s: Sequent) -> Optional[bool]:
     bound = epr_bound(s)
     if bound is None or signature.functions:
         return None
-    preds = set(signature.predicates)
-    for f in list(s.antecedent) + list(s.succedent):
-        preds |= predicates_of(f)
-    found = countermodel_search(s, (), signature, bound, sorted(preds))
+    preds = _predicates_with(signature, [*s.antecedent, *s.succedent])
+    found = countermodel_search(s, (), signature, bound, preds)
     return found is None
 
 

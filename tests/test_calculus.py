@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import os
 import pathlib
@@ -35,6 +36,7 @@ from doctrina.calculus import (
     prove_bounded,
 )
 from doctrina.semantics import enumerate_structures, sequent_valid_in_structure
+from doctrina.sexpr import proof_sexpr
 
 from helpers import random_sequent
 
@@ -245,6 +247,19 @@ def test_random_sequents_do_not_depend_on_hash_seed():
         outputs.append(run.stdout.splitlines())
     assert len(outputs[0]) == 200
     assert outputs[0] == outputs[1]
+
+
+def test_random_goal_certificates_are_pinned():
+    # Binder names are part of every printed certificate; any drift in how
+    # substitution, rectification or canonical forms name binders shows here.
+    rng = random.Random(20240901)
+    lines = []
+    for _ in range(100):
+        tree = prove_bounded(random_sequent(rng, 5), (), Budget(6, 2, 2000), SIG)
+        lines.append("None" if tree is None else proof_sexpr(tree))
+    assert sum(line != "None" for line in lines) == 55
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "4c5b8b5909511ed9ced7353839cdf105bff2868a1fd8e2a566273c5ed95a3738"
 
 
 def test_proofs_are_sound_in_finite_structures():

@@ -207,10 +207,11 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 0
 
 
-def _run_subprocess(argv, seed="0"):
+def _run_subprocess(argv, seed="0", extra_env=None):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(path)}
+    env.update(extra_env or {})
     return subprocess.run(
         [sys.executable, "-m", "doctrina.cli"] + argv,
         env=env, capture_output=True, text=True, timeout=300,
@@ -278,13 +279,28 @@ def test_reports_do_not_depend_on_hash_seed():
          "--body-size", "1", "--ctx-size", "0"],
         # PrefixError: the experiment's atom space is too large
         ["prefix-demo", "intersection", "--k", "2", "--arity", "3"],
+        # RecursionError: each dropped duplicate costs the prover two frames
+        ["prove", "(seq (ctx) (ants" + " P" * 600 + ") (sucs Q))"],
     ],
-    ids=["semantics", "syntactic", "prefix"],
+    ids=["semantics", "syntactic", "prefix", "wide-sequent"],
 )
 def test_ill_formed_input_exits_3_without_traceback(argv):
     run = _run_subprocess(argv)
     assert run.returncode == 3, run.stderr[-300:]
     assert run.stderr.startswith("ERROR "), run.stderr[-300:]
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("case", ["bad-utf8", "bad-budget-env"])
+def test_bad_file_or_environment_exits_3_without_traceback(case, tmp_path):
+    bad = tmp_path / "bad.seq"
+    bad.write_bytes(b"(seq (ctx) (ants) (sucs P\xff))")
+    if case == "bad-utf8":
+        run = _run_subprocess(["prove", str(bad)])
+    else:
+        run = _run_subprocess(["prove", "(seq (ctx) (ants) (sucs P))"], extra_env={"DOCTRINA_BUDGET": "x"})
+    assert run.returncode == 3, run.stderr[-300:]
+    assert run.stderr.startswith("ERROR ") and run.stderr.count("\n") == 1, run.stderr[-300:]
     assert "Traceback" not in run.stderr
 
 

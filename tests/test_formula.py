@@ -18,22 +18,27 @@ from doctrina.formula import (
     Or,
     Pred,
     Top,
+    all_vars,
     alpha_eq,
+    atoms_of,
     canonical_form,
     dnf_formula,
     free_vars,
     in_syntactic_layer,
+    is_quantifier_free,
     is_rectified,
     prop_equivalent,
     qa_depth,
     rectify,
     size,
+    subformulas,
     substitute,
     substitute_formula,
     to_dnf,
 )
 
 from doctrina.sexpr import formula_sexpr, parse_formula, parse_sexpr
+from doctrina.syntactic import max_pred_arity, predicates_of
 
 from helpers import brute_layer_index, enumerate_formulas, random_formula
 
@@ -248,6 +253,31 @@ def test_to_dnf_four_atoms_sampled():
 def test_size_counts_nodes():
     assert size(Top()) == 1
     assert size(Forall("x", Not(R("x", "x")))) == 3
+
+
+def test_subformulas_is_pre_order_left_to_right():
+    phi = And(Forall("x", Not(R("x", "y"))), Or(Top(), R("y", "y")))
+    assert list(subformulas(phi)) == [
+        phi, phi.left, phi.left.body, phi.left.body.body, phi.right, Top(), R("y", "y"),
+    ]
+    with pytest.raises(FormulaError, match="not a formula"):
+        list(subformulas(Not("P")))
+    # the first quantifier from the left is the one reported
+    with pytest.raises(FormulaError, match="not quantifier-free: forall x"):
+        atoms_of(Or(Not(Forall("x", R("x", "x"))), Exists("y", R("y", "y"))))
+
+
+def test_folds_do_not_recurse_on_deep_formulas():
+    # far deeper than the interpreter's frame limit
+    deep = R("x", "y")
+    for _ in range(5000):
+        deep = Not(deep)
+    assert size(deep) == 5001
+    assert all_vars(deep) == {"x", "y"}
+    assert is_quantifier_free(deep)
+    assert atoms_of(deep) == [R("x", "y")]
+    assert predicates_of(deep) == {("R", 2)}
+    assert max_pred_arity(deep) == 2
 
 
 def test_qa_depth_is_alpha_invariant():
