@@ -16,14 +16,18 @@ Every rule with premises except Cut is written down once, in `premises`:
 the checker compares each node's premises with what it returns, and the
 prover builds each premise it searches through it.  `_check_node` checks the
 six leaf rules and Cut itself.
+
+`prove_qf` runs the same search, uncapped, on a quantifier-free sequent,
+closing atomic leaves by Id or by a caller's lemma for a pair of atoms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .lang import App, Context, Signature, Term, Var
 from .formula import (
@@ -40,7 +44,9 @@ from .formula import (
     alpha_eq,
     canonical_form,
     free_vars,
+    is_quantifier_free,
     rectify,
+    subformulas,
     substitute,
 )
 
@@ -417,10 +423,15 @@ def terms_over(ctx: Context, signature: Optional[Signature], max_depth: int) -> 
     return [t for layer in layers for t in layer]
 
 
+# a proof of `a =>_ctx b` for two atoms, or None; see `prove_qf`
+Closer = Callable[[Formula, Formula, Context], Optional[ProofTree]]
+
+
 class _Search:
-    def __init__(self, budget: Budget, signature: Optional[Signature]):
+    def __init__(self, budget: Budget, signature: Optional[Signature], closer: Optional[Closer] = None):
         self.budget = budget
         self.signature = signature
+        self.closer = closer
         self.nodes = 0
         self._witnesses: dict[tuple[str, ...], list[Term]] = {}
 
@@ -454,12 +465,20 @@ class _Search:
             tree = ProofTree(chain[k], rules[k], (tree,))
         return tree
 
-    def close(self, s: Sequent, i: int, j: int, leaf: Rule) -> ProofTree:
+    def close(self, s: Sequent, i: int, j: int, top: Rule | ProofTree) -> ProofTree:
         """Weaken `s` down to its antecedent formula `i` (none when negative)
-        and its succedent formula `j`, and close that with `leaf`."""
+        and its succedent formula `j`, and close that with `top`: a leaf
+        rule, or a proof of the weakened sequent."""
         rules = [Rule("RW", pos=k) for k in reversed(range(len(s.succedent))) if k != j]
         rules += [Rule("LW", pos=k) for k in reversed(range(len(s.antecedent))) if k != i]
-        return self.apply(s, rules + [leaf], 0, frozenset())
+        chain = [s]
+        for r in rules:
+            chain += premises(chain[-1], r)
+        if isinstance(top, Rule):
+            top = ProofTree(chain[-1], top)
+        for c, r in zip(reversed(chain[:-1]), reversed(rules)):
+            top = ProofTree(c, r, (top,))
+        return top
 
     # -- the search proper ----------------------------------------------
 
@@ -481,6 +500,12 @@ class _Search:
         for i, a in enumerate(cant):
             if a in csuc:
                 return self.close(s, i, csuc.index(a), Rule("Id"))
+        if self.closer is not None:
+            for i, a in enumerate(ant):
+                for j, b in enumerate(suc):
+                    lemma = self.closer(a, b, s.context)
+                    if lemma is not None:
+                        return self.close(s, i, j, lemma)
         if self.signature is not None and self.signature.has_equality:
             for j, phi in enumerate(suc):
                 if isinstance(phi, Eq) and phi.left == phi.right:
@@ -614,3 +639,22 @@ def prove_bounded(
         concl = Sequent(s.context, remaining + s.antecedent, s.succedent)
         tree = ProofTree(concl, Rule("Cut"), (lemma, tree))
     return tree
+
+
+def prove_qf(
+    s: Sequent, signature: Optional[Signature] = None, closer: Optional[Closer] = None
+) -> Optional[ProofTree]:
+    """The proof of the quantifier-free sequent `s` by the prover's
+    invertible rules, or None when an atomic leaf stays open.
+
+    Without quantifiers the search never backtracks, so it needs no node cap
+    and no deepening: the binary connectives bound its depth.
+    `closer(a, b, ctx)` may prove a pair `a =>_ctx b` that Id does not close;
+    its proof is weakened into place.
+    """
+    formulas = s.antecedent + s.succedent
+    if not all(is_quantifier_free(f) for f in formulas):
+        raise ProofError("prove_qf needs a quantifier-free sequent")
+    depth = sum(isinstance(g, (And, Or, Imp)) for f in formulas for g in subformulas(f))
+    engine = _Search(Budget(max_nodes=math.inf), signature, closer)
+    return engine.prove(s, depth, frozenset())

@@ -4,8 +4,8 @@ word-language experiments.
 
 Exit codes: 0 verified/proved/decided-positive, 1 refuted or verification
 failure (with a certificate in the report), 2 unknown or budget exhausted,
-3 parse or well-formedness error.  Reports are deterministic sorted lines,
-buffered and flushed once.
+3 parse, well-formedness or input error.  Reports are deterministic sorted
+lines, buffered and flushed once.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ EXIT_UNKNOWN = 2
 EXIT_PARSE = 3
 
 
+class InputError(Exception):
+    """A bad input or setting that has no position in a document: a file
+    that is not UTF-8, a bad `DOCTRINA_BUDGET`, a missing option."""
+
+
 class Report:
     """Accumulates report lines; emitted once, sorted within each block."""
 
@@ -86,7 +91,7 @@ def load_text(arg: str) -> str:
         try:
             return Path(arg).read_text(encoding="utf-8")
         except UnicodeDecodeError as e:
-            raise ParseError(f"{arg} is not valid UTF-8: {e.reason} at byte {e.start}") from None
+            raise InputError(f"{arg} is not valid UTF-8: {e.reason} at byte {e.start}") from None
     return arg
 
 
@@ -105,7 +110,7 @@ def default_budget(args) -> Budget:
         try:
             depth = int(text)
         except ValueError:
-            raise ParseError(f"DOCTRINA_BUDGET must be an integer, got {text!r}") from None
+            raise InputError(f"DOCTRINA_BUDGET must be an integer, got {text!r}") from None
     return Budget(
         max_depth=depth,
         max_term_depth=getattr(args, "term_depth", 2),
@@ -132,10 +137,12 @@ def infer_context(*formulas) -> Context:
 
 
 def make_oracle(kind: str, theory: Theory, budget: Budget, model_size: int):
+    """The entailment oracle named on the command line; the budget and the
+    model size bound only the bounded oracle, the other two are exact."""
     if kind == "truthtable":
-        return TruthTableOracle(theory.signature, budget)
+        return TruthTableOracle(theory.signature)
     if kind == "prefix":
-        return PrefixOracle(budget)
+        return PrefixOracle()
     return BoundedOracle(theory, budget, model_size)
 
 
@@ -231,19 +238,16 @@ def cmd_verify_doctrine(args) -> int:
                 report.add("NOTE fibered equalities " + str(sorted(family.items())))
     if not vs and args.level == "qff":
         if marking is None:
-            raise ParseError("qff level needs --marking")
+            raise InputError("qff level needs --marking")
         vs += verify_qff(d, marking)
     if not vs and args.level == "one-step":
         if marking is None:
-            raise ParseError("one-step level needs --marking")
-        from .doctrine import all_forced_universals
-
-        tables = d.forall if d.forall is not None else all_forced_universals(d)
-        p1 = layer_step(d, marking, tables)
+            raise InputError("one-step level needs --marking")
+        p1 = layer_step(d, marking, d.universal_tables())
         vs += verify_one_step(d, marking, p1)
     if not vs and args.level == "stratified":
         if marking is None:
-            raise ParseError("stratified level needs --marking")
+            raise InputError("stratified level needs --marking")
         try:
             seq = stratify(d, marking)
             vs += verify_qa_stratified(seq)
@@ -455,7 +459,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ParseError, LangError, FormulaError, ProofError, DoctrineError, SemanticsError,
+        ParseError, InputError, LangError, FormulaError, ProofError, DoctrineError, SemanticsError,
         SyntacticError, PrefixError, OSError,
     ) as e:
         print(f"ERROR {e}", file=sys.stderr)

@@ -68,6 +68,17 @@ class Doctrine:
         assert self.forall is not None, "doctrine has no universal quantifier tables"
         return self.forall[(x, y)][b]
 
+    def universal_tables(self) -> QuantTable:
+        """The universal tables the doctrine carries, or else the forced
+        right adjoints, computed once: a doctrine's category, fibers and
+        reindexings are not changed after it is built."""
+        if self.forall is not None:
+            return self.forall
+        forced = self.__dict__.get("_forced_universals")
+        if forced is None:
+            forced = self._forced_universals = all_forced_universals(self)
+        return forced
+
     def product_fiber(self, x: str, y: str) -> BoolAlg:
         return self.fibers[self.base.product(x, y)[0]]
 
@@ -157,7 +168,7 @@ def verify_first_order(d: Doctrine, tables: Optional[QuantTable] = None) -> list
     out: list[Violation] = []
     cat = d.base
     if tables is None:
-        tables = d.forall if d.forall is not None else all_forced_universals(d)
+        tables = d.universal_tables()
     for x in cat.objects:
         for y in cat.objects:
             table = tables.get((x, y))
@@ -195,7 +206,7 @@ def verify_first_order(d: Doctrine, tables: Optional[QuantTable] = None) -> list
 def derive_exists(d: Doctrine) -> QuantTable:
     """The existential tables, as the De Morgan dual of the universal ones;
     verified to be left adjoint to reindexing along the first projection."""
-    tables = d.forall if d.forall is not None else all_forced_universals(d)
+    tables = d.universal_tables()
     out: QuantTable = {}
     for x in d.base.objects:
         for y in d.base.objects:
@@ -583,7 +594,7 @@ def quotient_by_filter(d: Doctrine, filt: Iterable[int]) -> tuple[Doctrine, Doct
     term = d.base.terminal
     if not is_filter(d.fiber(term), filt):
         raise DoctrineError("not a filter on the terminal fiber")
-    tables = d.forall if d.forall is not None else all_forced_universals(d)
+    tables = d.universal_tables()
 
     # the filter on each fiber is principal; keep the atoms of its generator
     cmask: dict[str, int] = {}
@@ -701,7 +712,7 @@ def close_boolean_substitution(d: Doctrine, marking: Marking) -> Marking:
 def generated_markings(d: Doctrine, seed: Marking) -> Marking:
     """Close a marking under Boolean operations, reindexings, and the
     universal quantifiers: the subdoctrine generated by the seed."""
-    tables = d.forall if d.forall is not None else all_forced_universals(d)
+    tables = d.universal_tables()
     cur = close_boolean_substitution(d, seed)
     while True:
         nxt = {x: set(v) for x, v in cur.items()}
@@ -747,7 +758,7 @@ def subdoctrine_from_markings(d: Doctrine, marking: Marking) -> tuple[Doctrine, 
         reindex[f] = tuple(
             encode(x, d.re(f, decode(y, q))) for q in fibers[y].elements()
         )
-    tables = d.forall if d.forall is not None else all_forced_universals(d)
+    tables = d.universal_tables()
     forall: QuantTable = {}
     for x in d.base.objects:
         for y in d.base.objects:

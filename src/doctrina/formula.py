@@ -307,8 +307,10 @@ def is_rectified(phi: Formula) -> bool:
 def substitute(phi: Formula, subst: dict[str, Term], avoid: Iterable[str] = ()) -> Formula:
     """Capture-avoiding simultaneous substitution of free variables.
 
-    Bound variables clashing with `avoid` or with variables of the
-    substituted terms are renamed from the reserved pool.
+    Every bound variable is renamed from the reserved pool, clashing or
+    not: the names to avoid include all variables of `phi`, its own binders
+    among them, so `substitute(forall y. P(y), {x: z})` gives
+    `forall x1. P(x1)`.
     """
     blocked = set(avoid) | set(all_vars(phi)) | set(subst)
     for t in subst.values():

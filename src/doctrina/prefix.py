@@ -27,7 +27,9 @@ from .formula import (
     is_quantifier_free,
     to_dnf,
 )
-from .calculus import Budget, Sequent, prove_bounded
+from .calculus import ProofTree, Rule, Sequent, _axiom_lemma, premises, prove_qf
+# an explicit re-export: bench/tracing.py wraps prefix.prove_bounded
+from .calculus import prove_bounded as prove_bounded
 from .doctrine import Violation, violation
 from .semantics import FiniteStructure, eval_in_structure
 from .syntactic import (
@@ -207,15 +209,12 @@ def qf_equivalent_modT(phi: Formula, psi: Formula, ctx: Context) -> bool:
 
 
 class PrefixOracle(EntailmentOracle):
-    """Entailment for quantifier-free sequents over word-language atoms:
-    exact refutations come with the word countermodel, positive answers are
-    certified by bounded proof search from the linking axioms."""
+    """Entailment for quantifier-free sequents over word-language atoms,
+    decided by the prefix criterion: refutations come with the word
+    countermodel, and entailments with a proof built by the invertible
+    rules, closing each atomic leaf by Id or by `_chain_lemma`."""
 
     name = "prefix"
-
-    def __init__(self, budget: Budget = Budget(max_depth=10)):
-        self.budget = budget
-        self.theory = prefix_theory()
 
     def decide(self, s: Sequent):
         from .formula import And, conj, disj
@@ -248,11 +247,62 @@ class PrefixOracle(EntailmentOracle):
                 )
                 assignment = {v: pooled[pool_var(i)] for i, v in enumerate(s.context.vars, 1)}
                 return Refuted(model.as_structure(), assignment, self.name)
-        axioms = self.theory.relevant_axioms(max(arities))
-        proof = prove_bounded(s, axioms, self.budget, SIGNATURE)
-        if proof is not None:
-            return Proved(proof, self.name)
-        return Unknown("entailed modulo the theory, but no bounded certificate")
+        proof = prove_qf(s, SIGNATURE, _chain_lemma)
+        if proof is None:
+            raise PrefixError(f"entailed, but an atomic leaf of {s!r} stays open")
+        return Proved(proof, self.name)
+
+
+def _by(rule: Rule, *above):
+    """A function from a sequent to its proof by `rule`, each premise (from
+    `calculus.premises`) proved by the matching function in `above`."""
+
+    def build(c: Sequent) -> ProofTree:
+        ps = premises(c, rule) if above else ()
+        return ProofTree(c, rule, tuple(f(p) for f, p in zip(above, ps, strict=True)))
+
+    return build
+
+
+def _chain_lemma(a: Formula, b: Formula, ctx: Context) -> Optional[ProofTree]:
+    """The closer of `prove_qf` for the prefix criterion: a proof of
+    `R_m(t1..tm) =>_ctx R_n(t1..tn)` for n < m, else None.  It has one link
+    `R_k(t1..tk) => R_(k-1)(t1..t(k-1))` per level, each from the axiom at
+    level k-1, and joins them by cuts."""
+    if not (isinstance(a, Pred) and isinstance(b, Pred)):
+        return None
+    terms, m, n = a.args, len(a.args), len(b.args)
+    if a.name != FAMILY.name(m) or b.name != FAMILY.name(n) or n >= m or terms[:n] != b.args:
+        return None
+
+    def atom(k: int) -> Pred:
+        return Pred(FAMILY.name(k), terms[:k])
+
+    identity = _by(Rule("Id"))
+    tree = None
+    for k in range(n + 1, m + 1):
+        # the axiom at level k-1, instantiated at t1..t(k-1); its
+        # right-to-left half (exists y. R_k(t1..t(k-1), y)) -> R_(k-1)(...)
+        # fires with t_k as the witness
+        ax = axiom_alpha(k - 1)
+        build = _by(
+            Rule("LImp"),
+            _by(Rule("RExists", pos=1, term=terms[k - 1]), _by(Rule("RW"), identity)),
+            _by(Rule("LW", pos=1), identity),
+        )
+        build = _by(Rule("LAnd", which=1), build)
+        for t in reversed(terms[: k - 1]):
+            build = _by(Rule("LForall", term=t), build)
+        link = ProofTree(
+            Sequent(ctx, (atom(k),), (atom(k - 1),)),
+            Rule("Cut"),
+            (_axiom_lemma(ax, ctx), build(Sequent(ctx, (ax, atom(k)), (atom(k - 1),)))),
+        )
+        # R_k => R_(k-1) and R_(k-1) => R_n cut into R_k => R_n
+        tree = link if tree is None else ProofTree(
+            Sequent(ctx, (atom(k),), (atom(n),)), Rule("Cut"), (link, tree)
+        )
+    return tree
 
 
 def _pred_atoms(phi: Formula) -> list[Pred]:

@@ -21,7 +21,6 @@ from .doctrine import (
     Marking,
     QuantTable,
     Violation,
-    all_forced_universals,
     violation,
 )
 
@@ -70,7 +69,7 @@ def layer_step(d: Doctrine, marking: Marking, tables: QuantTable) -> Marking:
 def compute_layers(d: Doctrine, marking: Marking) -> list[Marking]:
     """Iterate the generation step until two consecutive markings agree.
     Termination is guaranteed by the finiteness of the fibers."""
-    tables = d.forall if d.forall is not None else all_forced_universals(d)
+    tables = d.universal_tables()
     levels = [dict(marking)]
     while True:
         nxt = layer_step(d, levels[-1], tables)
@@ -115,7 +114,7 @@ class StratifiedSequence:
         return self.levels[min(n, len(self.levels) - 1)]
 
     def one_step(self, n: int, x: str, y: str) -> dict[int, int]:
-        tables = self.ambient.forall if self.ambient.forall is not None else all_forced_universals(self.ambient)
+        tables = self.ambient.universal_tables()
         p = self.ambient.base.product(x, y)[0]
         return {b: tables[(x, y)][b] for b in sorted(self.level(n)[p])}
 
@@ -179,7 +178,7 @@ def verify_one_step(
             out.append(violation("inclusion", X=x))
     if out:
         return out
-    ambient = d.forall if d.forall is not None else all_forced_universals(d)
+    ambient = d.universal_tables()
     if tables is None:
         tables = {
             (x, y): {b: ambient[(x, y)][b] for b in p0[d.base.product(x, y)[0]]}

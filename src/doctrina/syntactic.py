@@ -39,7 +39,7 @@ from .formula import (
     subformulas,
     substitute_formula,
 )
-from .calculus import Budget, ProofTree, Sequent, prove_bounded
+from .calculus import Budget, ProofTree, Sequent, prove_bounded, prove_qf
 from .doctrine import Doctrine, Violation, violation
 from .semantics import (
     FiniteStructure,
@@ -154,13 +154,13 @@ def _distinct_subterms(terms: Iterable[Term]) -> list[Term]:
 class TruthTableOracle(EntailmentOracle):
     """Propositional reading of quantifier-free sequents over the empty
     theory: atoms with distinct argument tuples are independent, so a
-    falsifying valuation always lifts to a term-generated countermodel."""
+    falsifying valuation always lifts to a term-generated countermodel, and
+    a tautology is proved by the invertible rules closing on Id."""
 
     name = "truthtable"
 
-    def __init__(self, signature: Signature, prover_budget: Budget = Budget()):
+    def __init__(self, signature: Signature):
         self.signature = signature
-        self.budget = prover_budget
 
     def decide(self, s: Sequent) -> Verdict:
         from .formula import atoms_of, eval_prop
@@ -177,9 +177,9 @@ class TruthTableOracle(EntailmentOracle):
                 eval_prop(b, val) for b in s.succedent
             ):
                 return self._refute(s, atoms, val)
-        proof = prove_bounded(s, (), self.budget, self.signature)
+        proof = prove_qf(s, self.signature)
         if proof is None:
-            return Unknown("tautology, but no proof within the budget")
+            raise SyntacticError(f"a tautology, but an atomic leaf of {s!r} stays open")
         return Proved(proof, self.name)
 
     def _refute(self, s: Sequent, atoms, val) -> Verdict:

@@ -291,17 +291,23 @@ def test_ill_formed_input_exits_3_without_traceback(argv):
     assert "Traceback" not in run.stderr
 
 
-@pytest.mark.parametrize("case", ["bad-utf8", "bad-budget-env"])
+@pytest.mark.parametrize("case", ["bad-utf8", "bad-budget-env", "missing-marking"])
 def test_bad_file_or_environment_exits_3_without_traceback(case, tmp_path):
     bad = tmp_path / "bad.seq"
     bad.write_bytes(b"(seq (ctx) (ants) (sucs P\xff))")
     if case == "bad-utf8":
         run = _run_subprocess(["prove", str(bad)])
-    else:
+    elif case == "bad-budget-env":
         run = _run_subprocess(["prove", "(seq (ctx) (ants) (sucs P))"], extra_env={"DOCTRINA_BUDGET": "x"})
+    else:
+        doc = tmp_path / "subset.doc"
+        doc.write_text(sexpr.doctrine_sexpr(subset_doctrine({"E": (), "U": ("*",)})), encoding="utf-8")
+        run = _run_subprocess(["verify-doctrine", str(doc), "--level", "qff"])
     assert run.returncode == 3, run.stderr[-300:]
     assert run.stderr.startswith("ERROR ") and run.stderr.count("\n") == 1, run.stderr[-300:]
     assert "Traceback" not in run.stderr
+    # these errors have no position in a document
+    assert "0:0" not in run.stderr, run.stderr
 
 
 def test_deep_proof_prints_its_certificate():

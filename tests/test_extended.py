@@ -18,7 +18,7 @@ from doctrina.formula import (
     Top,
 )
 from doctrina.boolalg import BoolAlg
-from doctrina.calculus import Budget, Sequent, check_proof
+from doctrina.calculus import Sequent, check_proof
 from doctrina.category import chain_category
 from doctrina.doctrine import (
     hbx_doctrine,
@@ -38,7 +38,7 @@ from doctrina.prefix import (
 
 def test_prefix_oracle_two_step_chain_certificate():
     # the ternary atom entails the unary one through two axiom applications
-    oracle = PrefixOracle(Budget(max_depth=12, max_nodes=60000))
+    oracle = PrefixOracle()
     ctx = canonical_context(3)
     r3 = Pred("R3", (Var("x1"), Var("x2"), Var("x3")))
     r1 = Pred("R1", (Var("x1"),))

@@ -13,7 +13,7 @@ from doctrina.formula import (
     Top,
     free_vars,
 )
-from doctrina.calculus import Budget, Sequent, check_proof
+from doctrina.calculus import Sequent, check_proof
 from doctrina.semantics import eval_in_structure
 from doctrina.syntactic import Proved, Refuted, Unknown
 from doctrina.cli import infer_context, main
@@ -155,7 +155,7 @@ def test_prefix_criterion_matches_word_model_search_small():
 
 
 def test_prefix_oracle_certificates():
-    oracle = PrefixOracle(Budget(max_depth=10))
+    oracle = PrefixOracle()
     ctx = canonical_context(2)
     r2 = atom(1, 2).formula(ctx)
     r1 = atom(1).formula(ctx)
@@ -194,21 +194,25 @@ def test_prefix_entail_refutation_falsifies_the_goal(phi, psi, capsys):
 
 
 def test_prefix_oracle_refutations_falsify_random_goals():
+    # and every entailed goal is proved, with a certificate that checks
     rng = random.Random(20240917)
     oracle = PrefixOracle()
-    refuted = 0
+    refuted = proved = 0
     for i in range(300):
         k = i % 3 + 1
         phi = random_prefix_formula(rng, k, rng.randint(1, 4))
         psi = random_prefix_formula(rng, k, rng.randint(1, 3))
         ctx = infer_context(phi, psi)
-        if qf_entails_modT(phi, psi, ctx):
-            continue
         v = oracle.decide(Sequent(ctx, (phi,), (psi,)))
+        if qf_entails_modT(phi, psi, ctx):
+            assert isinstance(v, Proved), (phi, psi, v)
+            assert check_proof(v.proof, prefix_theory(), SIGNATURE).ok, (phi, psi)
+            proved += 1
+            continue
         assert isinstance(v, Refuted), (phi, psi)
         assert _falsifies(phi, psi, v.structure, v.assignment), (phi, psi)
         refuted += 1
-    assert refuted >= 100
+    assert refuted >= 100 and proved >= 50
 
 
 def test_prefix_oracle_declines_non_prefix_atoms():

@@ -48,7 +48,7 @@ def test_enumerated_word_models_exist():
 def test_prefix_proofs_hold_in_all_word_models():
     # every certificate the prefix oracle produces is valid in every
     # enumerated model of the theory
-    oracle = PrefixOracle(Budget(max_depth=10))
+    oracle = PrefixOracle()
     ctx2 = canonical_context(2)
     r2 = Pred("R2", (Var("x1"), Var("x2")))
     r1 = Pred("R1", (Var("x1"),))

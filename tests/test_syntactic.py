@@ -78,6 +78,18 @@ def test_truthtable_oracle_proves_tautology():
     assert check_proof(v.proof).ok
 
 
+def test_truthtable_oracle_proves_tautologies_of_any_depth():
+    # ten excluded middles under nine conjunctions: one more branching rule
+    # than the default proof-depth budget allows
+    from doctrina.formula import conj
+
+    xs = tuple(f"x{i}" for i in range(10))
+    goal = conj([Or(P(x), Not(P(x))) for x in xs])
+    v = TruthTableOracle(SIG).decide(Sequent(Context(xs), (), (goal,)))
+    assert isinstance(v, Proved)
+    assert check_proof(v.proof, (), SIG).ok
+
+
 def test_truthtable_oracle_refutes_with_certificate():
     oracle = TruthTableOracle(SIG)
     s = Sequent(Context(("x", "y")), (Q("x", "y"),), (Q("y", "x"),))
