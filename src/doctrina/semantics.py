@@ -6,14 +6,34 @@ Formulas-in-context can also be interpreted as sets of assignment tuples,
 which is the powerset-doctrine reading of a formula and is what ties the
 calculus to set semantics in tests.
 
-`eval_in_structure` walks the formula tree and is the reference semantics.
-Sequents are checked by a faster route: `sequent_valid_in_structure`,
-`falsifying_assignment` and `countermodel_search` compile each sequent once
-into one Python function, kept on the sequent, that loops over the context
-assignments with every variable in a positional slot.  The compiled form
-agrees with the reference on every input, including the first falsifying
-assignment and the `SemanticsError`s raised (lazily, for what is actually
-evaluated); tests/test_semantics.py compares the two.
+Formulas are evaluated by three routes:
+
+- `eval_in_structure` walks the formula tree in one structure under one
+  assignment.  It is the reference semantics.
+- The per-structure compiled form: `sequent_valid_in_structure`,
+  `falsifying_assignment` and the confirm step of `countermodel_search`
+  compile each sequent once into one Python function, kept on the
+  sequent, that loops over the context assignments with every variable in
+  a positional slot.  It agrees with the reference on every input,
+  including the first falsifying assignment and the `SemanticsError`s
+  raised (lazily, for what is actually evaluated).
+- The block-mask form: `CarrierStructures` numbers the structures of one
+  carrier so that, for fixed function tables, the predicate
+  interpretations are the bits of one index.  A block of up to 4,096 of
+  them is a powerset Boolean algebra: a formula under an assignment
+  denotes the mask of the structures it holds in, an atom is a periodic
+  mask (or a constant one for the index bits above the block), connectives
+  are `& | ^`, and quantifiers are meets and joins over the carrier.
+
+`countermodel_search` filters each block by the masks of the axioms and of
+the falsified sequent, then confirms the candidates, lowest index first,
+with the reference axiom check and the compiled sequent.  The confirm step
+keeps the results exact.  The masks are taken in the order the confirm step
+runs its checks, and only up to the first check whose mask fails a lookup
+(see `_Block.candidates`), so a structure outside the mask is one the plain
+loop would skip without raising, and the first confirmed candidate is the
+plain loop's first countermodel with the same assignment.
+tests/test_semantics.py compares each route with the reference.
 """
 
 from __future__ import annotations
@@ -325,46 +345,178 @@ def falsifying_assignment(s: Sequent, m: FiniteStructure) -> Optional[dict]:
     return _compiled(s)(m)
 
 
+# The block-mask route numbers the predicate interpretations of a carrier
+# as bits of one index and evaluates 2**_BLOCK_BITS of them at once, so a
+# mask is a Python int of at most 4,096 bits (512 bytes).
+_BLOCK_BITS = 12
+# `_STRIPES[p]` is the 4,096-bit mask of the block indices whose bit p is set.
+_STRIPES = tuple(
+    int(("1" * (1 << p) + "0" * (1 << p)) * (1 << (_BLOCK_BITS - 1 - p)), 2) for p in range(_BLOCK_BITS)
+)
+
+
+class CarrierStructures:
+    """The structures with carrier {0, .., k-1}, numbered in the order in
+    which `enumerate_structures` yields them; this class is the one
+    definition of that order.
+
+    Structure `i` has function pick `i >> bits` and predicate index
+    `i & (2**bits - 1)`.  The pick is a base-k number whose digits, most
+    significant first, are the images of the function tables, symbol by
+    symbol, each over its domain in `itertools.product` order.  The
+    predicate index has one bit per cell, a (predicate, tuple) pair: cells
+    run predicate by predicate, each over its domain in `itertools.product`
+    order, and the first cell is the most significant bit."""
+
+    def __init__(self, k: int, functions, predicates):
+        self.carrier = tuple(range(k))
+        self.functions = [(name, list(itertools.product(self.carrier, repeat=a))) for name, a in functions]
+        self.picks = k ** sum(len(domain) for _, domain in self.functions)
+        domains = [(name, list(itertools.product(self.carrier, repeat=a))) for name, a in predicates]
+        self.bits = sum(len(domain) for _, domain in domains)
+        bit = itertools.count(self.bits - 1, -1)
+        self.cells = [(name, [(t, next(bit)) for t in domain]) for name, domain in domains]
+        self.count = self.picks << self.bits
+
+    def tables(self, pick: int) -> dict[str, dict[tuple, object]]:
+        images = []
+        for _ in range(sum(len(domain) for _, domain in self.functions)):
+            pick, image = divmod(pick, len(self.carrier))
+            images.append(image)
+        digits = reversed(images)
+        return {name: dict(zip(domain, digits)) for name, domain in self.functions}
+
+    def structure(self, index: int) -> FiniteStructure:
+        if not 0 <= index < self.count:
+            raise IndexError(f"structure {index} of {self.count}")
+        predicates = {name: frozenset(t for t, bit in cells if index >> bit & 1) for name, cells in self.cells}
+        return FiniteStructure(self.carrier, self.tables(index >> self.bits), predicates)
+
+    def blocks(self, pick: int) -> Iterator[tuple[int, "_Block"]]:
+        """The structures of one function pick in blocks of at most 4,096,
+        each with the index of its first structure.  Within a block a cell
+        among the low bits is a periodic mask and a higher cell is constant."""
+        width = min(self.bits, _BLOCK_BITS)
+        full = (1 << (1 << width)) - 1
+        functions = self.tables(pick)
+        for block in range(1 << (self.bits - width)):
+            atoms = {
+                name: {
+                    t: _STRIPES[bit] & full if bit < width else full if block >> (bit - width) & 1 else 0
+                    for t, bit in cells
+                }
+                for name, cells in self.cells
+            }
+            yield (pick << self.bits) | (block << width), _Block(self.carrier, functions, atoms, full)
+
+
+class _Block:
+    """Structures that share a carrier and function tables and differ only
+    in their predicates, one bit each.  A formula denotes the mask of the
+    structures it holds in: the powerset Boolean algebra of the block, with
+    `& | ^` for the connectives and meets and joins over the carrier for the
+    quantifiers."""
+
+    __slots__ = ("carrier", "functions", "atoms", "full")
+
+    def __init__(self, carrier: tuple, functions: dict, atoms: dict, full: int):
+        self.carrier, self.functions, self.atoms, self.full = carrier, functions, atoms, full
+
+    def value(self, t: Term, env: dict):
+        if isinstance(t, Var):
+            return env[t.name]
+        return self.functions[t.symbol][tuple(self.value(a, env) for a in t.args)]
+
+    def mask(self, phi: Formula, env: dict) -> int:
+        if isinstance(phi, Pred):
+            return self.atoms[phi.name].get(tuple(self.value(t, env) for t in phi.args), 0)
+        if isinstance(phi, Eq):
+            return self.full if self.value(phi.left, env) == self.value(phi.right, env) else 0
+        if isinstance(phi, Top):
+            return self.full
+        if isinstance(phi, Bot):
+            return 0
+        if isinstance(phi, Not):
+            return self.full ^ self.mask(phi.body, env)
+        if isinstance(phi, Forall):
+            out = self.full
+            for e in self.carrier:
+                out &= self.mask(phi.body, {**env, phi.var: e})
+            return out
+        if isinstance(phi, Exists):
+            out = 0
+            for e in self.carrier:
+                out |= self.mask(phi.body, {**env, phi.var: e})
+            return out
+        left, right = self.mask(phi.left, env), self.mask(phi.right, env)
+        if isinstance(phi, And):
+            return left & right
+        if isinstance(phi, Or):
+            return left | right
+        return (self.full ^ left) | right
+
+    def candidates(self, axioms: list[Formula], s: Sequent) -> int:
+        """The structures that satisfy the axioms and falsify `s`, or more.
+
+        The checks run in the order of the per-structure ones, axioms first.
+        This evaluation visits every subformula under every assignment the
+        per-structure one can visit, with the same function tables, so a
+        check that fails no lookup here raises in no structure of the block.
+        A failed lookup (an uninterpreted predicate, a function applied off
+        its table, an unbound variable) stops the filter: that check might
+        raise, so it and the checks after it are left to the confirm step."""
+        out = self.full
+        try:
+            for ax in axioms:
+                out &= self.mask(ax, {})
+            out &= self.falsifying(s)
+        except KeyError:
+            pass
+        return out
+
+    def falsifying(self, s: Sequent) -> int:
+        """The structures with some context assignment that satisfies every
+        antecedent and no succedent."""
+        out = 0
+        for values in itertools.product(self.carrier, repeat=len(s.context)):
+            env = dict(zip(s.context.vars, values))
+            mask = self.full
+            for phi in s.antecedent:
+                mask &= self.mask(phi, env)
+            for phi in s.succedent:
+                mask &= ~self.mask(phi, env)
+            out |= mask
+        return out
+
+
+def carrier_structures(
+    signature: Signature,
+    size: int,
+    predicates: Optional[list[tuple[str, int]]] = None,
+) -> Iterator[CarrierStructures]:
+    """The numbered structures of each carrier size k <= size, smallest
+    first.  The empty carrier is included unless the signature has
+    constants.  `predicates` restricts/extends the interpreted predicate
+    symbols, which matters for signatures with infinite predicate
+    families."""
+    preds = list(signature.predicates) if predicates is None else list(predicates)
+    start = 0 if not signature.constants() else 1
+    for k in range(start, size + 1):
+        yield CarrierStructures(k, signature.functions, preds)
+
+
 def enumerate_structures(
     signature: Signature,
     size: int,
     predicates: Optional[list[tuple[str, int]]] = None,
 ) -> Iterator[FiniteStructure]:
-    """All structures with carrier {0, .., k-1} for k <= size, in a fixed
-    order (smaller carriers first, interpretations lexicographic).  The
-    empty carrier is included unless the signature has constants.
-    `predicates` restricts/extends the interpreted predicate symbols, which
-    matters for signatures with infinite predicate families."""
-    preds = list(signature.predicates) if predicates is None else list(predicates)
-    funcs = list(signature.functions)
-    start = 0 if not signature.constants() else 1
-    for k in range(start, size + 1):
-        carrier = tuple(range(k))
-        fn_choices = []
-        for name, arity in funcs:
-            domain = list(itertools.product(carrier, repeat=arity))
-            tables = [
-                dict(zip(domain, images))
-                for images in itertools.product(carrier, repeat=len(domain))
-            ]
-            if not tables:
-                tables = [{}]
-            fn_choices.append((name, tables))
-        pr_choices = []
-        for name, arity in preds:
-            domain = list(itertools.product(carrier, repeat=arity))
-            subsets = [
-                frozenset(t for t, keep in zip(domain, bits) if keep)
-                for bits in itertools.product((False, True), repeat=len(domain))
-            ]
-            pr_choices.append((name, subsets))
-        for fn_pick in itertools.product(*(tables for _, tables in fn_choices)):
-            for pr_pick in itertools.product(*(subsets for _, subsets in pr_choices)):
-                yield FiniteStructure(
-                    carrier,
-                    {name: table for (name, _), table in zip(fn_choices, fn_pick)},
-                    {name: s for (name, _), s in zip(pr_choices, pr_pick)},
-                )
+    """All structures with carrier {0, .., k-1} for k <= size, in the order
+    `CarrierStructures` numbers them (smaller carriers first,
+    interpretations lexicographic); `carrier_structures` says which
+    carriers and predicates."""
+    for numbered in carrier_structures(signature, size, predicates):
+        for index in range(numbered.count):
+            yield numbered.structure(index)
 
 
 def countermodel_search(
@@ -375,13 +527,22 @@ def countermodel_search(
     predicates: Optional[list[tuple[str, int]]] = None,
 ) -> Optional[tuple[FiniteStructure, dict]]:
     """First structure (in enumeration order) satisfying the bounded axiom
-    set and falsifying the sequent, with a falsifying assignment."""
+    set and falsifying the sequent, with a falsifying assignment.
+
+    Each block of structures is filtered by its masks first; the candidates
+    are then confirmed lowest index first by the per-structure checks, which
+    decide, and raise, exactly as without the filter."""
     axioms = list(axioms)
-    falsify = _compiled(s)
-    for m in enumerate_structures(signature, size, predicates):
-        if not all(eval_in_structure(ax, m, {}) for ax in axioms):
-            continue
-        assignment = falsify(m)
-        if assignment is not None:
-            return m, assignment
+    for numbered in carrier_structures(signature, size, predicates):
+        for pick in range(numbered.picks):
+            for first, block in numbered.blocks(pick):
+                candidates = block.candidates(axioms, s)
+                while candidates:
+                    low = candidates & -candidates
+                    candidates ^= low
+                    m = numbered.structure(first + low.bit_length() - 1)
+                    if all(eval_in_structure(ax, m, {}) for ax in axioms):
+                        assignment = _compiled(s)(m)
+                        if assignment is not None:
+                            return m, assignment
     return None

@@ -572,16 +572,10 @@ def universal_consequences(
     bounded axiom set are skipped before any proof search: only survivors
     reach the prover, and every returned sentence carries its tree."""
     from .formula import dnf_formula, to_dnf
-    from .semantics import enumerate_structures, eval_in_structure
 
     axioms = theory.relevant_axioms(family_up_to)
     body_lists = [(ctx, list(bodies(ctx))) for ctx in contexts]
     preds = _predicates_with(theory.signature, axioms + [b for _, lst in body_lists for b in lst])
-    models = [
-        m
-        for m in enumerate_structures(theory.signature, 2, preds)
-        if all(eval_in_structure(ax, m, {}) for ax in axioms)
-    ]
     out: list[tuple[Formula, ProofTree]] = []
     seen: set = set()
     for ctx, lst in body_lists:
@@ -592,11 +586,10 @@ def universal_consequences(
                 continue
             seen.add(key)
             sentence = universal_closure(body, ctx)
-            if not all(eval_in_structure(sentence, m, {}) for m in models):
+            goal = Sequent(Context(), (), (sentence,))
+            if countermodel_search(goal, axioms, theory.signature, 2, preds) is not None:
                 continue
-            proof = prove_bounded(
-                Sequent(Context(), (), (sentence,)), axioms, budget, theory.signature
-            )
+            proof = prove_bounded(goal, axioms, budget, theory.signature)
             if proof is not None:
                 out.append((sentence, proof))
     return out

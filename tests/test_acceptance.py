@@ -39,12 +39,7 @@ from doctrina.doctrine import (
     verify_first_order,
 )
 from doctrina.stratify import colimit, stratify, verify_one_step, verify_qa_stratified, verify_qff
-from doctrina.semantics import (
-    countermodel_search,
-    enumerate_structures,
-    eval_in_structure,
-    sequent_valid_in_structure,
-)
+from doctrina.semantics import countermodel_search, eval_in_structure
 from doctrina.syntactic import (
     BoundedOracle,
     Proved,
@@ -81,7 +76,6 @@ def report(n, name, t0, limit):
 def test_criterion_1_calculus_soundness_sweep():
     t0 = time.time()
     rng = random.Random(20240901)
-    structures = list(enumerate_structures(SIG, 3))
     budget = Budget(max_depth=8, max_term_depth=2, max_nodes=2000)
     proved = 0
     for _ in range(200):
@@ -92,8 +86,10 @@ def test_criterion_1_calculus_soundness_sweep():
         proved += 1
         result = check_proof(tree)
         assert result.ok, (s, result)
-        for m in structures:
-            assert sequent_valid_in_structure(s, m), (s, m.describe())
+        # valid in every structure of size <= 3 (the search is compared with
+        # a loop over enumerate_structures in tests/test_semantics.py)
+        found = countermodel_search(s, (), SIG, 3)
+        assert found is None, (s, found[0].describe())
     assert proved >= 40
     report(1, f"calculus soundness sweep ({proved} proofs over 200 goals)", t0, 60)
 

@@ -20,9 +20,11 @@ from doctrina.formula import (
     free_vars,
 )
 from doctrina.calculus import Sequent
+from doctrina import semantics
 from doctrina.semantics import (
     FiniteStructure,
     SemanticsError,
+    carrier_structures,
     countermodel_search,
     enumerate_structures,
     eval_in_structure,
@@ -273,3 +275,170 @@ def test_compiled_evaluator_handles_deep_nesting():
     for phi in (negated, Pred("P", (term,)), Eq(term, Var("x")), chain):
         s = Sequent(Context(("x",)), (), (phi,))
         assert falsifying_assignment(s, m) == reference_falsifying_assignment(s, m), phi
+
+
+# --- the enumeration order and the block-mask countermodel search -------------
+
+
+def legacy_enumerate_structures(signature, size, predicates=None):
+    """The enumerator as it was written with nested `itertools.product`s,
+    kept here to pin the order that certificates depend on."""
+    preds = list(signature.predicates) if predicates is None else list(predicates)
+    funcs = list(signature.functions)
+    start = 0 if not signature.constants() else 1
+    for k in range(start, size + 1):
+        carrier = tuple(range(k))
+        fn_choices = []
+        for name, arity in funcs:
+            domain = list(itertools.product(carrier, repeat=arity))
+            tables = [
+                dict(zip(domain, images))
+                for images in itertools.product(carrier, repeat=len(domain))
+            ]
+            if not tables:
+                tables = [{}]
+            fn_choices.append((name, tables))
+        pr_choices = []
+        for name, arity in preds:
+            domain = list(itertools.product(carrier, repeat=arity))
+            subsets = [
+                frozenset(t for t, keep in zip(domain, bits) if keep)
+                for bits in itertools.product((False, True), repeat=len(domain))
+            ]
+            pr_choices.append((name, subsets))
+        for fn_pick in itertools.product(*(tables for _, tables in fn_choices)):
+            for pr_pick in itertools.product(*(subsets for _, subsets in pr_choices)):
+                yield FiniteStructure(
+                    carrier,
+                    {name: table for (name, _), table in zip(fn_choices, fn_pick)},
+                    {name: s for (name, _), s in zip(pr_choices, pr_pick)},
+                )
+
+
+FUNC_SIG = Signature(functions=(("f", 1),))
+ORDER_CASES = [
+    (SIG, 3, None),
+    (DIFF_SIG, 2, None),
+    (Signature(functions=(("g", 2), ("c", 0))), 2, [("S", 0), ("Q", 2), ("P", 1)]),
+]
+
+
+@pytest.mark.parametrize("signature, size, predicates", ORDER_CASES)
+def test_enumeration_order_is_pinned(signature, size, predicates):
+    expected = list(legacy_enumerate_structures(signature, size, predicates))
+    assert list(enumerate_structures(signature, size, predicates)) == expected
+    decoded = []
+    for numbered in carrier_structures(signature, size, predicates):
+        decoded += [numbered.structure(i) for i in range(numbered.count)]
+        with pytest.raises(IndexError):
+            numbered.structure(numbered.count)
+    assert decoded == expected
+
+
+def reference_countermodel_search(s, axioms, signature, size, predicates=None, structures=None):
+    """The first countermodel by a brute loop over every structure."""
+    if structures is None:
+        structures = legacy_enumerate_structures(signature, size, predicates)
+    for m in structures:
+        if all(eval_in_structure(ax, m, {}) for ax in axioms):
+            assignment = reference_falsifying_assignment(s, m)
+            if assignment is not None:
+                return m, assignment
+    return None
+
+
+def fx(t):
+    return App("f", (t,))
+
+
+X, C = Var("x"), App("c")
+# Axiom sets over DIFF_SIG.  R is interpreted only where a case lists it, so
+# the last two sets end in axioms whose masks fail a lookup (an unknown
+# predicate, a free variable), and the search must confirm every structure
+# the axioms before them allow, raising the reference's error even for a
+# valid sequent.
+AXIOM_SETS = (
+    (),
+    (Forall("x", Eq(fx(X), X)),),
+    (
+        Exists("x", And(Pred("S"), P("x"))),
+        Forall("x", Imp(P("x"), Pred("P", (fx(X),)))),
+        Forall("x", Eq(fx(X), X)),
+    ),
+    (Exists("x", And(Pred("S"), P("x"))), Forall("x", Or(Pred("R", (X,)), P("x"))), Eq(fx(C), C)),
+    (Forall("x", Not(P("x"))), P("y")),
+)
+SEARCH_CASES = (
+    (DIFF_SIG, None),
+    (Signature(functions=(("f", 1),), predicates=DIFF_SIG.predicates), None),
+    (FUNC_SIG, None),
+    (DIFF_SIG, [("R", 1), ("P", 1)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diff_sequents(), st.sampled_from(AXIOM_SETS), st.sampled_from(SEARCH_CASES))
+@example(Sequent(Context(("x",)), (), (Pred("R", (Var("x"),)),)), AXIOM_SETS[0], SEARCH_CASES[0])
+@example(Sequent(Context(("x",)), (P("x"),), (Eq(Var("x"), App("c")),)), AXIOM_SETS[2], SEARCH_CASES[0])
+@example(Sequent(Context(("x",)), (), (P("x"),)), AXIOM_SETS[3], SEARCH_CASES[3])
+@example(Sequent(Context(("x",)), (), (Eq(Var("x"), Var("x")),)), AXIOM_SETS[3], SEARCH_CASES[0])
+def test_countermodel_search_matches_brute_loop(s, axioms, case):
+    signature, predicates = case
+    expected = outcome(reference_countermodel_search, s, axioms, signature, 2, predicates)
+    assert outcome(countermodel_search, s, axioms, signature, 2, predicates) == expected, s
+
+
+MANY_SIG = Signature(predicates=(("P", 1), ("Q", 2), ("S", 0), ("T", 0)))
+
+
+def distinct3():
+    x, y, z = Var("x"), Var("y"), Var("z")
+    return Exists("x", Exists("y", Exists("z", And(Not(Eq(x, y)), And(Not(Eq(x, z)), Not(Eq(y, z)))))))
+
+
+@pytest.mark.parametrize(
+    "s, axioms",
+    [
+        # P and Q fill 12 bits at size 3, so S and T make four blocks; P(0)
+        # and P(1) are the high bits, constant within a block
+        (Sequent(Context(), (distinct3(), Forall("x", P("x"))), (Exists("x", Q("x", "x")),)), ()),
+        (Sequent(Context(("x",)), (distinct3(), P("x")), (Pred("S"), Q("x", "x"))), (Pred("T"),)),
+        (Sequent(Context(("x", "y")), (distinct3(), Q("x", "y")), (P("y"),)), (Exists("x", And(P("x"), Pred("S"))),)),
+        (Sequent(Context(("x",)), (Forall("x", P("x")),), (P("x"),)), ()),
+        (Sequent(Context(), (distinct3(),), (Exists("x", And(P("x"), Not(P("x")))),)), (Forall("x", Q("x", "x")),)),
+    ],
+)
+def test_countermodel_search_across_blocks(s, axioms):
+    assert [n.bits for n in carrier_structures(MANY_SIG, 3)] == [2, 4, 8, 14]
+    expected = reference_countermodel_search(s, axioms, MANY_SIG, 3)
+    assert countermodel_search(s, axioms, MANY_SIG, 3) == expected
+
+
+def test_ternary_predicate_refuted_early():
+    # 27 predicate bits at size 3: 2**15 blocks that must not be built
+    sig = Signature(predicates=(("T", 3),))
+    triple = Pred("T", (Var("x"), Var("y"), Var("z")))
+    s = Sequent(Context(), (distinct3(),), (Exists("x", Exists("y", Exists("z", triple))),))
+    found = countermodel_search(s, (), sig, 3)
+    assert found == (FiniteStructure((0, 1, 2), {}, {"T": frozenset()}), {})
+    assert found == reference_countermodel_search(s, (), sig, 3, structures=enumerate_structures(sig, 3))
+
+
+def test_axiom_mask_keeps_excluded_structures_from_the_confirm_step(monkeypatch):
+    seen = []
+
+    def recording(phi, m, assignment=None):
+        seen.append(m)
+        return eval_in_structure(phi, m, assignment)
+
+    monkeypatch.setattr(semantics, "eval_in_structure", recording)
+    axioms = (Forall("x", Eq(fx(X), X)), Exists("x", And(Pred("S"), P("x"))))
+    s = Sequent(Context(("x",)), (P("x"),), (Eq(X, C),))
+    found = countermodel_search(s, axioms, DIFF_SIG, 2)
+    confirmed = {m.describe() for m in seen}
+    assert confirmed == {found[0].describe()}
+    assert found == reference_countermodel_search(s, axioms, DIFF_SIG, 2)
+    seen.clear()
+    contradictory = (Forall("x", P("x")), Exists("x", Not(P("x"))))
+    assert countermodel_search(s, contradictory, DIFF_SIG, 2) is None
+    assert seen == []

@@ -1,13 +1,18 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doctrina.lang import App, Context, PredicateFamily, Signature, Var
 from doctrina.formula import And, Bot, Eq, Exists, Forall, Imp, Not, Or, Pred, Top
 from doctrina.calculus import Budget, ProofTree, Rule, Sequent, prove_bounded
 from doctrina.doctrine import subset_doctrine
-from doctrina.semantics import FiniteStructure
+from doctrina.semantics import FiniteStructure, carrier_structures
 from doctrina.syntactic import Theory
 from doctrina import sexpr
 from doctrina.sexpr import ParseError
+
+from helpers import random_formula
 
 
 def roundtrip_formula(phi):
@@ -87,6 +92,47 @@ def test_structure_roundtrip():
     assert m2.carrier == m.carrier
     assert m2.functions == m.functions
     assert m2.predicates == m.predicates
+
+
+ROUNDTRIP_SIGS = (
+    Signature(predicates=(("P", 1), ("Q", 2))),
+    Signature(functions=(("f", 1), ("c", 0)), predicates=(("P", 1), ("S", 0))),
+    Signature(functions=(("g", 2),), predicates=(("R0", 0), ("R2", 2))),
+)
+
+
+@st.composite
+def decoded_structures(draw):
+    signature = draw(st.sampled_from(ROUNDTRIP_SIGS))
+    numbered = draw(st.sampled_from(list(carrier_structures(signature, 2))))
+    return numbered.structure(draw(st.integers(0, numbered.count - 1)))
+
+
+def as_text(m):
+    """The structure with every element replaced by its printed text, which
+    is how the reader returns it."""
+    return FiniteStructure(
+        tuple(map(str, m.carrier)),
+        {name: {tuple(map(str, a)): str(v) for a, v in table.items()} for name, table in m.functions.items()},
+        {name: frozenset(tuple(map(str, t)) for t in ts) for name, ts in m.predicates.items()},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(decoded_structures())
+def test_structure_sexpr_roundtrips_decoded_structures(m):
+    text = sexpr.structure_sexpr(m)
+    back = sexpr.parse_structure(sexpr.parse_sexpr(text))
+    assert back == as_text(m)
+    assert sexpr.structure_sexpr(back) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(1, 12))
+def test_formula_sexpr_roundtrips_random_formulas(seed, arity, size):
+    rng = random.Random(seed)
+    phi = random_formula(rng, tuple(f"x{i}" for i in range(1, arity + 1)), size)
+    assert sexpr.parse_formula(sexpr.parse_sexpr(sexpr.formula_sexpr(phi))) == phi
 
 
 def test_proof_roundtrip():
