@@ -41,11 +41,7 @@ from .formula import (
 )
 from .calculus import Budget, ProofTree, Sequent, prove_bounded, prove_qf
 from .doctrine import Doctrine, Violation, violation
-from .semantics import (
-    FiniteStructure,
-    countermodel_search,
-    eval_in_structure,
-)
+from .semantics import FiniteStructure, countermodel_search
 
 
 class SyntacticError(Exception):
@@ -681,18 +677,13 @@ def completion_leq(
     relevant.sort(key=size)
     # greedily drop sentences already true in every small model of the kept
     # ones: redundant preloads only blow up the search
-    from .semantics import enumerate_structures
-
-    all_models = list(enumerate_structures(theory.signature, model_size, preds))
     kept: list[Formula] = []
-    kept_models = all_models
     for s in relevant:
         if len(kept) >= 8:
             break
-        if all(eval_in_structure(s, m, {}) for m in kept_models):
-            continue
-        kept.append(s)
-        kept_models = [m for m in kept_models if eval_in_structure(s, m, {})]
+        sentence = Sequent(Context(), (), (s,))
+        if countermodel_search(sentence, kept, theory.signature, model_size, preds) is not None:
+            kept.append(s)
     proof = prove_bounded(goal, tuple(kept), budget, theory.signature)
     if proof is not None:
         return Proved(proof, "completion")

@@ -157,7 +157,7 @@ def test_countermodel_respects_axioms():
     assert found is not None
 
 
-# --- the compiled sequent evaluator against the tree-walking reference --------
+# --- the public falsification contract against a brute reference loop ------
 
 
 def reference_falsifying_assignment(s, m):
@@ -230,7 +230,7 @@ def diff_sequents(draw):
 @example(Sequent(Context(("x",)), (), (Pred("R", (Var("x"),)),)))
 @example(Sequent(Context(("x",)), (Forall("x", Exists("x", P("x"))),), (Pred("S"),)))
 @example(Sequent(Context(), (), (Eq(App("f", (App("c"),)), App("c")),)))
-def test_compiled_evaluator_matches_reference(s):
+def test_falsifying_assignment_matches_reference_loop(s):
     for m in DIFF_STRUCTURES:
         expected = outcome(reference_falsifying_assignment, s, m)
         assert outcome(falsifying_assignment, s, m) == expected, (s, m.describe())
@@ -262,8 +262,9 @@ def test_countermodel_certificates_match_reference_loop():
     assert refuted >= 20
 
 
-def test_compiled_evaluator_handles_deep_nesting():
-    # Nesting far beyond what one generated Python expression may hold.
+def test_countermodel_search_handles_deep_nesting():
+    # The block masks recurse once per connective, quantifier and function
+    # application; these formulas nest hundreds of levels deep.
     negated, term, chain = P("x"), Var("x"), P("x")
     for i in range(401):
         negated = Not(negated)
@@ -271,10 +272,14 @@ def test_compiled_evaluator_handles_deep_nesting():
         term = App("f", (term,))
     for i in range(300):
         chain = And(Top(), chain) if i % 2 else And(chain, Top())
-    m = FiniteStructure((0, 1), {"f": {(0,): 1, (1,): 0}}, {"P": frozenset({(0,)})})
+    sig = Signature(functions=(("f", 1),), predicates=(("P", 1),))
+    # on nonempty carriers the axiom leaves only the f that swaps 0 and 1
+    swap = (Forall("x", Not(Eq(fx(X), X))),)
     for phi in (negated, Pred("P", (term,)), Eq(term, Var("x")), chain):
-        s = Sequent(Context(("x",)), (), (phi,))
-        assert falsifying_assignment(s, m) == reference_falsifying_assignment(s, m), phi
+        for s in (Sequent(Context(("x",)), (), (phi,)), Sequent(Context(("x",)), (phi,), ())):
+            for axioms in ((), swap):
+                expected = reference_countermodel_search(s, axioms, sig, 2)
+                assert countermodel_search(s, axioms, sig, 2) == expected, phi
 
 
 # --- the enumeration order and the block-mask countermodel search -------------
