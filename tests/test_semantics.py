@@ -231,6 +231,11 @@ def diff_sequents(draw):
 @example(Sequent(Context(("x",)), (Forall("x", Exists("x", P("x"))),), (Pred("S"),)))
 @example(Sequent(Context(), (), (Eq(App("f", (App("c"),)), App("c")),)))
 def test_falsifying_assignment_matches_reference_loop(s):
+    # Pins the public contract: the first assignment in product order, and
+    # the reference's errors on partial tables, the empty carrier and the
+    # uninterpreted R.  `falsifying_assignment` is itself this loop, so the
+    # differential check of the block masks lives in the brute-loop
+    # `countermodel_search` tests below.
     for m in DIFF_STRUCTURES:
         expected = outcome(reference_falsifying_assignment, s, m)
         assert outcome(falsifying_assignment, s, m) == expected, (s, m.describe())
