@@ -37,7 +37,8 @@ from .stratify import (
     verify_qa_stratified,
     verify_qff,
 )
-from .semantics import SemanticsError, countermodel_search
+# an explicit re-export: bench/tracing.py wraps cli.countermodel_search
+from .semantics import SemanticsError, countermodel_search as countermodel_search
 from .syntactic import (
     BoundedOracle,
     Proved,
@@ -361,17 +362,13 @@ def cmd_models(args) -> int:
     report = Report()
     s = sexpr.parse_sequent(sexpr.parse_sexpr(load_text(args.sequent)))
     theory = load_theory(args.theory)
-    oracle = BoundedOracle(theory, model_size=args.size)
-    axioms = oracle.axioms_for(s)
-    found = countermodel_search(
-        s, axioms, theory.signature, args.size, oracle.predicates_for(s, axioms)
-    )
-    if found is not None:
-        m, assignment = found
+    refuted = BoundedOracle(theory, model_size=args.size).refute(s)
+    if refuted is not None:
+        m = refuted.structure
         name = "empty structure" if not m.carrier else f"structure of size {len(m.carrier)}"
         report.add(f"VERDICT refuted by {name}")
         report.add("CERTIFICATE " + sexpr.structure_sexpr(m))
-        report.add("NOTE assignment " + _assignment_text(assignment))
+        report.add("NOTE assignment " + _assignment_text(refuted.assignment))
         report.flush()
         return EXIT_NEGATIVE
     report.add("VERDICT unknown no countermodel up to size " + str(args.size))

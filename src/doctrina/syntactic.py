@@ -41,7 +41,7 @@ from .formula import (
 )
 from .calculus import Budget, ProofTree, Sequent, prove_bounded, prove_qf
 from .doctrine import Doctrine, Violation, violation
-from .semantics import FiniteStructure, countermodel_search
+from .semantics import FiniteStructure, SemanticsError, countermodel_search
 
 
 class SyntacticError(Exception):
@@ -89,14 +89,6 @@ def max_pred_arity(phi: Formula) -> int:
 
 def predicates_of(phi: Formula) -> set[tuple[str, int]]:
     return {(f.name, len(f.args)) for f in subformulas(phi) if isinstance(f, Pred)}
-
-
-def _predicates_with(signature: Signature, formulas: Iterable[Formula]) -> list[tuple[str, int]]:
-    """The signature's predicates and those occurring in `formulas`, sorted."""
-    preds = set(signature.predicates)
-    for f in formulas:
-        preds |= predicates_of(f)
-    return sorted(preds)
 
 
 # --- oracle verdicts ---------------------------------------------------------
@@ -201,8 +193,8 @@ class TruthTableOracle(EntailmentOracle):
 
 
 class BoundedOracle(EntailmentOracle):
-    """Bounded proof search for the positive side, bounded countermodel
-    enumeration against the bounded axiom set for the negative side."""
+    """Bounded countermodel enumeration against the bounded axiom set, run
+    first, for the negative side; bounded proof search for the positive."""
 
     name = "bounded"
 
@@ -229,18 +221,35 @@ class BoundedOracle(EntailmentOracle):
         return self.theory.relevant_axioms(bound)
 
     def predicates_for(self, s: Sequent, axioms: list[Formula]) -> list[tuple[str, int]]:
-        return _predicates_with(self.theory.signature, [*s.antecedent, *s.succedent, *axioms])
+        """The predicates the search interprets: the signature's and those in `s` or `axioms`."""
+        preds = set(self.theory.signature.predicates)
+        for f in [*s.antecedent, *s.succedent, *axioms]:
+            preds |= predicates_of(f)
+        return sorted(preds)
 
-    def decide(self, s: Sequent) -> Verdict:
+    def refute(self, s: Sequent) -> Optional[Refuted]:
+        """The first countermodel of the bounded axiom set that falsifies `s`."""
         axioms = self.axioms_for(s)
-        proof = prove_bounded(s, axioms, self.budget, self.theory.signature)
-        if proof is not None:
-            return Proved(proof, self.name)
         found = countermodel_search(
             s, axioms, self.theory.signature, self.model_size, self.predicates_for(s, axioms)
         )
-        if found is not None:
-            return Refuted(found[0], found[1], self.name)
+        return None if found is None else Refuted(found[0], found[1], self.name)
+
+    def decide(self, s: Sequent) -> Verdict:
+        # Proofs are sound, so refuting first changes no verdict.  The search
+        # fails on a function symbol the signature leaves uninterpreted, but
+        # the prover may still close the goal: the error waits for the prover.
+        try:
+            refuted, error = self.refute(s), None
+        except SemanticsError as e:
+            refuted, error = None, e
+        if refuted is not None:
+            return refuted
+        proof = prove_bounded(s, self.axioms_for(s), self.budget, self.theory.signature)
+        if proof is not None:
+            return Proved(proof, self.name)
+        if error is not None:
+            raise error
         return Unknown("budget exhausted")
 
 
@@ -564,30 +573,25 @@ def universal_consequences(
     from the theory within the budget, with their certificates.
 
     Bodies are deduplicated up to propositional equivalence (by their prime
-    implicant form), and candidates falsified in some small model of the
-    bounded axiom set are skipped before any proof search: only survivors
-    reach the prover, and every returned sentence carries its tree."""
+    implicant form); the bounded oracle refutes a survivor in a model of size
+    2 of the bounded axiom set before any proof search, and every returned
+    sentence carries its tree."""
     from .formula import dnf_formula, to_dnf
 
-    axioms = theory.relevant_axioms(family_up_to)
-    body_lists = [(ctx, list(bodies(ctx))) for ctx in contexts]
-    preds = _predicates_with(theory.signature, axioms + [b for _, lst in body_lists for b in lst])
+    oracle = BoundedOracle(theory, budget, 2, family_up_to)
     out: list[tuple[Formula, ProofTree]] = []
     seen: set = set()
-    for ctx, lst in body_lists:
-        for body in lst:
+    for ctx in contexts:
+        for body in bodies(ctx):
             normal = dnf_formula(to_dnf(body))
             key = (ctx.vars, canonical_form(normal))
             if key in seen:
                 continue
             seen.add(key)
             sentence = universal_closure(body, ctx)
-            goal = Sequent(Context(), (), (sentence,))
-            if countermodel_search(goal, axioms, theory.signature, 2, preds) is not None:
-                continue
-            proof = prove_bounded(goal, axioms, budget, theory.signature)
-            if proof is not None:
-                out.append((sentence, proof))
+            verdict = oracle.decide(Sequent(Context(), (), (sentence,)))
+            if isinstance(verdict, Proved):
+                out.append((sentence, verdict.proof))
     return out
 
 
@@ -758,9 +762,7 @@ def epr_valid(signature: Signature, s: Sequent) -> Optional[bool]:
     bound = epr_bound(s)
     if bound is None or signature.functions:
         return None
-    preds = _predicates_with(signature, [*s.antecedent, *s.succedent])
-    found = countermodel_search(s, (), signature, bound, preds)
-    return found is None
+    return BoundedOracle(Theory(signature), model_size=bound).refute(s) is None
 
 
 # --- the one-step layer over a quantifier-free oracle ------------------------------

@@ -63,6 +63,14 @@ def test_entail_truthtable_unknown(capsys):
     assert "VERDICT unknown" in out
 
 
+def test_entail_proves_a_goal_the_countermodel_search_cannot_evaluate(capsys):
+    # no theory interprets f, so the search raises SemanticsError; Id still
+    # closes the goal, and the error is raised only when no proof is found
+    code, out = run_cli(["entail", "(P (f x))", "(P (f x))"], capsys)
+    assert code == 0
+    assert "VERDICT proved method=bounded" in out
+
+
 def test_check_proof_roundtrip(tmp_path, capsys):
     code, out = run_cli(["prove", "(seq (ctx x) (ants (P x)) (sucs (P x)))"], capsys)
     proof_text = [l for l in out.splitlines() if l.startswith("CERTIFICATE ")][0]
@@ -279,8 +287,9 @@ def test_reports_do_not_depend_on_hash_seed():
          "--body-size", "1", "--ctx-size", "0"],
         # PrefixError: the experiment's atom space is too large
         ["prefix-demo", "intersection", "--k", "2", "--arity", "3"],
-        # RecursionError: each dropped duplicate costs the prover two frames
-        ["prove", "(seq (ctx) (ants" + " P" * 600 + ") (sucs Q))"],
+        # RecursionError: each dropped duplicate costs the prover two frames;
+        # the sequent is valid, so no countermodel answers it first
+        ["prove", "(seq (ctx) (ants" + " P" * 600 + ") (sucs (or Q P)))"],
     ],
     ids=["semantics", "syntactic", "prefix", "wide-sequent"],
 )
@@ -289,6 +298,13 @@ def test_ill_formed_input_exits_3_without_traceback(argv):
     assert run.returncode == 3, run.stderr[-300:]
     assert run.stderr.startswith("ERROR "), run.stderr[-300:]
     assert "Traceback" not in run.stderr
+
+
+def test_wide_refutable_sequent_is_answered_before_the_prover_recurses(capsys):
+    code, out = run_cli(["prove", "(seq (ctx) (ants" + " P" * 600 + ") (sucs Q))"], capsys)
+    assert code == 2
+    assert "NOTE countermodel: empty structure, assignment []" in out
+    assert "CERTIFICATE (structure (carrier) (pred P ()) (pred Q))" in out
 
 
 @pytest.mark.parametrize("case", ["bad-utf8", "bad-budget-env", "missing-marking"])

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from doctrina.lang import Context, CtxMorphism, Signature, Var, canonical_context
+from doctrina.lang import App, Context, CtxMorphism, Signature, Var, canonical_context
 from doctrina.formula import (
     And,
     Bot,
@@ -16,10 +17,19 @@ from doctrina.formula import (
     Pred,
     Top,
 )
-from doctrina.calculus import Budget, Sequent, check_proof
+from doctrina.calculus import Budget, Sequent, check_proof, prove_bounded
 from doctrina.doctrine import subset_doctrine
-from doctrina.semantics import FiniteStructure, eval_in_structure, interpret_tuples, reindex_tuples
-from doctrina.formula import substitute_formula
+from doctrina.semantics import (
+    FiniteStructure,
+    SemanticsError,
+    countermodel_search,
+    eval_in_structure,
+    interpret_tuples,
+    reindex_tuples,
+)
+from doctrina.formula import substitute, substitute_formula
+from doctrina.sexpr import formula_sexpr, proof_sexpr, structure_sexpr
+from helpers import random_formula
 from doctrina.prefix import PrefixOracle, prefix_theory
 from doctrina.syntactic import (
     BoundedOracle,
@@ -126,6 +136,77 @@ def test_bounded_oracle_three_values():
     refuted = oracle.decide(Sequent(Context(("x",)), (), (P("x"),)))
     assert isinstance(refuted, Refuted)
     assert not eval_in_structure(P("x"), refuted.structure, refuted.assignment)
+
+
+def prove_first(oracle, s):
+    """The bounded oracle's decision with the prover run before the
+    countermodel search, as it was made before the oracle refuted first."""
+    axioms = oracle.axioms_for(s)
+    proof = prove_bounded(s, axioms, oracle.budget, oracle.theory.signature)
+    if proof is not None:
+        return Proved(proof, oracle.name)
+    found = countermodel_search(
+        s, axioms, oracle.theory.signature, oracle.model_size, oracle.predicates_for(s, axioms)
+    )
+    if found is not None:
+        return Refuted(found[0], found[1], oracle.name)
+    return Unknown("budget exhausted")
+
+
+def decision(decide, s):
+    try:
+        verdict = decide(s)
+    except Exception as e:
+        return "error", type(e).__name__, str(e)
+    if isinstance(verdict, Proved):
+        return "proved", verdict.method, proof_sexpr(verdict.proof)
+    if isinstance(verdict, Refuted):
+        assignment = sorted(verdict.assignment.items())
+        return "refuted", verdict.method, structure_sexpr(verdict.structure), assignment
+    return "unknown", verdict.note
+
+
+CRITERION_10_THEORY = Theory(
+    SIG,
+    (
+        Forall("x", P("x")),
+        Forall("x", Forall("y", Imp(Q("x", "y"), Q("y", "x")))),
+    ),
+)
+
+
+@pytest.mark.parametrize("with_f", [False, True], ids=["criterion-10", "uninterpreted-f"])
+def test_refuting_first_keeps_every_decision(with_f):
+    # with_f puts f/1, which the signature leaves uninterpreted, into half the
+    # formulas: the search raises SemanticsError where it evaluates an
+    # f-term, and the prover may still close the goal.
+    oracle = BoundedOracle(CRITERION_10_THEORY, Budget(4, 2, 100), model_size=2)
+    rng = random.Random(90 + with_f)
+
+    def formula(ctx):
+        phi = random_formula(rng, ctx.vars, rng.randint(1, 5))
+        if with_f and rng.random() < 0.5:
+            phi = substitute(phi, {"x1": App("f", (Var("x1"),))})
+        return phi
+
+    goals = []
+    for _ in range(150):
+        ctx = canonical_context(rng.randint(1, 2))
+        ants = tuple(formula(ctx) for _ in range(rng.randint(0, 2)))
+        goals.append(Sequent(ctx, ants, tuple(formula(ctx) for _ in range(rng.randint(1, 2)))))
+    seen, fallbacks = set(), 0
+    for s in goals:
+        expected = decision(lambda g: prove_first(oracle, g), s)
+        assert decision(oracle.decide, s) == expected, s
+        seen.add(expected[0])
+        if expected[0] == "proved":
+            # no goal is both proved and refuted
+            try:
+                assert oracle.refute(s) is None, s
+            except SemanticsError:
+                fallbacks += 1
+    assert seen == {"proved", "refuted", "unknown"} | ({"error"} if with_f else set())
+    assert (fallbacks > 0) == with_f
 
 
 def test_lt_leq_examples():
@@ -370,6 +451,18 @@ def test_universal_consequences_empty_theory():
     )
     for s, proof in found:
         assert check_proof(proof).ok
+
+
+def test_universal_consequences_are_pinned():
+    # sentences and certificates for criterion 10's theory, bodies of size <= 3
+    contexts = [canonical_context(n) for n in (0, 1, 2)]
+    found = universal_consequences(
+        CRITERION_10_THEORY, contexts, _bodies(SIG), Budget(max_depth=6, max_nodes=4000)
+    )
+    text = "\n".join(formula_sexpr(s) + " " + proof_sexpr(proof) for s, proof in found)
+    assert len(found) == 17
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "fd93239c5e9c91f2bbc1a162924eb19edcdd2d69194f39f3a60eb43b61c6ee86"
 
 
 def test_universal_consequences_contain_the_axioms():
