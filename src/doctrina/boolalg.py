@@ -110,25 +110,23 @@ def identity_hom(alg: BoolAlg) -> BAHom:
     return BAHom(alg, alg, tuple(range(alg.atoms)))
 
 
-def is_hom_table(src: BoolAlg, dst: BoolAlg, table) -> list[str]:
-    """All Boolean-homomorphism law violations of an element table."""
-    out = []
-    if len(table) != src.size:
-        return [f"table has {len(table)} entries for an algebra of size {src.size}"]
+def hom_violations(src: BoolAlg, dst: BoolAlg, table) -> Iterator[tuple[str, dict[str, int]]]:
+    """The Boolean-homomorphism laws an element table of the right length
+    breaks, as (law, where) pairs: top, bottom, neg at each element, and
+    meet and join at each pair a <= b of element indices."""
     if table[src.top] != dst.top:
-        out.append("top not preserved")
+        yield "top", {}
     if table[src.bot] != dst.bot:
-        out.append("bottom not preserved")
+        yield "bottom", {}
     for a in src.elements():
         if table[src.neg(a)] != dst.neg(table[a]):
-            out.append(f"negation not preserved at {a}")
+            yield "neg", {"elem": a}
     for a in src.elements():
-        for b in src.elements():
+        for b in range(a, src.size):
             if table[a & b] != table[a] & table[b]:
-                out.append(f"meet not preserved at ({a}, {b})")
+                yield "meet", {"left": a, "right": b}
             if table[a | b] != table[a] | table[b]:
-                out.append(f"join not preserved at ({a}, {b})")
-    return out
+                yield "join", {"left": a, "right": b}
 
 
 def right_adjoint_of(src: BoolAlg, dst: BoolAlg, f: Callable[[int], int]) -> tuple[int, ...]:

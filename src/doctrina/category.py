@@ -37,7 +37,10 @@ class FPCategory:
     def compose(self, g: str, f: str) -> str:
         if self.dst(f) != self.src(g):
             raise CategoryError(f"cannot compose {g} after {f}")
-        return self.comp[(g, f)]
+        try:
+            return self.comp[(g, f)]
+        except KeyError:
+            raise CategoryError(f"no composite of {g} after {f}") from None
 
     def hom(self, x: str, y: str) -> list[str]:
         return sorted(n for n, (s, t) in self.morphisms.items() if s == x and t == y)
@@ -52,7 +55,10 @@ class FPCategory:
     def pair(self, f: str, g: str) -> str:
         if self.src(f) != self.src(g):
             raise CategoryError("pairing requires a common source")
-        return self.pairings[(f, g)]
+        try:
+            return self.pairings[(f, g)]
+        except KeyError:
+            raise CategoryError(f"no pairing of {f} and {g}") from None
 
     def diagonal(self, x: str) -> str:
         return self.pair(self.ident[x], self.ident[x])

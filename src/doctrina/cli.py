@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+from .category import CategoryError
 from .lang import Context, LangError, Signature
 from .formula import FormulaError, FormulaInContext, free_vars, qa_depth
 from .calculus import Budget, ProofError, check_proof
@@ -227,7 +228,7 @@ def cmd_verify_doctrine(args) -> int:
         vs += check_forall_tables(d)
     marking = None
     if args.marking:
-        marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)))
+        marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)), d)
     if not vs and args.level == "elementary":
         if d.delta is not None:
             vs += verify_elementary(d, d.delta)
@@ -269,7 +270,7 @@ def cmd_verify_doctrine(args) -> int:
 def cmd_stratify(args) -> int:
     report = Report()
     d = sexpr.parse_doctrine(sexpr.parse_sexpr(load_text(args.doctrine)))
-    marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)))
+    marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)), d)
     try:
         seq = stratify(d, marking)
     except DoctrineError as e:
@@ -456,8 +457,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ParseError, InputError, LangError, FormulaError, ProofError, DoctrineError, SemanticsError,
-        SyntacticError, PrefixError, OSError,
+        ParseError, InputError, LangError, FormulaError, ProofError, CategoryError, DoctrineError,
+        SemanticsError, SyntacticError, PrefixError, OSError,
     ) as e:
         print(f"ERROR {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -2,8 +2,10 @@
 
 A doctrine assigns a finite powerset algebra to every base object and a
 reindexing table to every base morphism; optionally it carries universal
-(and existential) quantifier tables indexed by the chosen product diagrams,
-and a fibered-equality family.  Verifiers check the functor laws, the
+quantifier tables indexed by the chosen product diagrams, and a
+fibered-equality family.  The existential quantifier is not stored: in a
+Boolean doctrine it is the De Morgan dual of the universal one
+(`derive_exists`).  Verifiers check the functor laws, the
 adjunction laws plus Beck-Chevalley, and the elementarity conditions
 exhaustively, reporting every failing instance rather than stopping at the
 first.
@@ -15,7 +17,14 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-from .boolalg import BoolAlg, BAHom, boolean_closure, right_adjoint_of, subalgebra_atoms
+from .boolalg import (
+    BoolAlg,
+    BAHom,
+    boolean_closure,
+    hom_violations,
+    right_adjoint_of,
+    subalgebra_atoms,
+)
 from .category import (
     FPCategory,
     Functor,
@@ -55,7 +64,6 @@ class Doctrine:
     fibers: dict[str, BoolAlg]
     reindex: dict[str, tuple[int, ...]]
     forall: Optional[QuantTable] = None
-    exists: Optional[QuantTable] = None
     delta: Optional[dict[str, int]] = None
 
     def fiber(self, x: str) -> BoolAlg:
@@ -65,8 +73,7 @@ class Doctrine:
         return self.reindex[f][a]
 
     def fa(self, x: str, y: str, b: int) -> int:
-        assert self.forall is not None, "doctrine has no universal quantifier tables"
-        return self.forall[(x, y)][b]
+        return self.universal_tables()[(x, y)][b]
 
     def universal_tables(self) -> QuantTable:
         """The universal tables the doctrine carries, or else the forced
@@ -102,21 +109,8 @@ def verify_boolean_doctrine(d: Doctrine) -> list[Violation]:
         if table is None or len(table) != src_alg.size:
             out.append(violation("reindex-table", f=f))
             continue
-        if table[src_alg.top] != dst_alg.top:
-            out.append(violation("reindex-top", f=f))
-        if table[src_alg.bot] != dst_alg.bot:
-            out.append(violation("reindex-bottom", f=f))
-        for a in src_alg.elements():
-            if table[src_alg.neg(a)] != dst_alg.neg(table[a]):
-                out.append(violation("reindex-neg", f=f, elem=a))
-        for a in src_alg.elements():
-            for b in src_alg.elements():
-                if a > b:
-                    continue
-                if table[a & b] != table[a] & table[b]:
-                    out.append(violation("reindex-meet", f=f, left=a, right=b))
-                if table[a | b] != table[a] | table[b]:
-                    out.append(violation("reindex-join", f=f, left=a, right=b))
+        for law, where in hom_violations(src_alg, dst_alg, table):
+            out.append(violation("reindex-" + law, f=f, **where))
     for x in cat.objects:
         table = d.reindex.get(cat.ident[x])
         if table is None:
@@ -256,24 +250,18 @@ def subset_doctrine(sets: dict[str, tuple]) -> Doctrine:
         reindex[f] = tuple(table)
 
     forall: QuantTable = {}
-    exists: QuantTable = {}
     for a in cat.objects:
         for b in cat.objects:
             p, _, _ = cat.product(a, b)
             dec = decode[(a, b)]
-            fa_table, ex_table = [], []
+            table = []
             for s in fibers[p].elements():
                 sset = set_of(p, s)
-                fa_table.append(
+                table.append(
                     mask_of(a, {x for x in elems[a]
                                 if all(pt in sset for pt in elems[p] if dec[pt][0] == x)})
                 )
-                ex_table.append(
-                    mask_of(a, {x for x in elems[a]
-                                if any(pt in sset for pt in elems[p] if dec[pt][0] == x)})
-                )
-            forall[(a, b)] = tuple(fa_table)
-            exists[(a, b)] = tuple(ex_table)
+            forall[(a, b)] = tuple(table)
 
     delta = {}
     for x in cat.objects:
@@ -281,7 +269,7 @@ def subset_doctrine(sets: dict[str, tuple]) -> Doctrine:
         dec = decode[(x, x)]
         delta[x] = mask_of(p, {pt for pt in elems[p] if dec[pt][0] == dec[pt][1]})
 
-    return Doctrine(cat, fibers, reindex, forall, exists, delta)
+    return Doctrine(cat, fibers, reindex, forall=forall, delta=delta)
 
 
 def hbx_doctrine(base: FPCategory, x: str, b: BoolAlg) -> Doctrine:
@@ -309,24 +297,19 @@ def hbx_doctrine(base: FPCategory, x: str, b: BoolAlg) -> Doctrine:
         reindex[f] = tuple(table)
 
     forall: QuantTable = {}
-    exists: QuantTable = {}
     for y in base.objects:
         for z in base.objects:
             p, _, _ = base.product(y, z)
             idx_p = {h: i for i, h in enumerate(homs[p])}
-            fa_table, ex_table = [], []
+            table = []
             for g in fibers[p].elements():
-                fa_vals, ex_vals = [], []
+                vals = []
                 for f in homs[y]:
-                    pts = [value(g, idx_p[base.pair(f, h)]) for h in homs[z]]
-                    fa_vals.append(b.meet_all(pts))
-                    ex_vals.append(b.join_all(pts))
-                fa_table.append(build(fa_vals))
-                ex_table.append(build(ex_vals))
-            forall[(y, z)] = tuple(fa_table)
-            exists[(y, z)] = tuple(ex_table)
+                    vals.append(b.meet_all(value(g, idx_p[base.pair(f, h)]) for h in homs[z]))
+                table.append(build(vals))
+            forall[(y, z)] = tuple(table)
 
-    return Doctrine(base, fibers, reindex, forall, exists)
+    return Doctrine(base, fibers, reindex, forall=forall)
 
 
 def product_doctrine(parts: list[Doctrine]) -> tuple[Doctrine, dict[str, tuple[int, ...]]]:
@@ -402,16 +385,8 @@ def verify_morphism(m: DoctrineMorphism, level: str = "boolean") -> list[Violati
         if table is None or len(table) != ax.size:
             out.append(violation("component-table", X=x))
             continue
-        if table[ax.top] != bx.top or table[ax.bot] != bx.bot:
-            out.append(violation("component-bounds", X=x))
-        for a in ax.elements():
-            if table[ax.neg(a)] != bx.neg(table[a]):
-                out.append(violation("component-neg", X=x, elem=a))
-            for b in ax.elements():
-                if a > b:
-                    continue
-                if table[a & b] != table[a] & table[b]:
-                    out.append(violation("component-meet", X=x, left=a, right=b))
+        for law, where in hom_violations(ax, bx, table):
+            out.append(violation("component-" + law, X=x, **where))
     for f, (x, y) in sorted(src.base.morphisms.items()):
         for a in src.fiber(y).elements():
             lhs = m.apply(x, src.re(f, a))
@@ -575,16 +550,46 @@ def find_fibered_equalities(d: Doctrine) -> Optional[dict[str, int]]:
 
 
 def is_filter(alg: BoolAlg, filt: frozenset[int]) -> bool:
-    if alg.top not in filt:
-        return False
-    for a in filt:
-        for b in alg.elements():
-            if alg.leq(a, b) and b not in filt:
-                return False
-        for b in filt:
-            if a & b not in filt:
-                return False
-    return True
+    """A filter of a finite Boolean algebra is the principal upset of its
+    meet, and every principal upset is a filter."""
+    generator = alg.meet_all(filt)
+    return filt == {b for b in alg.elements() if alg.leq(generator, b)}
+
+
+def _on_blocks(d: Doctrine, blocks: dict[str, list[int]]):
+    """The doctrine whose fiber over x is the powerset of the disjoint masks
+    `blocks[x]`, with reindexings and universal tables carried over from `d`.
+    Returns it without fibered equalities, plus the transport maps: `encode`
+    sends an ambient mask to the blocks it contains, `decode` a block mask to
+    the union of its blocks."""
+
+    def encode(x: str, mask: int) -> int:
+        out = 0
+        for j, blk in enumerate(blocks[x]):
+            if blk & mask == blk:
+                out |= 1 << j
+        return out
+
+    def decode(x: str, bmask: int) -> int:
+        out = 0
+        for j, blk in enumerate(blocks[x]):
+            if (bmask >> j) & 1:
+                out |= blk
+        return out
+
+    fibers = {x: BoolAlg(len(blocks[x])) for x in d.base.objects}
+    reindex = {}
+    for f, (x, y) in d.base.morphisms.items():
+        reindex[f] = tuple(encode(x, d.re(f, decode(y, q))) for q in fibers[y].elements())
+    tables = d.universal_tables()
+    forall: QuantTable = {}
+    for x in d.base.objects:
+        for y in d.base.objects:
+            p = d.base.product(x, y)[0]
+            forall[(x, y)] = tuple(
+                encode(x, tables[(x, y)][decode(p, q)]) for q in fibers[p].elements()
+            )
+    return Doctrine(d.base, fibers, reindex, forall=forall), encode, decode
 
 
 def quotient_by_filter(d: Doctrine, filt: Iterable[int]) -> tuple[Doctrine, DoctrineMorphism]:
@@ -597,55 +602,17 @@ def quotient_by_filter(d: Doctrine, filt: Iterable[int]) -> tuple[Doctrine, Doct
     tables = d.universal_tables()
 
     # the filter on each fiber is principal; keep the atoms of its generator
-    cmask: dict[str, int] = {}
+    kept: dict[str, list[int]] = {}
     for x in d.base.objects:
         closure = tables[(term, x)]
-        members = [g for g in d.fiber(x).elements() if closure[g] in filt]
-        cmask[x] = d.fiber(x).meet_all(members)
+        alg = d.fiber(x)
+        generator = alg.meet_all(g for g in alg.elements() if closure[g] in filt)
+        kept[x] = [1 << i for i in range(alg.atoms) if (generator >> i) & 1]
 
-    kept: dict[str, list[int]] = {
-        x: [i for i in range(d.fiber(x).atoms) if (cmask[x] >> i) & 1] for x in d.base.objects
-    }
-    fibers = {x: BoolAlg(len(kept[x])) for x in d.base.objects}
-
-    def compress(x: str, mask: int) -> int:
-        out = 0
-        for j, i in enumerate(kept[x]):
-            if (mask >> i) & 1:
-                out |= 1 << j
-        return out
-
-    def expand(x: str, qmask: int) -> int:
-        out = 0
-        for j, i in enumerate(kept[x]):
-            if (qmask >> j) & 1:
-                out |= 1 << i
-        return out
-
-    reindex = {}
-    for f, (x, y) in d.base.morphisms.items():
-        reindex[f] = tuple(
-            compress(x, d.re(f, expand(y, q))) for q in fibers[y].elements()
-        )
-    forall: QuantTable = {}
-    for x in d.base.objects:
-        for y in d.base.objects:
-            p, _, _ = d.base.product(x, y)
-            forall[(x, y)] = tuple(
-                compress(x, tables[(x, y)][expand(p, q)]) for q in fibers[p].elements()
-            )
-    delta = None
+    quotient, encode, _ = _on_blocks(d, kept)
     if d.delta is not None:
-        delta = {}
-        for x in d.base.objects:
-            p, _, _ = d.base.product(x, x)
-            delta[x] = compress(p, d.delta[x] & cmask[p])
-
-    quotient = Doctrine(d.base, fibers, reindex, forall, None, delta)
-    components = {
-        x: tuple(compress(x, a & cmask[x]) for a in d.fiber(x).elements())
-        for x in d.base.objects
-    }
+        quotient.delta = {x: encode(d.base.product(x, x)[0], d.delta[x]) for x in d.base.objects}
+    components = {x: tuple(encode(x, a) for a in d.fiber(x).elements()) for x in d.base.objects}
     morphism = DoctrineMorphism(d, quotient, identity_functor(d.base), components)
     return quotient, morphism
 
@@ -666,17 +633,10 @@ def change_of_base(r: Doctrine, m: Functor) -> Doctrine:
             for x in m.source.objects
             for y in m.source.objects
         }
-    exists = None
-    if r.exists is not None:
-        exists = {
-            (x, y): r.exists[(m.obj_map[x], m.obj_map[y])]
-            for x in m.source.objects
-            for y in m.source.objects
-        }
     delta = None
     if r.delta is not None:
         delta = {x: r.delta[m.obj_map[x]] for x in m.source.objects}
-    return Doctrine(m.source, fibers, reindex, forall, exists, delta)
+    return Doctrine(m.source, fibers, reindex, forall=forall, delta=delta)
 
 
 # --- generated subdoctrines ----------------------------------------------------
@@ -734,42 +694,10 @@ def subdoctrine_from_markings(d: Doctrine, marking: Marking) -> tuple[Doctrine, 
     nonzero members, and the subdoctrine's fibers are powersets of those
     blocks.  Returns the doctrine plus encode/decode maps between ambient
     masks and block masks."""
-    blocks: dict[str, list[int]] = {}
-    for x in d.base.objects:
-        blocks[x] = subalgebra_atoms(d.fiber(x), marking[x])
-
-    def encode(x: str, mask: int) -> int:
-        out = 0
-        for j, blk in enumerate(blocks[x]):
-            if blk & mask == blk:
-                out |= 1 << j
-        return out
-
-    def decode(x: str, bmask: int) -> int:
-        out = 0
-        for j, blk in enumerate(blocks[x]):
-            if (bmask >> j) & 1:
-                out |= blk
-        return out
-
-    fibers = {x: BoolAlg(len(blocks[x])) for x in d.base.objects}
-    reindex = {}
-    for f, (x, y) in d.base.morphisms.items():
-        reindex[f] = tuple(
-            encode(x, d.re(f, decode(y, q))) for q in fibers[y].elements()
-        )
-    tables = d.universal_tables()
-    forall: QuantTable = {}
-    for x in d.base.objects:
-        for y in d.base.objects:
-            p = d.base.product(x, y)[0]
-            forall[(x, y)] = tuple(
-                encode(x, tables[(x, y)][decode(p, q)]) for q in fibers[p].elements()
-            )
-    delta = None
+    blocks = {x: subalgebra_atoms(d.fiber(x), marking[x]) for x in d.base.objects}
+    sub, encode, decode = _on_blocks(d, blocks)
     if d.delta is not None and all(d.delta[x] in marking[d.base.product(x, x)[0]] for x in d.base.objects):
-        delta = {x: encode(d.base.product(x, x)[0], d.delta[x]) for x in d.base.objects}
-    sub = Doctrine(d.base, fibers, reindex, forall, None, delta)
+        sub.delta = {x: encode(d.base.product(x, x)[0], d.delta[x]) for x in d.base.objects}
     return sub, {"blocks": blocks, "encode": encode, "decode": decode}
 
 

@@ -362,6 +362,8 @@ def parse_structure(node: SNode) -> FiniteStructure:
         h = _head(item)
         if h == "carrier":
             carrier = tuple(_atom_text(e, "carrier element") for e in item.items[1:])
+        elif h in ("fun", "pred") and len(item.items) < 2:
+            _fail(item, f"{h} needs a name")
         elif h == "fun":
             name = _atom_text(item.items[1], "function name")
             table = {}
@@ -416,6 +418,8 @@ def parse_proof(node: SNode) -> ProofTree:
     for item in node.items[1:]:
         h = _head(item)
         if h == "rule":
+            if len(item.items) < 2:
+                _fail(item, "rule needs a tag")
             tag = _atom_text(item.items[1], "rule tag")
             kw = {}
             for arg in item.items[2:]:
@@ -435,6 +439,8 @@ def parse_proof(node: SNode) -> ProofTree:
                     _fail(arg, f"unknown rule argument {key}")
             rule = Rule(tag, **kw)
         elif h == "concl":
+            if len(item.items) != 2:
+                _fail(item, "concl takes one sequent")
             concl = parse_sequent(item.items[1])
         elif h == "premises":
             premises = [parse_proof(p) for p in item.items[1:]]
@@ -480,73 +486,119 @@ def proof_sexpr(p: ProofTree) -> str:
 # --- doctrines and markings -------------------------------------------------------
 
 
+# the parts each doctrine section takes after its head; the open sections
+# take any number of further parts: more objects, or their table entries
+_DOCTRINE_PARTS = {
+    "objects": 0, "terminal": 1, "morphism": 3, "identity": 2, "compose": 3,
+    "product": 5, "pairing": 3, "fiber": 2, "reindex": 1, "forall": 2, "delta": 2,
+}
+_OPEN_SECTIONS = ("objects", "reindex", "forall")
+
+
+def _element(node: SNode, alg: BoolAlg, what: str) -> int:
+    v = _int(node, what)
+    if v < 0 or v >> alg.atoms:
+        _fail(node, f"{what} {v} is not an element of a fiber with {alg.atoms} atoms")
+    return v
+
+
+def _table(item: SList, start: int, over: BoolAlg, into: BoolAlg) -> tuple[int, ...]:
+    """The entries of a table section from part `start` on: one per element
+    of `over` (a huge atom count is refused before its size is built), each
+    an element of `into`."""
+    nodes = item.items[start:]
+    if over.atoms >= len(nodes).bit_length() or len(nodes) != over.size:
+        _fail(item, f"table has {len(nodes)} entries for a fiber with {over.atoms} atoms")
+    return tuple(_element(v, into, "table entry") for v in nodes)
+
+
 def parse_doctrine(node: SNode) -> Doctrine:
+    """A doctrine document.  Besides the syntax, the parser checks what the
+    verifiers take for granted: every listed object has an identity, a fiber
+    and a chosen product with every listed object; every name in a section
+    is a listed object or a declared morphism; and every table has one entry
+    per element of its fiber, each an element of the fiber it lands in."""
     if _head(node) != "doctrine":
         _fail(node, "expected (doctrine ...)")
-    objects: list[str] = []
-    terminal = None
-    morphisms: dict[str, tuple[str, str]] = {}
-    ident: dict[str, str] = {}
-    comp: dict[tuple[str, str], str] = {}
-    products: dict[tuple[str, str], tuple[str, str, str]] = {}
-    pairings: dict[tuple[str, str], str] = {}
-    fibers: dict[str, BoolAlg] = {}
-    reindex: dict[str, tuple[int, ...]] = {}
-    forall: dict[tuple[str, str], tuple[int, ...]] = {}
-    exists: dict[tuple[str, str], tuple[int, ...]] = {}
-    delta: dict[str, int] = {}
+    sections: dict[str, list[SList]] = {h: [] for h in _DOCTRINE_PARTS}
     for item in node.items[1:]:
         h = _head(item)
-        rest = item.items[1:] if isinstance(item, SList) else []
-        if h == "objects":
-            objects = [_atom_text(o, "object") for o in rest]
-        elif h == "terminal":
-            terminal = _atom_text(rest[0], "terminal object")
-        elif h == "morphism":
-            name, s, t = (_atom_text(x, "morphism part") for x in rest)
-            morphisms[name] = (s, t)
-        elif h == "identity":
-            obj, name = (_atom_text(x, "identity part") for x in rest)
-            ident[obj] = name
-        elif h == "compose":
-            g, f, gf = (_atom_text(x, "composition part") for x in rest)
-            comp[(g, f)] = gf
-        elif h == "product":
-            a, b, p, pr1, pr2 = (_atom_text(x, "product part") for x in rest)
-            products[(a, b)] = (p, pr1, pr2)
-        elif h == "pairing":
-            f, g, fg = (_atom_text(x, "pairing part") for x in rest)
-            pairings[(f, g)] = fg
-        elif h == "fiber":
-            obj = _atom_text(rest[0], "object")
-            fibers[obj] = BoolAlg(_int(rest[1], "atom count"))
-        elif h == "reindex":
-            name = _atom_text(rest[0], "morphism")
-            reindex[name] = tuple(_int(v, "table entry") for v in rest[1:])
-        elif h == "forall":
-            a = _atom_text(rest[0], "object")
-            b = _atom_text(rest[1], "object")
-            forall[(a, b)] = tuple(_int(v, "table entry") for v in rest[2:])
-        elif h == "exists":
-            a = _atom_text(rest[0], "object")
-            b = _atom_text(rest[1], "object")
-            exists[(a, b)] = tuple(_int(v, "table entry") for v in rest[2:])
-        elif h == "delta":
-            obj = _atom_text(rest[0], "object")
-            delta[obj] = _int(rest[1], "element")
-        else:
+        if h not in _DOCTRINE_PARTS:
             _fail(item, "unknown doctrine section")
-    if terminal is None:
+        n, given = _DOCTRINE_PARTS[h], len(item.items) - 1
+        if given < n or (given > n and h not in _OPEN_SECTIONS):
+            at_least = "at least " if h in _OPEN_SECTIONS else ""
+            _fail(item, f"{h} takes {at_least}{n} part{'s' * (n != 1)}, got {given}")
+        sections[h].append(item)
+
+    objects: list[str] = []
+    for item in sections["objects"]:
+        objects = [_atom_text(o, "object") for o in item.items[1:]]
+    listed = set(objects)
+
+    def obj(n: SNode) -> str:
+        text = _atom_text(n, "object")
+        if text not in listed:
+            _fail(n, f"{text} is not a listed object")
+        return text
+
+    morphisms: dict[str, tuple[str, str]] = {}
+    for item in sections["morphism"]:
+        name = _atom_text(item.items[1], "morphism")
+        morphisms[name] = (obj(item.items[2]), obj(item.items[3]))
+
+    def mor(n: SNode) -> str:
+        text = _atom_text(n, "morphism")
+        if text not in morphisms:
+            _fail(n, f"{text} is not a declared morphism")
+        return text
+
+    if not sections["terminal"]:
         _fail(node, "doctrine needs a terminal object")
+    terminal = obj(sections["terminal"][-1].items[1])
+    ident = {obj(item.items[1]): mor(item.items[2]) for item in sections["identity"]}
+    comp = {
+        (mor(item.items[1]), mor(item.items[2])): mor(item.items[3])
+        for item in sections["compose"]
+    }
+    products = {
+        (obj(item.items[1]), obj(item.items[2])):
+            (obj(item.items[3]), mor(item.items[4]), mor(item.items[5]))
+        for item in sections["product"]
+    }
+    pairings = {
+        (mor(item.items[1]), mor(item.items[2])): mor(item.items[3])
+        for item in sections["pairing"]
+    }
+    fibers: dict[str, BoolAlg] = {}
+    for item in sections["fiber"]:
+        atoms = _int(item.items[2], "atom count")
+        if atoms < 0:
+            _fail(item.items[2], f"atom count must be >= 0, got {atoms}")
+        fibers[obj(item.items[1])] = BoolAlg(atoms)
+    for x in objects:
+        for what, given in (("identity", ident), ("fiber", fibers)):
+            if x not in given:
+                _fail(node, f"object {x} has no {what}")
+        for y in objects:
+            if (x, y) not in products:
+                _fail(node, f"no chosen product of {x} and {y}")
+
+    reindex: dict[str, tuple[int, ...]] = {}
+    for item in sections["reindex"]:
+        f = mor(item.items[1])
+        x, y = morphisms[f]
+        reindex[f] = _table(item, 2, fibers[y], fibers[x])
+    forall: dict[tuple[str, str], tuple[int, ...]] = {}
+    for item in sections["forall"]:
+        a, b = obj(item.items[1]), obj(item.items[2])
+        forall[(a, b)] = _table(item, 3, fibers[products[(a, b)][0]], fibers[a])
+    delta: dict[str, int] = {}
+    for item in sections["delta"]:
+        x = obj(item.items[1])
+        delta[x] = _element(item.items[2], fibers[products[(x, x)][0]], "element")
     cat = FPCategory(tuple(objects), morphisms, comp, ident, terminal, products, pairings)
-    return Doctrine(
-        cat,
-        fibers,
-        reindex,
-        forall or None,
-        exists or None,
-        delta or None,
-    )
+    return Doctrine(cat, fibers, reindex, forall=forall or None, delta=delta or None)
 
 
 def doctrine_sexpr(d: Doctrine) -> str:
@@ -571,16 +623,16 @@ def doctrine_sexpr(d: Doctrine) -> str:
     if d.forall is not None:
         for (a, b), table in sorted(d.forall.items()):
             parts.append(f"(forall {a} {b} " + " ".join(map(str, table)) + ")")
-    if d.exists is not None:
-        for (a, b), table in sorted(d.exists.items()):
-            parts.append(f"(exists {a} {b} " + " ".join(map(str, table)) + ")")
     if d.delta is not None:
         for obj, e in sorted(d.delta.items()):
             parts.append(f"(delta {obj} {e})")
     return "(" + "\n  ".join(parts) + ")"
 
 
-def parse_marking(node: SNode) -> Marking:
+def parse_marking(node: SNode, doctrine: Optional[Doctrine] = None) -> Marking:
+    """A marking document.  Given the doctrine it marks, each element marked
+    on one of its objects must lie in that object's fiber; objects the
+    doctrine does not have are kept for the verifiers to report."""
     if _head(node) != "marking":
         _fail(node, "expected (marking (object elems...) ...)")
     out: Marking = {}
@@ -588,7 +640,11 @@ def parse_marking(node: SNode) -> Marking:
         if not isinstance(item, SList) or not item.items:
             _fail(item, "expected (object elems...)")
         obj = _atom_text(item.items[0], "object")
-        out[obj] = frozenset(_int(v, "element") for v in item.items[1:])
+        if doctrine is not None and obj in doctrine.fibers:
+            alg = doctrine.fibers[obj]
+            out[obj] = frozenset(_element(v, alg, "element") for v in item.items[1:])
+        else:
+            out[obj] = frozenset(_int(v, "element") for v in item.items[1:])
     return out
 
 

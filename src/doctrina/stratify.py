@@ -60,7 +60,7 @@ def layer_step(d: Doctrine, marking: Marking, tables: QuantTable) -> Marking:
         gens: set[int] = set()
         for y in d.base.objects:
             p = d.base.product(x, y)[0]
-            for b in marking[p]:
+            for b in marking.get(p, ()):
                 gens.add(tables[(x, y)][b])
         out[x] = boolean_closure(d.fiber(x), gens)
     return out
@@ -80,7 +80,15 @@ def compute_layers(d: Doctrine, marking: Marking) -> list[Marking]:
 
 def verify_qff(d: Doctrine, marking: Marking) -> list[Violation]:
     """Subfunctor plus generation: the stabilized union of the layers must
-    exhaust every fiber, and the layers must be monotone along the way."""
+    exhaust every fiber, and the layers must be monotone along the way.
+    Raises if the doctrine lacks a reindexing or universal table."""
+    for f in d.base.morphisms:
+        if f not in d.reindex:
+            raise DoctrineError(f"no reindexing table for {f}")
+    tables = d.universal_tables()
+    missing = [(x, y) for x in d.base.objects for y in d.base.objects if (x, y) not in tables]
+    if missing:
+        raise DoctrineError("no universal table for {} x {}".format(*missing[0]))
     out = check_submarking(d, marking)
     if out:
         return out
@@ -150,9 +158,8 @@ def colimit(s: StratifiedSequence) -> tuple[Doctrine, Marking]:
         d.base,
         dict(d.fibers),
         dict(d.reindex),
-        forall,
-        None,
-        dict(d.delta) if d.delta is not None else None,
+        forall=forall,
+        delta=dict(d.delta) if d.delta is not None else None,
     )
     return rebuilt, dict(s.levels[0])
 
@@ -207,13 +214,9 @@ def verify_one_step(
                 rhs = d.re(f, tables[(x, y)][b])
                 if lhs != rhs:
                     out.append(violation("one-step-beck-chevalley", f=f, Y=y, elem=b))
+    generated = layer_step(d, p0, tables)
     for x in d.base.objects:
-        gens = set()
-        for y in d.base.objects:
-            p = d.base.product(x, y)[0]
-            gens |= {tables[(x, y)][b] for b in p0[p]}
-        generated = boolean_closure(d.fiber(x), gens)
-        if generated != p1[x]:
+        if generated[x] != p1[x]:
             out.append(violation("one-step-generation", X=x))
     return out
 

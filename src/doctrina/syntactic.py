@@ -334,8 +334,9 @@ def interpret(
     fic: FormulaInContext, target: DoctrineTarget, family: InterpretationFamily
 ) -> int:
     """Interpret a formula in context as a fiber element: atoms reindex the
-    family values, connectives act pointwise, quantifiers use the doctrine's
-    tables, and equality reindexes the fibered equality."""
+    family values, connectives act pointwise, the universal quantifier uses
+    the doctrine's tables and the existential one their De Morgan dual, and
+    equality reindexes the fibered equality."""
     d = target.doctrine
     phi = rectify(fic.formula, avoid=fic.context.vars)
 
@@ -370,8 +371,6 @@ def interpret(
             x = target.ctx_object(len(ctx))
             if isinstance(f, Forall):
                 return d.fa(x, target.domain, body)
-            if d.exists is not None:
-                return d.exists[(x, target.domain)][body]
             p = d.base.product(x, target.domain)[0]
             return alg.neg(d.fa(x, target.domain, d.fiber(p).neg(body)))
         raise SyntacticError(f"not a formula: {f!r}")

@@ -9,8 +9,9 @@ import pytest
 from doctrina.cli import main
 from doctrina import sexpr
 from doctrina.sexpr import MAX_NESTING
-from doctrina.doctrine import subset_doctrine
-from doctrina.doctrine import full_marking
+from doctrina.boolalg import BoolAlg
+from doctrina.category import chain_category
+from doctrina.doctrine import full_marking, hbx_doctrine, subset_doctrine
 
 
 def run_cli(argv, capsys):
@@ -262,6 +263,9 @@ PQ_THEORY = (
 
 
 def test_reports_do_not_depend_on_hash_seed():
+    hbx = hbx_doctrine(chain_category(3), "c2", BoolAlg(2))
+    hbx_text = sexpr.doctrine_sexpr(hbx)
+    hbx_marking = sexpr.marking_sexpr(full_marking(hbx))
     runs = [
         ["prove", "(seq (ctx x y) (ants (Q x y)) (sucs (and (P y) (Q y x))))",
          "--theory", PQ_THEORY],
@@ -269,6 +273,8 @@ def test_reports_do_not_depend_on_hash_seed():
         ["entail", "(and (R2 x1 x2) (R1 x2))", "(R3 x2 x1 x1)", "--oracle", "prefix"],
         ["models", "(seq (ctx x y) (ants (Q x y)) (sucs (Q y x)))", "--size", "2"],
         ["complete", PQ_THEORY, "--body-size", "2", "--ctx-size", "1"],
+        ["verify-doctrine", hbx_text, "--level", "stratified", "--marking", hbx_marking],
+        ["stratify", hbx_text, hbx_marking],
     ]
     for argv in runs:
         first, second = (_run_subprocess(argv, seed) for seed in ("1", "2"))
@@ -305,6 +311,95 @@ def test_wide_refutable_sequent_is_answered_before_the_prover_recurses(capsys):
     assert code == 2
     assert "NOTE countermodel: empty structure, assignment []" in out
     assert "CERTIFICATE (structure (carrier) (pred P ()) (pred Q))" in out
+
+
+# a one-object doctrine over the terminal category, minus its tables
+ONE_OBJECT = (
+    "(doctrine (objects a) (terminal a) (morphism i a a) (identity a i) (compose i i i)"
+    " (product a a a i i) (pairing i i i) (fiber a 1){})"
+)
+
+
+def _zeroed_exists_document():
+    # the subset doctrine of {} and {*} with a carried existential table of
+    # zeros appended, the section format of earlier versions
+    d = subset_doctrine({"E": (), "U": ("*",)})
+    extra = "".join(
+        f" (exists {x} {y}" + " 0" * d.product_fiber(x, y).size + ")"
+        for x in d.base.objects
+        for y in d.base.objects
+    )
+    return sexpr.doctrine_sexpr(d)[:-1] + extra + ")"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify-doctrine", "(doctrine (terminal))"], "terminal takes 1 part, got 0"),
+        (["verify-doctrine", "(doctrine (objects a) (terminal a) (morphism f a))"],
+         "morphism takes 3 parts, got 2"),
+        (["verify-doctrine", "(doctrine (objects a) (terminal a) (fiber a -1))"],
+         "atom count must be >= 0"),
+        (["verify-doctrine", ONE_OBJECT.format(" (reindex i 0 5)")],
+         "table entry 5 is not an element of a fiber with 1 atoms"),
+        (["verify-doctrine", ONE_OBJECT.format(" (reindex i 0)")], "table has 1 entries"),
+        (["verify-doctrine", ONE_OBJECT.format(" (forall a b 0 1)")], "b is not a listed object"),
+        (["verify-doctrine", ONE_OBJECT.format(" (reindex j 0 1)")], "j is not a declared morphism"),
+        (["verify-doctrine", ONE_OBJECT.format("").replace(" (fiber a 1)", "")],
+         "object a has no fiber"),
+        (["verify-doctrine", "(doctrine (objects a) (terminal a))"], "object a has no identity"),
+        (["stratify", "(doctrine (objects a) (terminal a))", "(marking (a 0))"],
+         "object a has no identity"),
+        (["verify-doctrine", ONE_OBJECT.format("").replace(" (product a a a i i)", "")],
+         "no chosen product of a and a"),
+        (["verify-doctrine", ONE_OBJECT.format(" (reindex i 0 1)"), "--level", "qff",
+          "--marking", "(marking (a 0 9))"], "element 9 is not an element of a fiber"),
+        (["check-proof", "(proof (rule) (concl (seq (ctx) (ants) (sucs true))))"],
+         "rule needs a tag"),
+        (["check-proof", "(proof (rule RTop) (concl))"], "concl takes one sequent"),
+        (["verify-doctrine", _zeroed_exists_document(), "--level", "elementary"],
+         "unknown doctrine section"),
+    ],
+    ids=[
+        "terminal-arity", "morphism-arity", "negative-atoms", "entry-outside-fiber",
+        "short-table", "unlisted-object", "undeclared-morphism", "no-fiber", "no-identity",
+        "stratify-no-identity", "no-product", "marked-outside-fiber", "rule-without-tag",
+        "empty-concl", "exists-section",
+    ],
+)
+def test_hostile_documents_exit_3_with_a_positioned_error(argv, message):
+    run = _run_subprocess(argv)
+    assert run.returncode == 3, run.stderr[-300:]
+    assert run.stderr.startswith("ERROR parse error at "), run.stderr[-300:]
+    assert message in run.stderr, run.stderr[-300:]
+    assert "Traceback" not in run.stderr
+
+
+def _without_forall_e_e():
+    text = sexpr.doctrine_sexpr(subset_doctrine({"E": (), "U": ("*",)}))
+    return "\n".join(line for line in text.splitlines() if "(forall E E" not in line)
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["verify-doctrine", ONE_OBJECT.format(" (reindex i 0 1)"), "--level", "one-step",
+          "--marking", "(marking)"], 1, "VIOLATION marking-missing level=P0 X=a"),
+        (["stratify", _without_forall_e_e(), "(marking (E 0) (U 0 1))"], 1,
+         "VIOLATION stratify detail=no universal table for E x E"),
+        (["stratify", ONE_OBJECT.format(""), "(marking (a 0 1))"], 1,
+         "VIOLATION stratify detail=no reindexing table for i"),
+        (["verify-doctrine", ONE_OBJECT.format(" (reindex i 0 1)").replace(" (compose i i i)", "")],
+         3, "ERROR no composite of i after i"),
+    ],
+    ids=["one-step-unmarked-object", "stratify-partial-forall", "stratify-no-reindex",
+         "no-composite"],
+)
+def test_incomplete_doctrines_are_answered_without_traceback(argv, code, line):
+    run = _run_subprocess(argv)
+    assert run.returncode == code, run.stderr[-300:]
+    assert line in (run.stdout + run.stderr).splitlines(), run.stdout + run.stderr[-300:]
+    assert "Traceback" not in run.stderr
 
 
 @pytest.mark.parametrize("case", ["bad-utf8", "bad-budget-env", "missing-marking"])

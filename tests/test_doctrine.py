@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,8 +8,8 @@ from doctrina.boolalg import (
     BAHom,
     BoolAlg,
     boolean_closure,
+    hom_violations,
     identity_hom,
-    is_hom_table,
     monotone_maps,
     right_adjoint_of,
     subalgebra_atoms,
@@ -29,6 +30,7 @@ from doctrina.doctrine import (
     product_doctrine,
     quotient_by_filter,
     random_doctrine,
+    report_lines,
     subset_doctrine,
     verify_boolean_doctrine,
     verify_elementary,
@@ -58,7 +60,7 @@ def test_bahom_is_a_homomorphism():
     src, dst = BoolAlg(3), BoolAlg(2)
     for atom_map in itertools.product(range(3), repeat=2):
         h = BAHom(src, dst, atom_map)
-        assert is_hom_table(src, dst, h.table()) == []
+        assert list(hom_violations(src, dst, h.table())) == []
     assert identity_hom(src).table() == tuple(src.elements())
 
 
@@ -135,18 +137,32 @@ def test_derive_exists_trivial_fibers():
 
 
 def test_subset_exists_is_direct_image():
-    d = subset01()
-    ex = derive_exists(d)
-    assert ex[("U", "U")] == d.exists[("U", "U")]
-    # adjunction, exhaustively
-    for x in d.base.objects:
-        for y in d.base.objects:
-            p, pr1, _ = d.base.product(x, y)
-            for a in d.fiber(p).elements():
-                for c in d.fiber(x).elements():
-                    assert d.fiber(x).leq(ex[(x, y)][a], c) == d.fiber(p).leq(
-                        a, d.re(pr1, c)
-                    )
+    # subset01 is the powerset doctrine of the sets {} and {*}; its square
+    # with itself is the powerset doctrine of two disjoint copies of them, so
+    # its fiber over U is the powerset of a 2-element set.  In both, the
+    # derived existential must be the direct image along the first
+    # projection, computed here from the underlying functions.
+    sets = {"E": (), "U": ("*",)}
+    _, data = finset_category(sets)
+    elems, func = data["elems"], data["func"]
+    d1 = subset01()
+    d2, offsets = product_doctrine([d1, d1])
+    for d, copies in ((d1, {x: (0,) for x in sets}), (d2, offsets)):
+        ex = derive_exists(d)
+        for x in d.base.objects:
+            for y in d.base.objects:
+                p, pr1, _ = d.base.product(x, y)
+                for s in d.fiber(p).elements():
+                    image = 0
+                    for off_p, off_x in zip(copies[p], copies[x]):
+                        for i, e in enumerate(elems[p]):
+                            if (s >> (off_p + i)) & 1:
+                                image |= 1 << (off_x + elems[x].index(func[pr1][e]))
+                    assert ex[(x, y)][s] == image, (x, y, s)
+                    # and the adjunction with reindexing along pr1
+                    for c in d.fiber(x).elements():
+                        assert d.fiber(x).leq(image, c) == d.fiber(p).leq(s, d.re(pr1, c))
+    assert d2.fiber("U").atoms == 2
 
 
 def test_forced_universal_matches_and_is_unique_adjoint():
@@ -323,8 +339,11 @@ def test_morphism_with_bad_component_is_reported():
     comps = {x: tuple(d.fiber(x).elements()) for x in d.base.objects}
     comps["U"] = (0, 0)  # not a homomorphism: top not preserved
     m = DoctrineMorphism(d, d, identity_functor(d.base), comps)
-    violations = verify_morphism(m, "boolean")
-    assert violations
+    assert report_lines(verify_morphism(m, "boolean")) == [
+        "VIOLATION component-neg X=U elem=0",
+        "VIOLATION component-neg X=U elem=1",
+        "VIOLATION component-top X=U",
+    ]
 
 
 # --- elementarity ----------------------------------------------------------------------
@@ -474,3 +493,99 @@ def test_change_of_base_rejects_malformed_functor():
     bad = Functor(c2, c2, {"c1": "c1", "c2": "c1"}, {f: c2.ident["c1"] for f in c2.morphisms})
     with pytest.raises(DoctrineError):
         change_of_base(d, bad)
+
+
+# --- pinned outputs -------------------------------------------------------------------------
+
+
+def _one_entry_mutant(rng, d, table_kind):
+    """A copy of `d` with one entry of one reindexing or universal table
+    changed to another element of the same fiber."""
+    if table_kind == "forall":
+        tables = d.forall
+        keys = [k for k in sorted(tables) if d.fiber(k[0]).atoms > 0]
+        top_of = lambda k: d.fiber(k[0]).top
+    else:
+        tables = d.reindex
+        keys = [f for f in sorted(tables) if d.fiber(d.base.morphisms[f][0]).atoms > 0]
+        top_of = lambda f: d.fiber(d.base.morphisms[f][0]).top
+    key = rng.choice(keys)
+    table = list(tables[key])
+    table[rng.randrange(len(table))] ^= rng.randint(1, top_of(key))
+    return d.with_tables(**{table_kind: {**tables, key: tuple(table)}})
+
+
+def _pinned_doctrines():
+    rng = random.Random(2024)
+    out = []
+    for i in range(4):
+        n = 1 + i % 3
+        out.append(hbx_doctrine(chain_category(n), f"c{rng.randint(1, n)}", BoolAlg(rng.randint(1, 2))))
+    for _ in range(4):
+        d = random_doctrine(rng, 3, 2)
+        out.append(d.with_tables(forall=all_forced_universals(d)))
+    mutants = []
+    for d in out:
+        mutants.append(_one_entry_mutant(rng, d, "reindex"))
+        mutants.append(_one_entry_mutant(rng, d, "forall"))
+    return out + mutants
+
+
+def test_verify_doctrine_reports_are_pinned(capsys):
+    # exit code and stdout of every level, on seeded hbx and random doctrines
+    # and one-entry mutants of their reindexing and universal tables
+    from doctrina import sexpr
+    from doctrina.cli import main
+    from doctrina.doctrine import full_marking
+
+    lines = []
+    for d in _pinned_doctrines():
+        text = sexpr.doctrine_sexpr(d)
+        bounds = {x: frozenset({0, d.fiber(x).top}) for x in d.base.objects}
+        for level in ("boolean", "first-order", "elementary"):
+            lines.append(f"{main(['verify-doctrine', text, '--level', level])}")
+            lines.append(capsys.readouterr().out)
+        for marking in (full_marking(d), bounds):
+            m = sexpr.marking_sexpr(marking)
+            for level in ("qff", "one-step", "stratified"):
+                lines.append(f"{main(['verify-doctrine', text, '--level', level, '--marking', m])}")
+                lines.append(capsys.readouterr().out)
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "f072f2f4283e3bf7d123b0790f0891ddf46195690fff58638ba5a7ca3c942111"
+
+
+def _table_text(d):
+    return repr((
+        sorted((x, alg.atoms) for x, alg in d.fibers.items()),
+        sorted(d.reindex.items()),
+        sorted(d.forall.items()) if d.forall is not None else None,
+        sorted(d.delta.items()) if d.delta is not None else None,
+    ))
+
+
+def test_quotients_and_subdoctrines_are_pinned():
+    # the tables of every quotient of a four-element terminal fiber (and of
+    # subset01's, which carries equalities) with the quotient components, and
+    # of a subdoctrine re-atomized from a generated marking with its transport
+    from doctrina.doctrine import generated_markings, subdoctrine_from_markings
+
+    lines = []
+    d1 = subset01()
+    for d in (d1, product_doctrine([d1, d1])[0]):
+        alg = d.fiber(d.base.terminal)
+        for c in alg.elements():
+            q, m = quotient_by_filter(d, frozenset(b for b in alg.elements() if alg.leq(c, b)))
+            lines.append(_table_text(q))
+            lines.append(repr(sorted(m.components.items())))
+    rng = random.Random(7)
+    for d in (hbx_doctrine(chain_category(3), "c2", BoolAlg(2)), product_doctrine([d1, d1])[0]):
+        seed = {x: frozenset({rng.randrange(d.fiber(x).size)}) for x in d.base.objects}
+        marking = generated_markings(d, seed)
+        sub, maps = subdoctrine_from_markings(d, marking)
+        lines.append(_table_text(sub))
+        lines.append(repr(sorted(maps["blocks"].items())))
+        for x in d.base.objects:
+            lines.append(repr([maps["encode"](x, a) for a in d.fiber(x).elements()]))
+            lines.append(repr([maps["decode"](x, q) for q in sub.fiber(x).elements()]))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "8acf37ee818fefad647a6a4be43beb5b01ebd02c14ead9c290e67948fc85a4ef"

@@ -18,7 +18,7 @@ from doctrina.formula import (
     Top,
 )
 from doctrina.calculus import Budget, Sequent, check_proof, prove_bounded
-from doctrina.doctrine import subset_doctrine
+from doctrina.doctrine import product_doctrine, subset_doctrine
 from doctrina.semantics import (
     FiniteStructure,
     SemanticsError,
@@ -279,6 +279,22 @@ def test_empty_context_existential_fails_in_empty_domain():
     for tgt in (one_point_target(), empty_domain_target()):
         fam = {"P": tgt.doctrine.fiber(tgt.ctx_object(1)).top}
         assert sequent_valid(s2, tgt, fam)
+
+
+def test_existential_is_the_dual_of_the_universal_tables():
+    # exists x. true is the top of every context fiber over the one-point
+    # domain U, and the bottom of the terminal fiber over the empty domain E;
+    # also with the forced universal tables in place of the carried ones, and
+    # in the square of the subset doctrine, two copies of each set
+    d1 = subset01()
+    for d in (d1, d1.with_tables(forall=None), product_doctrine([d1, d1])[0]):
+        for n in range(3):
+            ctx = canonical_context(n)
+            target = DoctrineTarget(d, "U")
+            value = interpret(FormulaInContext(Exists("y", Top()), ctx), target, {})
+            assert value == d.fiber(target.ctx_object(n)).top
+        target = DoctrineTarget(d, "E")
+        assert interpret(FormulaInContext(Exists("y", Top()), Context()), target, {}) == 0
 
 
 def test_interpretation_naturality_in_doctrine():
