@@ -25,7 +25,7 @@ from .formula import (
     Top,
 )
 from .calculus import _POSITIONAL, ProofTree, Rule, Sequent
-from .boolalg import BoolAlg
+from .boolalg import BoolAlg, BoolAlgError
 from .category import FPCategory
 from .doctrine import Doctrine, Marking
 from .semantics import FiniteStructure
@@ -572,10 +572,10 @@ def parse_doctrine(node: SNode) -> Doctrine:
     }
     fibers: dict[str, BoolAlg] = {}
     for item in sections["fiber"]:
-        atoms = _int(item.items[2], "atom count")
-        if atoms < 0:
-            _fail(item.items[2], f"atom count must be >= 0, got {atoms}")
-        fibers[obj(item.items[1])] = BoolAlg(atoms)
+        try:
+            fibers[obj(item.items[1])] = BoolAlg(_int(item.items[2], "atom count"))
+        except BoolAlgError as e:
+            _fail(item.items[2], str(e))
     for x in objects:
         for what, given in (("identity", ident), ("fiber", fibers)):
             if x not in given:
@@ -629,10 +629,10 @@ def doctrine_sexpr(d: Doctrine) -> str:
     return "(" + "\n  ".join(parts) + ")"
 
 
-def parse_marking(node: SNode, doctrine: Optional[Doctrine] = None) -> Marking:
-    """A marking document.  Given the doctrine it marks, each element marked
-    on one of its objects must lie in that object's fiber; objects the
-    doctrine does not have are kept for the verifiers to report."""
+def parse_marking(node: SNode, doctrine: Doctrine) -> Marking:
+    """A marking document of `doctrine`.  Each element marked on one of its
+    objects must lie in that object's fiber; objects the doctrine does not
+    have are kept unchecked for the verifiers to report."""
     if _head(node) != "marking":
         _fail(node, "expected (marking (object elems...) ...)")
     out: Marking = {}
@@ -640,11 +640,11 @@ def parse_marking(node: SNode, doctrine: Optional[Doctrine] = None) -> Marking:
         if not isinstance(item, SList) or not item.items:
             _fail(item, "expected (object elems...)")
         obj = _atom_text(item.items[0], "object")
-        if doctrine is not None and obj in doctrine.fibers:
-            alg = doctrine.fibers[obj]
-            out[obj] = frozenset(_element(v, alg, "element") for v in item.items[1:])
-        else:
-            out[obj] = frozenset(_int(v, "element") for v in item.items[1:])
+        alg = doctrine.fibers.get(obj)
+        out[obj] = frozenset(
+            _int(v, "element") if alg is None else _element(v, alg, "element")
+            for v in item.items[1:]
+        )
     return out
 
 

@@ -380,6 +380,12 @@ def _without_forall_e_e():
     return "\n".join(line for line in text.splitlines() if "(forall E E" not in line)
 
 
+def _subset01_with(old, new):
+    text = sexpr.doctrine_sexpr(subset_doctrine({"E": (), "U": ("*",)}))
+    assert old in text
+    return text.replace(old, new)
+
+
 @pytest.mark.parametrize(
     "argv, code, line",
     [
@@ -391,9 +397,16 @@ def _without_forall_e_e():
          "VIOLATION stratify detail=no reindexing table for i"),
         (["verify-doctrine", ONE_OBJECT.format(" (reindex i 0 1)").replace(" (compose i i i)", "")],
          3, "ERROR no composite of i after i"),
+        # declared morphisms with the wrong endpoints as structure maps: the
+        # category check reports them and the doctrine verifiers do not run
+        (["verify-doctrine", _subset01_with("(product U E E E->U[]", "(product U E E E->E[]"),
+          "--level", "first-order"], 1,
+         "VIOLATION category detail=projections of U x E have wrong endpoints"),
+        (["verify-doctrine", _subset01_with("(identity U U->U[0])", "(identity U E->E[])")], 1,
+         "VIOLATION category detail=bad identity for U"),
     ],
     ids=["one-step-unmarked-object", "stratify-partial-forall", "stratify-no-reindex",
-         "no-composite"],
+         "no-composite", "wrong-endpoint-projection", "wrong-endpoint-identity"],
 )
 def test_incomplete_doctrines_are_answered_without_traceback(argv, code, line):
     run = _run_subprocess(argv)
