@@ -18,7 +18,13 @@ prover builds each premise it searches through it.  `_check_node` checks the
 six leaf rules and Cut itself.
 
 `prove_qf` runs the same search, uncapped, on a quantifier-free sequent,
-closing atomic leaves by Id or by a caller's lemma for a pair of atoms.
+closing atomic leaves by Id or by a caller's lemma for a pair of atoms.  It
+decides the sequent: it returns the proof, or the first atomic leaf that
+stays open.  Every rule it applies is invertible at each single valuation of
+the atoms (a valuation that falsifies a premise falsifies the conclusion),
+so a valuation that makes the open leaf's antecedent atoms true and its
+succedent atoms false falsifies the root sequent too: the open leaf is the
+countermodel, read off the same search that would have built the proof.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .formula import (
     Imp,
     Not,
     Or,
+    Pred,
     Top,
     alpha_eq,
     canonical_form,
@@ -433,6 +440,8 @@ class _Search:
         self.signature = signature
         self.closer = closer
         self.nodes = 0
+        # the last sequent of atoms alone that the search left open
+        self.leaf: Optional[Sequent] = None
         self._witnesses: dict[tuple[str, ...], list[Term]] = {}
 
     def spend(self) -> bool:
@@ -549,6 +558,9 @@ class _Search:
             if isinstance(phi, Forall):
                 return self._expand_fresh(s, "RForall", j, depth, seen)
 
+        if all(isinstance(phi, (Pred, Eq)) for phi in ant + suc):
+            self.leaf = s
+            return None
         if depth <= 0:
             return None
 
@@ -643,18 +655,25 @@ def prove_bounded(
 
 def prove_qf(
     s: Sequent, signature: Optional[Signature] = None, closer: Optional[Closer] = None
-) -> Optional[ProofTree]:
+) -> ProofTree | Sequent:
     """The proof of the quantifier-free sequent `s` by the prover's
-    invertible rules, or None when an atomic leaf stays open.
+    invertible rules, or else the first atomic leaf that stays open.
 
     Without quantifiers the search never backtracks, so it needs no node cap
     and no deepening: the binary connectives bound its depth.
     `closer(a, b, ctx)` may prove a pair `a =>_ctx b` that Id does not close;
     its proof is weakened into place.
+
+    An open leaf holds only `Pred` and `Eq` atoms, no atom on both sides and
+    no pair that `closer` or EqRefl closes.  Each rule on the path from `s`
+    to it is invertible at every single valuation, so any valuation that
+    makes the leaf's antecedent true and its succedent false also falsifies
+    `s`: a leaf is a refutation, and it is the only way the search fails.
     """
     formulas = s.antecedent + s.succedent
     if not all(is_quantifier_free(f) for f in formulas):
         raise ProofError("prove_qf needs a quantifier-free sequent")
     depth = sum(isinstance(g, (And, Or, Imp)) for f in formulas for g in subformulas(f))
     engine = _Search(Budget(max_nodes=math.inf), signature, closer)
-    return engine.prove(s, depth, frozenset())
+    proof = engine.prove(s, depth, frozenset())
+    return engine.leaf if proof is None else proof

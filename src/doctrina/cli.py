@@ -11,6 +11,7 @@ lines, buffered and flushed once.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -385,7 +386,11 @@ def cmd_models(args) -> int:
     return EXIT_UNKNOWN
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every `main` call: `parse_args` returns a fresh
+    namespace and leaves no state on the parser, and settings such as
+    `DOCTRINA_BUDGET` are read per call, in `default_budget`."""
     p = argparse.ArgumentParser(prog="doctrina")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -460,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (

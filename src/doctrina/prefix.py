@@ -23,6 +23,7 @@ from .formula import (
     Not,
     Pred,
     Top,
+    atoms_of,
     iff,
     is_quantifier_free,
     to_dnf,
@@ -210,47 +211,36 @@ def qf_equivalent_modT(phi: Formula, psi: Formula, ctx: Context) -> bool:
 
 class PrefixOracle(EntailmentOracle):
     """Entailment for quantifier-free sequents over word-language atoms,
-    decided by the prefix criterion: refutations come with the word
-    countermodel, and entailments with a proof built by the invertible
-    rules, closing each atomic leaf by Id or by `_chain_lemma`."""
+    decided by one run of `prove_qf` that closes each atomic leaf by Id or
+    by `_chain_lemma`.  A leaf that stays open has no negative atom equal to
+    or a strict prefix of a positive one, which is the prefix criterion's
+    "not entailed", so its word countermodel refutes the sequent."""
 
     name = "prefix"
 
     def decide(self, s: Sequent):
-        from .formula import And, conj, disj
-
-        formulas = list(s.antecedent) + list(s.succedent)
+        formulas = s.antecedent + s.succedent
         if not all(is_quantifier_free(f) for f in formulas):
             return Unknown("not quantifier-free")
         try:
-            phi = conj(s.antecedent)
-            psi = disj(s.succedent)
-            clauses = to_dnf(And(phi, Not(psi)))
-            parsed = [
-                (
-                    [atom_from_formula(a, s.context) for a in pos],
-                    [atom_from_formula(a, s.context) for a in neg],
-                )
-                for pos, neg in clauses
-            ]
             arities = [atom_from_formula(a, s.context).arity
-                       for f in formulas for a in _pred_atoms(f)] or [0]
+                       for f in formulas for a in atoms_of(f)]
         except PrefixError as e:
             return Unknown(str(e))
-        for p_atoms, n_atoms in parsed:
-            if not prefix_entails(p_atoms, n_atoms):
-                # truncated above every atom of the sequent, so that each
-                # predicate it mentions is interpreted; word_countermodel
-                # keys its assignment by x1..xk, the sequent by its context
-                model, pooled = word_countermodel(
-                    p_atoms, n_atoms, len(s.context), max(arities) + 1
-                )
-                assignment = {v: pooled[pool_var(i)] for i, v in enumerate(s.context.vars, 1)}
-                return Refuted(model.as_structure(), assignment, self.name)
-        proof = prove_qf(s, SIGNATURE, _chain_lemma)
-        if proof is None:
-            raise PrefixError(f"entailed, but an atomic leaf of {s!r} stays open")
-        return Proved(proof, self.name)
+        found = prove_qf(s, SIGNATURE, _chain_lemma)
+        if isinstance(found, ProofTree):
+            return Proved(found, self.name)
+        # truncated above every atom of the sequent, so that each predicate
+        # it mentions is interpreted; word_countermodel keys its assignment
+        # by x1..xk, the sequent by its context
+        model, pooled = word_countermodel(
+            [atom_from_formula(a, s.context) for a in found.antecedent],
+            [atom_from_formula(b, s.context) for b in found.succedent],
+            len(s.context),
+            max(arities, default=0) + 1,
+        )
+        assignment = {v: pooled[pool_var(i)] for i, v in enumerate(s.context.vars, 1)}
+        return Refuted(model.as_structure(), assignment, self.name)
 
 
 def _by(rule: Rule, *above):
@@ -305,12 +295,6 @@ def _chain_lemma(a: Formula, b: Formula, ctx: Context) -> Optional[ProofTree]:
     return tree
 
 
-def _pred_atoms(phi: Formula) -> list[Pred]:
-    from .formula import atoms_of
-
-    return [a for a in atoms_of(phi) if isinstance(a, Pred)]
-
-
 # --- the layer-wise fragments -------------------------------------------------
 
 
@@ -348,7 +332,7 @@ def p0n_membership(
     patterns, and is double-checked through the exact entailment."""
     if not is_quantifier_free(phi):
         raise PrefixError("p0n_membership requires a quantifier-free formula")
-    from .formula import atoms_of, conj, disj, eval_prop
+    from .formula import conj, disj, eval_prop
 
     own_atoms = [atom_from_formula(a, ctx) for a in atoms_of(phi)]
     if all(a.arity >= n for a in own_atoms):

@@ -2,9 +2,6 @@
 
 A finite structure interprets function symbols by explicit tables and
 predicate symbols by sets of tuples; equality is interpreted as identity.
-Formulas-in-context can also be interpreted as sets of assignment tuples,
-which is the powerset-doctrine reading of a formula and is what ties the
-calculus to set semantics in tests.
 
 Formulas are evaluated by two routes:
 
@@ -38,7 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .lang import App, CtxMorphism, Signature, Term, Var
+from .lang import App, Signature, Term, Var
 from .formula import (
     And,
     Bot,
@@ -135,31 +132,6 @@ def eval_in_structure(phi, m: FiniteStructure, assignment: Optional[dict] = None
             eval_in_structure(phi.body, m, {**assignment, phi.var: e}) for e in m.carrier
         )
     raise SemanticsError(f"not a formula: {phi!r}")
-
-
-def interpret_tuples(fic: FormulaInContext, m: FiniteStructure) -> frozenset[tuple]:
-    """The powerset-doctrine interpretation: the set of context assignments
-    (as tuples, in context order) satisfying the formula."""
-    ctx = fic.context
-    out = []
-    for values in itertools.product(m.carrier, repeat=len(ctx)):
-        if eval_in_structure(fic.formula, m, dict(zip(ctx.vars, values))):
-            out.append(values)
-    return frozenset(out)
-
-
-def reindex_tuples(
-    f: CtxMorphism, m: FiniteStructure, subset: frozenset[tuple]
-) -> frozenset[tuple]:
-    """Preimage along the map induced by a tuple of terms: the reindexing of
-    the powerset doctrine."""
-    out = []
-    for values in itertools.product(m.carrier, repeat=len(f.source)):
-        assignment = dict(zip(f.source.vars, values))
-        image = tuple(eval_term(t, m, assignment) for t in f.components)
-        if image in subset:
-            out.append(values)
-    return frozenset(out)
 
 
 def _falsifies(s: Sequent, m: FiniteStructure, assignment: dict) -> bool:

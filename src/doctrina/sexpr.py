@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .lang import App, Context, PredicateFamily, Signature, Term, Var
+from .lang import App, Context, LangError, PredicateFamily, Signature, Term, Var
 from .formula import (
     And,
     Bot,
@@ -28,8 +28,8 @@ from .calculus import _POSITIONAL, ProofTree, Rule, Sequent
 from .boolalg import BoolAlg, BoolAlgError
 from .category import FPCategory
 from .doctrine import Doctrine, Marking
-from .semantics import FiniteStructure
-from .syntactic import Theory
+from .semantics import FiniteStructure, SemanticsError
+from .syntactic import SyntacticError, Theory
 
 
 class ParseError(Exception):
@@ -310,7 +310,10 @@ def parse_signature(node: SNode) -> Signature:
             has_eq = True
         else:
             _fail(item, "unknown signature section")
-    return Signature(tuple(functions), tuple(predicates), has_eq, tuple(families))
+    try:
+        return Signature(tuple(functions), tuple(predicates), has_eq, tuple(families))
+    except LangError as e:
+        _fail(node, str(e))
 
 
 def signature_sexpr(sig: Signature) -> str:
@@ -331,17 +334,22 @@ def parse_theory(node: SNode) -> Theory:
         _fail(node, "expected (theory (signature ...) (axioms ...))")
     sig = None
     axioms: list[Formula] = []
+    axioms_node = node
     for item in node.items[1:]:
         h = _head(item)
         if h == "signature":
             sig = parse_signature(item)
         elif h == "axioms":
             axioms = [parse_formula(f) for f in item.items[1:]]
+            axioms_node = item
         else:
             _fail(item, "unknown theory section")
     if sig is None:
         _fail(node, "theory needs a signature")
-    return Theory(sig, tuple(axioms))
+    try:
+        return Theory(sig, tuple(axioms))
+    except SyntacticError as e:
+        _fail(axioms_node, str(e))
 
 
 def theory_sexpr(theory: Theory) -> str:
@@ -386,7 +394,10 @@ def parse_structure(node: SNode) -> FiniteStructure:
             predicates[name] = frozenset(tuples)
         else:
             _fail(item, "unknown structure section")
-    return FiniteStructure(carrier, functions, predicates)
+    try:
+        return FiniteStructure(carrier, functions, predicates)
+    except SemanticsError as e:
+        _fail(node, str(e))
 
 
 def structure_sexpr(m: FiniteStructure) -> str:

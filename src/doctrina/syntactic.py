@@ -30,6 +30,7 @@ from .formula import (
     Pred,
     Top,
     alpha_eq,
+    atoms_of,
     canonical_form,
     free_vars,
     is_quantifier_free,
@@ -141,9 +142,11 @@ def _distinct_subterms(terms: Iterable[Term]) -> list[Term]:
 
 class TruthTableOracle(EntailmentOracle):
     """Propositional reading of quantifier-free sequents over the empty
-    theory: atoms with distinct argument tuples are independent, so a
-    falsifying valuation always lifts to a term-generated countermodel, and
-    a tautology is proved by the invertible rules closing on Id."""
+    theory, decided by one run of `prove_qf`: a tautology is proved by the
+    invertible rules closing on Id, and otherwise the first open atomic leaf
+    gives the falsifying valuation (its antecedent atoms true, every other
+    atom false).  Atoms with distinct argument tuples are independent, so
+    that valuation lifts to a term-generated countermodel."""
 
     name = "truthtable"
 
@@ -151,26 +154,18 @@ class TruthTableOracle(EntailmentOracle):
         self.signature = signature
 
     def decide(self, s: Sequent) -> Verdict:
-        from .formula import atoms_of, eval_prop
-
         formulas = list(s.antecedent) + list(s.succedent)
         if not all(is_quantifier_free(f) for f in formulas):
             return Unknown("not quantifier-free")
         if any(isinstance(a, Eq) for f in formulas for a in atoms_of(f)):
             return Unknown("equality atoms need the bounded oracle")
-        atoms = sorted({a for f in formulas for a in atoms_of(f)}, key=repr)
-        for bits in itertools.product((False, True), repeat=len(atoms)):
-            val = dict(zip(atoms, bits))
-            if all(eval_prop(a, val) for a in s.antecedent) and not any(
-                eval_prop(b, val) for b in s.succedent
-            ):
-                return self._refute(s, atoms, val)
-        proof = prove_qf(s, self.signature)
-        if proof is None:
-            raise SyntacticError(f"a tautology, but an atomic leaf of {s!r} stays open")
-        return Proved(proof, self.name)
+        found = prove_qf(s, self.signature)
+        if isinstance(found, ProofTree):
+            return Proved(found, self.name)
+        return self._refute(s, found)
 
-    def _refute(self, s: Sequent, atoms, val) -> Verdict:
+    def _refute(self, s: Sequent, leaf: Sequent) -> Verdict:
+        atoms = sorted({a for f in s.antecedent + s.succedent for a in atoms_of(f)}, key=repr)
         terms = [t for a in atoms for t in a.args] + [Var(v) for v in s.context.vars]
         carrier = tuple(map(repr, _distinct_subterms(terms))) or ("*",)
         names = {t: repr(t) for t in _distinct_subterms(terms)}
@@ -182,11 +177,9 @@ class TruthTableOracle(EntailmentOracle):
             table = functions.setdefault(fname, {})
             for args in itertools.product(carrier, repeat=arity):
                 table.setdefault(args, carrier[0])
-        predicates: dict[str, set] = {}
-        for a, truth in val.items():
-            predicates.setdefault(a.name, set())
-            if truth:
-                predicates[a.name].add(tuple(names[t] for t in a.args))
+        predicates: dict[str, set] = {a.name: set() for a in atoms}
+        for a in leaf.antecedent:
+            predicates[a.name].add(tuple(names[t] for t in a.args))
         m = FiniteStructure(carrier, functions, {k: frozenset(v) for k, v in predicates.items()})
         assignment = {v: names[Var(v)] if Var(v) in names else carrier[0] for v in s.context.vars}
         return Refuted(m, assignment, self.name)

@@ -41,6 +41,21 @@ def naive_subst(t: Term, mapping: dict[str, Term]) -> Term:
     return App(t.symbol, tuple(naive_subst(a, mapping) for a in t.args))
 
 
+# --- the powerset-doctrine reading of a formula ---------------------------------
+
+
+def satisfying_tuples(phi: Formula, ctx: Context, m) -> frozenset[tuple]:
+    """The context assignments, as tuples in context order, at which `phi`
+    holds in the finite structure `m`, by the reference evaluator."""
+    from doctrina.semantics import eval_in_structure
+
+    return frozenset(
+        values
+        for values in itertools.product(m.carrier, repeat=len(ctx))
+        if eval_in_structure(phi, m, dict(zip(ctx.vars, values)))
+    )
+
+
 # --- brute-force quantifier-alternation layers ---------------------------------
 
 
@@ -182,6 +197,29 @@ def random_sequent(rng: random.Random, max_size: int = 5) -> Sequent:
     ants = tuple(random_formula(rng, ctx.vars, rng.randint(1, max_size)) for _ in range(n_ant))
     sucs = tuple(random_formula(rng, ctx.vars, rng.randint(1, max_size)) for _ in range(n_suc))
     return Sequent(ctx, ants, sucs)
+
+
+def random_qf_formula(
+    rng: random.Random, variables: tuple[str, ...], size: int, equality: bool = False
+) -> Formula:
+    """A quantifier-free formula over P/1 and Q/2, and = when asked, applied
+    to variables among `variables` and to f of them."""
+
+    def term() -> Term:
+        v = Var(rng.choice(variables))
+        return App("f", (v,)) if rng.random() < 0.25 else v
+
+    if size <= 1:
+        atoms = [Pred("P", (term(),)), Pred("Q", (term(), term())), Top(), Bot()]
+        return rng.choice(atoms + [Eq(term(), term())] * equality)
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Not(random_qf_formula(rng, variables, size - 1, equality))
+    ls = rng.randint(1, size - 2) if size > 2 else 1
+    return (And, Or, Imp)[kind - 1](
+        random_qf_formula(rng, variables, ls, equality),
+        random_qf_formula(rng, variables, size - 1 - ls, equality),
+    )
 
 
 def random_prefix_formula(rng: random.Random, k: int, size: int) -> Formula:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doctrina import calculus
 from doctrina.lang import Context, Signature, Var, canonical_context
@@ -34,11 +35,12 @@ from doctrina.calculus import (
     check_proof,
     enlarge_context,
     prove_bounded,
+    prove_qf,
 )
 from doctrina.semantics import enumerate_structures, sequent_valid_in_structure
 from doctrina.sexpr import proof_sexpr
 
-from helpers import random_sequent
+from helpers import random_qf_formula, random_sequent
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -275,6 +277,34 @@ def test_proofs_are_sound_in_finite_structures():
         for m in structures:
             assert sequent_valid_in_structure(s, m), (s, m.describe())
     assert checked >= 8
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
+def test_prove_qf_open_leaf_is_a_countermodel(seed, k, n_ant, n_suc):
+    # the proof, or an open leaf of atoms alone whose valuation (its
+    # antecedent true, every other atom false) falsifies the goal
+    from doctrina.formula import atoms_of, eval_prop
+
+    rng = random.Random(seed)
+    xs = tuple(f"x{i}" for i in range(1, k + 1))
+    s = Sequent(
+        Context(xs),
+        tuple(random_qf_formula(rng, xs, rng.randint(1, 7), True) for _ in range(n_ant)),
+        tuple(random_qf_formula(rng, xs, rng.randint(1, 7), True) for _ in range(n_suc)),
+    )
+    sig = Signature(functions=(("f", 1),), predicates=(("P", 1), ("Q", 2)), has_equality=True)
+    found = prove_qf(s, sig)
+    if isinstance(found, ProofTree):
+        assert found.conclusion == s and check_proof(found, (), sig).ok
+        return
+    assert found.context == s.context
+    assert all(isinstance(a, (Pred, Eq)) for a in found.antecedent + found.succedent), found
+    assert not set(found.antecedent) & set(found.succedent), found
+    assert not any(isinstance(b, Eq) and b.left == b.right for b in found.succedent), found
+    val = {a: a in found.antecedent for f in s.antecedent + s.succedent for a in atoms_of(f)}
+    assert all(eval_prop(a, val) for a in s.antecedent), (s, found)
+    assert not any(eval_prop(b, val) for b in s.succedent), (s, found)
 
 
 def test_alpha_rename_node_checks():

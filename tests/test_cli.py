@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from doctrina.cli import main
+from doctrina.cli import build_parser, main
 from doctrina import sexpr
 from doctrina.sexpr import MAX_NESTING
 from doctrina.boolalg import BoolAlg
@@ -214,6 +214,13 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DOCTRINA_BUDGET", "8")
     code, out = run_cli(["prove", goal], capsys)
     assert code == 0
+    # every call shares one parser, which keeps neither the environment nor
+    # an earlier call's --budget
+    assert build_parser() is build_parser()
+    assert run_cli(["prove", goal, "--budget", "0"], capsys)[0] == 2
+    assert run_cli(["prove", goal], capsys)[0] == 0
+    monkeypatch.setenv("DOCTRINA_BUDGET", "0")
+    assert run_cli(["prove", goal], capsys)[0] == 2
 
 
 def _run_subprocess(argv, seed="0", extra_env=None):
@@ -288,7 +295,7 @@ def test_reports_do_not_depend_on_hash_seed():
     [
         # SemanticsError: the countermodel search meets f with no table
         ["prove", "(seq (ctx x) (ants) (sucs (Q (f (f x)))))", "--budget", "3"],
-        # SyntacticError: a theory axiom with a free variable
+        # ParseError, positioned at the axioms: a theory axiom with a free variable
         ["complete", "(theory (signature (predicates (P 1))) (axioms (P x)))",
          "--body-size", "1", "--ctx-size", "0"],
         # PrefixError: the experiment's atom space is too large

@@ -7,6 +7,7 @@ from doctrina.lang import Context, Var, canonical_context
 from doctrina.formula import (
     And,
     Bot,
+    Eq,
     Not,
     Or,
     Pred,
@@ -19,6 +20,7 @@ from doctrina.syntactic import Proved, Refuted, Unknown
 from doctrina.cli import infer_context, main
 from doctrina.sexpr import parse_formula, parse_sexpr, parse_structure
 from doctrina.prefix import (
+    FAMILY,
     PrefixAtom,
     PrefixError,
     PrefixOracle,
@@ -211,6 +213,10 @@ def test_prefix_oracle_refutations_falsify_random_goals():
             continue
         assert isinstance(v, Refuted), (phi, psi)
         assert _falsifies(phi, psi, v.structure, v.assignment), (phi, psi)
+        # a word model truncated at length t satisfies the axioms below t
+        t = max(FAMILY.arity_of(name) for name in v.structure.predicates)
+        for j in range(t):
+            assert eval_in_structure(axiom_alpha(j), v.structure, {}), (phi, psi, j)
         refuted += 1
     assert refuted >= 100 and proved >= 50
 
@@ -218,6 +224,10 @@ def test_prefix_oracle_refutations_falsify_random_goals():
 def test_prefix_oracle_declines_non_prefix_atoms():
     oracle = PrefixOracle()
     s = Sequent(Context(("x",)), (Pred("S", (Var("x"),)),), (Top(),))
+    assert isinstance(oracle.decide(s), Unknown)
+    # every equality atom, even one in a contradiction
+    e = Eq(Var("x"), Var("x"))
+    s = Sequent(Context(("x",)), (And(e, Not(e)),), (Pred("R1", (Var("x"),)),))
     assert isinstance(oracle.decide(s), Unknown)
 
 

@@ -11,7 +11,6 @@ from doctrina.formula import (
     Eq,
     Exists,
     Forall,
-    FormulaInContext,
     Imp,
     Not,
     Or,
@@ -28,13 +27,12 @@ from doctrina.semantics import (
     countermodel_search,
     enumerate_structures,
     eval_in_structure,
+    eval_term,
     falsifying_assignment,
-    interpret_tuples,
-    reindex_tuples,
     sequent_valid_in_structure,
 )
 
-from helpers import random_sequent
+from helpers import random_sequent, satisfying_tuples
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -85,18 +83,23 @@ def test_interpret_tuples_forall_display():
     m = FiniteStructure(
         (0, 1), {}, {"Q": frozenset({(0, 0), (0, 1), (1, 0)})}
     )
-    fic = FormulaInContext(Forall("y", Q("x", "y")), Context(("x",)))
-    assert interpret_tuples(fic, m) == frozenset({(0,)})
-    fic2 = FormulaInContext(Exists("y", Q("x", "y")), Context(("x",)))
-    assert interpret_tuples(fic2, m) == frozenset({(0,), (1,)})
+    ctx = Context(("x",))
+    assert satisfying_tuples(Forall("y", Q("x", "y")), ctx, m) == frozenset({(0,)})
+    assert satisfying_tuples(Exists("y", Q("x", "y")), ctx, m) == frozenset({(0,), (1,)})
 
 
 def test_reindex_tuples_is_preimage():
+    # P(x) reindexed along (a, b) |-> b holds at (a, b) iff P holds at b
     m = FiniteStructure((0, 1), {}, {"P": frozenset({(1,)})})
     src, dst = Context(("a", "b")), Context(("x",))
     f = CtxMorphism(src, dst, (Var("b"),))
-    subset = interpret_tuples(FormulaInContext(P("x"), dst), m)
-    pre = reindex_tuples(f, m, subset)
+    pre = frozenset(
+        values
+        for values in itertools.product(m.carrier, repeat=2)
+        if eval_in_structure(
+            P("x"), m, {"x": eval_term(f.components[0], m, dict(zip(src.vars, values)))}
+        )
+    )
     assert pre == frozenset({(0, 1), (1, 1)})
 
 
@@ -104,8 +107,11 @@ def test_tuple_interpretation_matches_eval():
     m = FiniteStructure((0, 1, 2), {}, {"Q": frozenset({(0, 1), (1, 2)})})
     ctx = Context(("x", "y"))
     phi = Or(Q("x", "y"), Not(Q("y", "x")))
-    fic = FormulaInContext(phi, ctx)
-    cells = interpret_tuples(fic, m)
+    # the powerset reading, by set algebra on the table of Q: Q union the
+    # complement of its transpose
+    q = m.pred("Q")
+    pairs = itertools.product(m.carrier, repeat=2)
+    cells = {(x, y) for x, y in pairs if (x, y) in q or (y, x) not in q}
     for vals in itertools.product(m.carrier, repeat=2):
         assert (vals in cells) == eval_in_structure(phi, m, dict(zip(ctx.vars, vals)))
 

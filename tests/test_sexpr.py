@@ -53,6 +53,15 @@ def test_parse_error_positions():
         sexpr.parse_sexpr("(a))")
     with pytest.raises(ParseError):
         sexpr.parse_formula(sexpr.parse_sexpr("(not)"))
+    # what the signature, theory and structure constructors refuse
+    for parse, text, where in [
+        (sexpr.parse_signature, "(signature (functions (f 1) (f 2)))", "1:1"),
+        (sexpr.parse_signature, "(signature (predicates (P -1)))", "1:1"),
+        (sexpr.parse_theory, "(theory (signature (predicates (P 1)))\n (axioms (P x)))", "2:2"),
+        (sexpr.parse_structure, "(structure (carrier) (fun c (() 0)))", "1:1"),
+    ]:
+        with pytest.raises(ParseError, match=f"at {where}:"):
+            parse(sexpr.parse_sexpr(text))
 
 
 def test_sequent_roundtrip_and_duplicate_context():
@@ -191,7 +200,21 @@ def _fuzz_documents():
     s = Sequent(Context(("x",)), (Forall("y", Pred("P", (Var("y"),))),), (And(x, x),))
     proof = sexpr.proof_sexpr(prove_bounded(s, budget=Budget(max_depth=8)))
     marking = sexpr.marking_sexpr(full_marking(d))
+    y, fx = Var("y"), App("f", (Var("x"),))
+    phi = Forall("x", Imp(Pred("P", (fx,)), Or(Eq(Var("x"), App("c")), Not(Pred("Q", (Var("x"), y))))))
+    sig = Signature((("f", 1), ("c", 0)), (("P", 1), ("Q", 2)), True, (PredicateFamily("R"),))
+    theory = Theory(sig, (Forall("x", Pred("P", (fx,))), Forall("x", Eq(Var("x"), Var("x")))))
+    m = FiniteStructure(
+        ("0", "1"),
+        {"c": {(): "0"}, "f": {("0",): "1", ("1",): "0"}},
+        {"P": frozenset({("0",)}), "R0": frozenset({()})},
+    )
     return [
+        (sexpr.parse_formula, sexpr.formula_sexpr(phi)),
+        (sexpr.parse_sequent, sexpr.sequent_sexpr(s)),
+        (sexpr.parse_signature, sexpr.signature_sexpr(sig)),
+        (sexpr.parse_theory, sexpr.theory_sexpr(theory)),
+        (sexpr.parse_structure, sexpr.structure_sexpr(m)),
         (sexpr.parse_doctrine, sexpr.doctrine_sexpr(d)),
         (sexpr.parse_doctrine, sexpr.doctrine_sexpr(hbx)),
         (lambda node: sexpr.parse_marking(node, d), marking),

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doctrina.lang import App, Context, CtxMorphism, Signature, Var, canonical_context
 from doctrina.formula import (
@@ -24,12 +25,11 @@ from doctrina.semantics import (
     SemanticsError,
     countermodel_search,
     eval_in_structure,
-    interpret_tuples,
-    reindex_tuples,
+    eval_term,
 )
 from doctrina.formula import substitute, substitute_formula
 from doctrina.sexpr import formula_sexpr, proof_sexpr, structure_sexpr
-from helpers import random_formula
+from helpers import random_formula, random_qf_formula, satisfying_tuples
 from doctrina.prefix import PrefixOracle, prefix_theory
 from doctrina.syntactic import (
     BoundedOracle,
@@ -127,6 +127,64 @@ def test_truthtable_oracle_declines_quantifiers():
     oracle = TruthTableOracle(SIG)
     s = Sequent(Context(), (), (Exists("x", Top()),))
     assert isinstance(oracle.decide(s), Unknown)
+
+
+FSIG = Signature(functions=(("f", 1),), predicates=(("P", 1), ("Q", 2)))
+
+
+def brute_valid(s: Sequent) -> bool:
+    """The reference decision: no valuation of the sequent's atoms makes
+    every antecedent true and every succedent false."""
+    from doctrina.formula import atoms_of, eval_prop
+
+    atoms = sorted({a for f in s.antecedent + s.succedent for a in atoms_of(f)}, key=repr)
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        val = dict(zip(atoms, bits))
+        if all(eval_prop(a, val) for a in s.antecedent) and not any(
+            eval_prop(b, val) for b in s.succedent
+        ):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(1, 3), st.integers(0, 2), st.integers(0, 2))
+def test_truthtable_oracle_matches_the_valuation_loop(seed, k, n_ant, n_suc):
+    rng = random.Random(seed)
+    xs = tuple(f"x{i}" for i in range(1, k + 1))
+    s = Sequent(
+        Context(xs),
+        tuple(random_qf_formula(rng, xs, rng.randint(1, 7)) for _ in range(n_ant)),
+        tuple(random_qf_formula(rng, xs, rng.randint(1, 7)) for _ in range(n_suc)),
+    )
+    v = TruthTableOracle(FSIG).decide(s)
+    if brute_valid(s):
+        assert isinstance(v, Proved), s
+        assert v.proof.conclusion == s and check_proof(v.proof, (), FSIG).ok, s
+    else:
+        assert isinstance(v, Refuted), s
+        m, rho = v.structure, v.assignment
+        assert all(eval_in_structure(a, m, rho) for a in s.antecedent), s
+        assert not any(eval_in_structure(b, m, rho) for b in s.succedent), s
+
+
+def test_truthtable_oracle_decides_forty_atoms_with_certificates():
+    # one decision, not a loop over 2**40 valuations: a tautology over forty
+    # atoms is proved, and a goal falsified only by the valuation that makes
+    # all forty antecedent atoms true is refuted
+    from doctrina.formula import conj
+
+    xs = tuple(f"x{i}" for i in range(40))
+    ctx = Context(xs)
+    tautology = Sequent(ctx, (), (conj([Or(P(x), Not(P(x))) for x in xs]),))
+    v = TruthTableOracle(SIG).decide(tautology)
+    assert isinstance(v, Proved)
+    assert check_proof(v.proof, (), SIG).ok
+    goal = Sequent(ctx, (conj([Q(x, x) for x in xs]),), (Or(P("x0"), Q("x0", "x1")),))
+    v = TruthTableOracle(SIG).decide(goal)
+    assert isinstance(v, Refuted)
+    assert eval_in_structure(goal.antecedent[0], v.structure, v.assignment)
+    assert not eval_in_structure(goal.succedent[0], v.structure, v.assignment)
 
 
 def test_bounded_oracle_three_values():
@@ -266,8 +324,7 @@ def test_interpret_top_and_atoms():
 def test_interpret_forall_display_via_tuples():
     # the tuple-set interpretation realizes the subset-doctrine display
     m = FiniteStructure((0, 1), {}, {"Q": frozenset({(0, 0), (0, 1)})})
-    fic = FormulaInContext(Forall("y", Q("x", "y")), Context(("x",)))
-    assert interpret_tuples(fic, m) == frozenset({(0,)})
+    assert satisfying_tuples(Forall("y", Q("x", "y")), Context(("x",)), m) == frozenset({(0,)})
 
 
 def test_empty_context_existential_fails_in_empty_domain():
@@ -308,8 +365,8 @@ def test_interpretation_naturality_in_doctrine():
 
 
 def test_interpretation_naturality_in_tuple_semantics():
-    # I-nat over carriers up to 3: substitution then interpretation equals
-    # interpretation then preimage
+    # I-nat over carriers up to 3, as the substitution lemma: the formula
+    # reindexed along f holds at a iff the formula holds at f evaluated at a
     structures = [
         FiniteStructure((0,), {}, {"Q": frozenset({(0, 0)}), "P": frozenset()}),
         FiniteStructure((0, 1), {}, {"Q": frozenset({(0, 1)}), "P": frozenset({(1,)})}),
@@ -331,10 +388,12 @@ def test_interpretation_naturality_in_tuple_semantics():
     for m in structures:
         for f in morphisms:
             for phi in formulas:
-                fic = FormulaInContext(phi, ctx2)
-                lhs = interpret_tuples(substitute_formula(fic, f), m)
-                rhs = reindex_tuples(f, m, interpret_tuples(fic, m))
-                assert lhs == rhs, (phi, f, m.describe())
+                reindexed = substitute_formula(FormulaInContext(phi, ctx2), f).formula
+                for values in itertools.product(m.carrier, repeat=len(f.source)):
+                    a = dict(zip(f.source.vars, values))
+                    image = {v: eval_term(t, m, a) for v, t in zip(ctx2.vars, f.components)}
+                    lhs = eval_in_structure(reindexed, m, a)
+                    assert lhs == eval_in_structure(phi, m, image), (phi, f, m.describe(), values)
 
 
 def test_morphism_from_family_checks_axioms():
