@@ -110,10 +110,55 @@ def identity_hom(alg: BoolAlg) -> BAHom:
     return BAHom(alg, alg, tuple(range(alg.atoms)))
 
 
+def _preserves_joins(table, size: int) -> bool:
+    """Whether an element-indexed table sends 0 to 0 and every element to
+    the join of its atoms' images: on a powerset algebra these are exactly
+    the maps that preserve all joins."""
+    return table[0] == 0 and all(
+        table[a] == table[a & (a - 1)] | table[a & -a] for a in range(1, size)
+    )
+
+
+def is_monotone(alg: BoolAlg, table) -> bool:
+    """Whether an element-indexed table is monotone, decided on the covers
+    b <= b | atom: on a powerset every b <= b2 is a chain of such covers."""
+    for b in alg.elements():
+        tb = table[b]
+        rest = alg.top & ~b
+        while rest:
+            bit = rest & -rest
+            if tb & ~table[b | bit]:
+                return False
+            rest ^= bit
+    return True
+
+
+def _is_hom(src: BoolAlg, dst: BoolAlg, table) -> bool:
+    """Whether a table preserves joins and its atom images are pairwise
+    disjoint and join to the top of dst."""
+    if not _preserves_joins(table, src.size):
+        return False
+    seen = 0
+    for i in range(src.atoms):
+        image = table[1 << i]
+        if image & seen:
+            return False
+        seen |= image
+    return seen == dst.top
+
+
 def hom_violations(src: BoolAlg, dst: BoolAlg, table) -> Iterator[tuple[str, dict[str, int]]]:
     """The Boolean-homomorphism laws an element table of the right length
     breaks, as (law, where) pairs: top, bottom, neg at each element, and
-    meet and join at each pair a <= b of element indices."""
+    meet and join at each pair a <= b of element indices.
+
+    The laws are decided on atoms first, in O(2^n) reads: a finite Boolean
+    algebra is the powerset of its atoms (finite Stone duality), so a table
+    is a homomorphism iff it preserves joins, its atom images are pairwise
+    disjoint, and they join to the top.  The 4^n pairs are enumerated only
+    when that test fails, to report where."""
+    if _is_hom(src, dst, table):
+        return
     if table[src.top] != dst.top:
         yield "top", {}
     if table[src.bot] != dst.bot:
@@ -131,8 +176,17 @@ def hom_violations(src: BoolAlg, dst: BoolAlg, table) -> Iterator[tuple[str, dic
 
 def right_adjoint_of(src: BoolAlg, dst: BoolAlg, f: Callable[[int], int]) -> tuple[int, ...]:
     """The right adjoint of a join-preserving map f: src -> dst, as a table
-    indexed by dst elements: R(b) = join of all a with f(a) <= b."""
-    return tuple(src.join_all(a for a in src.elements() if dst.leq(f(a), b)) for b in dst.elements())
+    indexed by dst elements: R(b) = join of all a with f(a) <= b.
+
+    f is called once per element of src.  When those values preserve joins
+    (`_preserves_joins`), f(a) <= b iff every atom of a has its image below
+    b, so R(b) is the join of those atoms, in O(n) per b.  Otherwise the
+    join runs over all a, as the definition says."""
+    values = [f(a) for a in src.elements()]
+    if _preserves_joins(values, src.size):
+        atoms = [(1 << i, values[1 << i]) for i in range(src.atoms)]
+        return tuple(src.join_all(bit for bit, v in atoms if dst.leq(v, b)) for b in dst.elements())
+    return tuple(src.join_all(a for a, v in enumerate(values) if dst.leq(v, b)) for b in dst.elements())
 
 
 def monotone_maps(src: BoolAlg, dst: BoolAlg) -> Iterator[tuple[int, ...]]:

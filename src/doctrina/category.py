@@ -88,10 +88,14 @@ class FPCategory:
                 out.append(f"right identity fails for {f}")
             if self.comp.get((self.ident[t], f)) != f:
                 out.append(f"left identity fails for {f}")
-        for f, g, h in itertools.product(self.morphisms, repeat=3):
-            if self.dst(f) == self.src(g) and self.dst(g) == self.src(h):
-                if self.compose(h, self.compose(g, f)) != self.compose(self.compose(h, g), f):
-                    out.append(f"associativity fails at ({h}, {g}, {f})")
+        leaving: dict[str, list[str]] = {}
+        for f, (s, _) in self.morphisms.items():
+            leaving.setdefault(s, []).append(f)
+        for f, (_, t) in self.morphisms.items():
+            for g in leaving.get(t, ()):
+                for h in leaving.get(self.dst(g), ()):
+                    if self.compose(h, self.compose(g, f)) != self.compose(self.compose(h, g), f):
+                        out.append(f"associativity fails at ({h}, {g}, {f})")
         for x in self.objects:
             if len(self.hom(x, self.terminal)) != 1:
                 out.append(f"terminal object is not terminal from {x}")

@@ -9,6 +9,13 @@ Boolean doctrine it is the De Morgan dual of the universal one
 adjunction laws plus Beck-Chevalley, and the elementarity conditions
 exhaustively, reporting every failing instance rather than stopping at the
 first.
+
+The laws stated over pairs of fiber elements (homomorphism, monotonicity,
+the right adjoint) are decided on atoms, in O(n 2^n) for n atoms, and the
+4^n pairs are enumerated only to report a law that fails.  This is exact
+because a finite Boolean algebra is the powerset of its atoms (finite Stone
+duality): a join-preserving map is fixed by its atom images, and every
+b <= b2 is a chain of covers b <= b | atom.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .boolalg import (
     BAHom,
     boolean_closure,
     hom_violations,
+    is_monotone,
     right_adjoint_of,
     subalgebra_atoms,
 )
@@ -174,10 +182,11 @@ def verify_first_order(d: Doctrine, tables: Optional[QuantTable] = None) -> list
             if len(table) != ap.size:
                 out.append(violation("forall-table", X=x, Y=y))
                 continue
-            for b in ap.elements():
-                for b2 in ap.elements():
-                    if ap.leq(b, b2) and not ax.leq(table[b], table[b2]):
-                        out.append(violation("forall-monotone", X=x, Y=y, left=b, right=b2))
+            if not is_monotone(ap, table):
+                for b in ap.elements():
+                    for b2 in ap.elements():
+                        if ap.leq(b, b2) and not ax.leq(table[b], table[b2]):
+                            out.append(violation("forall-monotone", X=x, Y=y, left=b, right=b2))
             for a in ax.elements():
                 if not ax.leq(a, table[d.re(pr1, a)]):
                     out.append(violation("forall-unit", X=x, Y=y, elem=a))

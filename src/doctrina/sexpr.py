@@ -7,6 +7,7 @@ the identity on every document the suite produces.  Documents nest at most
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -55,44 +56,29 @@ class SList:
 
 SNode = Union[SAtom, SList]
 
-_DELIMS = set("(); \t\r\n")
-
 # The formula, term and proof walkers recurse once per bracket of their
 # input, with up to four Python frames each; within this limit they stay
 # under Python's default recursion limit of 1000, so deeper input is refused
 # here instead.
 MAX_NESTING = 200
 
+# A bracket, an atom (a run of characters other than brackets, `;` and
+# whitespace), a comment up to the end of its line, or a line break; spaces,
+# tabs and carriage returns match nothing and are skipped.
+_TOKEN = re.compile(r"[()]|[^(); \t\r\n]+|;[^\n]*|\n")
+
 
 def tokenize(text: str):
-    line, col = 1, 0
-    i = 0
-    while i < len(text):
-        c = text[i]
-        col += 1
-        if c == "\n":
+    """The brackets and atoms of `text` as (token, line, column) triples,
+    1-based, a column counting characters from the start of its line."""
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
             line += 1
-            col = 0
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            continue
-        if c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if c in "()":
-            yield (c, line, col)
-            i += 1
-            continue
-        start = i
-        start_col = col
-        while i < len(text) and text[i] not in _DELIMS:
-            i += 1
-            col += 1
-        col -= 1
-        yield (text[start:i], line, start_col)
+            line_start = m.end()
+        elif tok[0] != ";":
+            yield (tok, line, m.start() - line_start + 1)
 
 
 def parse_sexpr(text: str) -> SNode:

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doctrina.boolalg import (
     BAHom,
@@ -10,11 +11,12 @@ from doctrina.boolalg import (
     boolean_closure,
     hom_violations,
     identity_hom,
+    is_monotone,
     monotone_maps,
     right_adjoint_of,
     subalgebra_atoms,
 )
-from doctrina.category import chain_category, finset_category, terminal_category
+from doctrina.category import FPCategory, chain_category, finset_category, terminal_category
 from doctrina.doctrine import (
     Doctrine,
     DoctrineError,
@@ -88,6 +90,152 @@ def test_boolean_closure_and_atoms():
     assert closed == frozenset({0, 0b011, 0b100, 0b111})
     assert subalgebra_atoms(alg, closed) == [0b011, 0b100]
     assert boolean_closure(alg, []) == frozenset({0, alg.top})
+
+
+# --- laws decided on atoms, against the pair enumerations they guard ------------------
+
+
+def hom_violations_by_pairs(src, dst, table):
+    """The reference: every homomorphism law at every element and pair."""
+    if table[src.top] != dst.top:
+        yield "top", {}
+    if table[src.bot] != dst.bot:
+        yield "bottom", {}
+    for a in src.elements():
+        if table[src.neg(a)] != dst.neg(table[a]):
+            yield "neg", {"elem": a}
+    for a in src.elements():
+        for b in range(a, src.size):
+            if table[a & b] != table[a] & table[b]:
+                yield "meet", {"left": a, "right": b}
+            if table[a | b] != table[a] | table[b]:
+                yield "join", {"left": a, "right": b}
+
+
+def is_monotone_by_pairs(alg, table):
+    return all(
+        alg.leq(table[b], table[b2])
+        for b in alg.elements()
+        for b2 in alg.elements()
+        if alg.leq(b, b2)
+    )
+
+
+def right_adjoint_by_pairs(src, dst, f):
+    return tuple(src.join_all(a for a in src.elements() if dst.leq(f(a), b)) for b in dst.elements())
+
+
+@st.composite
+def element_tables(draw):
+    """(src, dst, table) with table indexed by src: a homomorphism, a map
+    that preserves joins but not the top or disjointness, a monotone map,
+    or random entries, each possibly with one entry changed, out of the
+    target fiber included."""
+    src, dst = BoolAlg(draw(st.integers(0, 4))), BoolAlg(draw(st.integers(0, 3)))
+    kind = draw(st.sampled_from(["hom", "joins", "monotone", "random"]))
+    value = st.integers(-2, dst.size + 1)
+    if kind == "hom" and dst.atoms > 0 and src.atoms > 0:
+        atom_map = draw(st.lists(st.integers(0, src.atoms - 1), min_size=dst.atoms, max_size=dst.atoms))
+        table = list(BAHom(src, dst, tuple(atom_map)).table())
+    elif kind == "joins":
+        images = draw(st.lists(value, min_size=src.atoms, max_size=src.atoms))
+        table = [src.join_all(v for i, v in enumerate(images) if (a >> i) & 1) for a in src.elements()]
+    elif kind == "monotone":
+        # the join of random values below each element
+        seeds = draw(st.lists(value, min_size=src.size, max_size=src.size))
+        table = [src.join_all(v for c, v in enumerate(seeds) if src.leq(c, a)) for a in src.elements()]
+    else:
+        table = draw(st.lists(value, min_size=src.size, max_size=src.size))
+    if draw(st.booleans()):
+        table[draw(st.integers(0, src.size - 1))] = draw(value)
+    return src, dst, tuple(table)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(element_tables())
+def test_hom_violations_agree_with_the_pair_enumeration(case):
+    src, dst, table = case
+    assert list(hom_violations(src, dst, table)) == list(hom_violations_by_pairs(src, dst, table))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(element_tables())
+def test_is_monotone_agrees_with_the_pair_enumeration(case):
+    src, _, table = case
+    assert is_monotone(src, table) == is_monotone_by_pairs(src, table)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(element_tables())
+def test_right_adjoint_of_agrees_with_its_definition(case):
+    src, dst, table = case
+    f = table.__getitem__
+    assert right_adjoint_of(src, dst, f) == right_adjoint_by_pairs(src, dst, f)
+
+
+class CountingTable(tuple):
+    """A table that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_passing_laws_are_decided_without_the_pair_enumeration():
+    # a passing 10-atom table is read O(n 2^n) times, not 4^n
+    n = 10
+    alg = BoolAlg(n)
+    bound = 2 * (n + 1) * alg.size
+    hom = BAHom(alg, alg, tuple(random.Random(0).sample(range(n), n)))
+    table = CountingTable(hom.table())
+    assert list(hom_violations(alg, alg, table)) == []
+    assert 0 < table.reads < bound
+    table = CountingTable(hom.table())
+    assert is_monotone(alg, table)
+    assert 0 < table.reads < bound
+    calls = []
+
+    def f(a):
+        calls.append(a)
+        return hom(a)
+
+    adjoint = right_adjoint_of(alg, alg, f)
+    assert len(calls) <= alg.size
+    # a permutation of atoms has its inverse as right adjoint
+    assert all(hom(adjoint[b]) == b for b in alg.elements())
+
+
+def associativity_by_triples(cat):
+    """The reference: every triple of morphisms, composable ones checked."""
+    out = []
+    for f, g, h in itertools.product(cat.morphisms, repeat=3):
+        if cat.dst(f) == cat.src(g) and cat.dst(g) == cat.src(h):
+            if cat.compose(h, cat.compose(g, f)) != cat.compose(cat.compose(h, g), f):
+                out.append(f"associativity fails at ({h}, {g}, {f})")
+    return out
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_category_check_reports_associativity_as_the_triple_loop(seed):
+    # two objects, three morphisms between each ordered pair, a random
+    # composition table with the right endpoints, morphisms in random order
+    rng = random.Random(seed)
+    objects = ("A", "B")
+    named = [(f"{x}{y}{k}", (x, y)) for x in objects for y in objects for k in range(3)]
+    rng.shuffle(named)
+    morphisms = dict(named)
+    ident = {x: f"{x}{x}0" for x in objects}
+    comp = {}
+    for f, (a, b) in morphisms.items():
+        for g, (b2, c) in morphisms.items():
+            if b == b2:
+                comp[(g, f)] = rng.choice([h for h, ends in morphisms.items() if ends == (a, c)])
+    cat = FPCategory(objects, morphisms, comp, ident, "A", {}, {})
+    expected = associativity_by_triples(cat)
+    assert expected
+    assert [line for line in cat.check() if line.startswith("associativity")] == expected
 
 
 # --- subset doctrine --------------------------------------------------------------

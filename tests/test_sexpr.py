@@ -190,6 +190,44 @@ def test_comments_and_whitespace():
     assert sexpr.parse_formula(sexpr.parse_sexpr(text)) == And(Top(), Bot())
 
 
+def tokenize_by_characters(text):
+    """The reference: the character loop the tokenizer once was."""
+    line, col = 1, 0
+    i = 0
+    while i < len(text):
+        c = text[i]
+        col += 1
+        if c == "\n":
+            line += 1
+            col = 0
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            continue
+        if c == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if c in "()":
+            yield (c, line, col)
+            i += 1
+            continue
+        start = i
+        start_col = col
+        while i < len(text) and text[i] not in "(); \t\r\n":
+            i += 1
+            col += 1
+        col -= 1
+        yield (text[start:i], line, start_col)
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.text(alphabet="();\t\r\n ab1\u00e9\x0b\x00", max_size=60))
+def test_tokenize_matches_the_character_loop(text):
+    assert list(sexpr.tokenize(text)) == list(tokenize_by_characters(text))
+
+
 # --- mutated documents ------------------------------------------------------------
 
 
