@@ -25,6 +25,20 @@ the atoms (a valuation that falsifies a premise falsifies the conclusion),
 so a valuation that makes the open leaf's antecedent atoms true and its
 succedent atoms false falsifies the root sequent too: the open leaf is the
 countermodel, read off the same search that would have built the proof.
+
+`prove_bounded` deepens iteratively and does not redo work across rounds
+(Korf, "Depth-first iterative-deepening", 1985; Reinefeld & Marsland,
+"Enhanced iterative-deepening search", 1994).  The search is an AND/OR
+search in which a failed child only ever leads to the next alternative, so
+a sequent whose subtree failed with no unclean return (no loop cut, no node
+past the cap) also fails at any smaller depth and under any set of loop
+keys.  One table, shared by the rounds, keeps each such failure with the
+largest depth it failed at, or without a bound when no depth cut-off was
+reached under it.  It is keyed by the formulas in order, as the order
+decides which rule the search applies first: a permutation of a failed
+sequent may have a shallower proof.  A round that fails with no depth
+cut-off and no unclean return ends the deepening, as every deeper round
+would search the same tree and fail the same way.
 """
 
 from __future__ import annotations
@@ -440,6 +454,14 @@ class _Search:
         self.signature = signature
         self.closer = closer
         self.nodes = 0
+        # depth cut-offs (hits on finite `failed` entries included), and
+        # unclean returns: loop cuts and nodes past the cap
+        self.cutoffs = 0
+        self.unclean = 0
+        # (context, antecedent, succedent in canonical forms) -> the largest
+        # depth at which that sequent failed, or inf when its subtree reached
+        # no depth cut-off; a failure whose subtree returned unclean is not kept
+        self.failed: dict[tuple, float] = {}
         # the last sequent of atoms alone that the search left open
         self.leaf: Optional[Sequent] = None
         self._witnesses: dict[tuple[str, ...], list[Term]] = {}
@@ -493,6 +515,7 @@ class _Search:
 
     def prove(self, s: Sequent, depth: int, seen: frozenset) -> Optional[ProofTree]:
         if not self.spend():
+            self.unclean += 1
             return None
         ant, suc = s.antecedent, s.succedent
 
@@ -504,8 +527,8 @@ class _Search:
             if isinstance(phi, Top):
                 return ProofTree(s, Rule("RTop", pos=j))
         # formulas are compared up to alpha-equivalence by their canonical forms
-        cant = [canonical_form(a) for a in ant]
-        csuc = [canonical_form(b) for b in suc]
+        cant = tuple(map(canonical_form, ant))
+        csuc = tuple(map(canonical_form, suc))
         for i, a in enumerate(cant):
             if a in csuc:
                 return self.close(s, i, csuc.index(a), Rule("Id"))
@@ -520,59 +543,108 @@ class _Search:
                 if isinstance(phi, Eq) and phi.left == phi.right:
                     return self.close(s, -1, j, Rule("EqRefl", term=phi.left))
 
-        key = (s.context.vars, frozenset(Counter(cant).items()), frozenset(Counter(csuc).items()))
+        # a failure is kept by the sequent in order, for the order of its
+        # formulas decides which rule the search applies first
+        here = (s.context.vars, cant, csuc)
+        known = self.failed.get(here)
+        if known is not None and known >= depth:
+            if known < math.inf:
+                self.cutoffs += 1
+            return None
+
+        # the loop key: the context and the multisets of canonical forms; a
+        # side without a duplicate is its set, which never equals a set of
+        # (formula, count) pairs
+        sant, ssuc = frozenset(cant), frozenset(csuc)
+        dup_ant, dup_suc = len(sant) < len(cant), len(ssuc) < len(csuc)
+        if dup_ant:
+            sant = frozenset(Counter(cant).items())
+        if dup_suc:
+            ssuc = frozenset(Counter(csuc).items())
+        key = (s.context.vars, sant, ssuc)
         if key in seen:
+            self.unclean += 1
             return None
         seen = seen | {key}
 
+        cutoffs, unclean = self.cutoffs, self.unclean
+        for start, rules, d, wrap in self._steps(s, cant, csuc, dup_ant or dup_suc, depth):
+            tree = self.apply(start, rules, d, seen)
+            if tree is not None:
+                return tree if wrap is None else ProofTree(s, wrap, (tree,))
+        if self.unclean == unclean:
+            self.failed[here] = depth if self.cutoffs > cutoffs else math.inf
+        return None
+
+    def _steps(self, s: Sequent, cant: tuple, csuc: tuple, duplicates: bool, depth: int):
+        """The rule instances to try on `s`, in order, as `(start, rules,
+        depth, wrap)`: the tree of `apply(start, rules, depth, …)` concludes
+        `start`, which is `s` when `wrap` is None and otherwise the premise
+        of the unary rule `wrap` on `s`.  Only quantifier instantiation has
+        alternatives; every other rule is the one step on `s`."""
+        ant, suc = s.antecedent, s.succedent
         # drop duplicates (via weakening, read backwards)
-        for i, a in enumerate(cant):
-            if a in cant[i + 1:]:
-                return self.apply(s, (Rule("LW", pos=cant.index(a, i + 1)),), depth, seen)
-        for j, b in enumerate(csuc):
-            if b in csuc[j + 1:]:
-                return self.apply(s, (Rule("RW", pos=csuc.index(b, j + 1)),), depth, seen)
+        if duplicates:
+            for i, a in enumerate(cant):
+                if a in cant[i + 1:]:
+                    yield s, (Rule("LW", pos=cant.index(a, i + 1)),), depth, None
+                    return
+            for j, b in enumerate(csuc):
+                if b in csuc[j + 1:]:
+                    yield s, (Rule("RW", pos=csuc.index(b, j + 1)),), depth, None
+                    return
 
         # non-branching invertible rules, first applicable position; a
         # conjunction (disjunction) is contracted to keep both parts
         for i, phi in enumerate(ant):
             if isinstance(phi, Top):
-                return self.apply(s, (Rule("LW", pos=i),), depth, seen)
+                yield s, (Rule("LW", pos=i),), depth, None
+                return
             if isinstance(phi, And):
-                chain = (Rule("LC", pos=i), Rule("LAnd", pos=i), Rule("LAnd", pos=i + 1, which=1))
-                return self.apply(s, chain, depth, seen)
+                yield s, (Rule("LC", pos=i), Rule("LAnd", pos=i), Rule("LAnd", pos=i + 1, which=1)), depth, None
+                return
             if isinstance(phi, Not):
-                return self.apply(s, (Rule("LNeg", pos=i),), depth, seen)
+                yield s, (Rule("LNeg", pos=i),), depth, None
+                return
             if isinstance(phi, Exists):
-                return self._expand_fresh(s, "LExists", i, depth, seen)
+                yield from self._fresh(s, "LExists", i, depth)
+                return
         for j, phi in enumerate(suc):
             if isinstance(phi, Bot):
-                return self.apply(s, (Rule("RW", pos=j),), depth, seen)
+                yield s, (Rule("RW", pos=j),), depth, None
+                return
             if isinstance(phi, Or):
-                chain = (Rule("RC", pos=j), Rule("ROr", pos=j), Rule("ROr", pos=j + 1, which=1))
-                return self.apply(s, chain, depth, seen)
+                yield s, (Rule("RC", pos=j), Rule("ROr", pos=j), Rule("ROr", pos=j + 1, which=1)), depth, None
+                return
             if isinstance(phi, Not):
-                return self.apply(s, (Rule("RNeg", pos=j),), depth, seen)
+                yield s, (Rule("RNeg", pos=j),), depth, None
+                return
             if isinstance(phi, Imp):
-                return self.apply(s, (Rule("RImp", pos=j),), depth, seen)
+                yield s, (Rule("RImp", pos=j),), depth, None
+                return
             if isinstance(phi, Forall):
-                return self._expand_fresh(s, "RForall", j, depth, seen)
+                yield from self._fresh(s, "RForall", j, depth)
+                return
 
         if all(isinstance(phi, (Pred, Eq)) for phi in ant + suc):
             self.leaf = s
-            return None
+            return
         if depth <= 0:
-            return None
+            self.cutoffs += 1
+            return
 
         # branching invertible rules
         for j, phi in enumerate(suc):
             if isinstance(phi, And):
-                return self.apply(s, (Rule("RAnd", pos=j),), depth - 1, seen)
+                yield s, (Rule("RAnd", pos=j),), depth - 1, None
+                return
         for i, phi in enumerate(ant):
             if isinstance(phi, Or):
-                return self.apply(s, (Rule("LOr", pos=i),), depth - 1, seen)
+                yield s, (Rule("LOr", pos=i),), depth - 1, None
+                return
             if isinstance(phi, Imp):
-                return self.apply(s, (Rule("LImp", pos=i),), depth - 1, seen)
+                yield s, (Rule("LImp", pos=i),), depth - 1, None
+                return
 
         # quantifier instantiation, keeping the quantified formula by contraction
         witnesses = self.witnesses_for(s.context)
@@ -585,24 +657,21 @@ class _Search:
                 for t in witnesses:
                     if canonical_form(_instance(phi, t, s.context)) in canon:
                         continue
-                    sub = self.apply(dup, (Rule(tag, pos=i, term=t),), depth - 1, seen)
-                    if sub is not None:
-                        return ProofTree(s, contract, (sub,))
-        return None
+                    yield dup, (Rule(tag, pos=i, term=t),), depth - 1, contract
 
-    def _expand_fresh(self, s: Sequent, tag: str, pos: int, depth: int, seen) -> Optional[ProofTree]:
-        """Apply RForall/LExists, renaming the binder first when it clashes."""
+    def _fresh(self, s: Sequent, tag: str, pos: int, depth: int):
+        """The step applying RForall/LExists, renaming the binder first when it clashes."""
         left = tag == "LExists"
         formulas = s.antecedent if left else s.succedent
         phi = formulas[pos]
         if phi.var not in s.context and free_vars(phi.body) <= set(s.context.vars) | {phi.var}:
-            return self.apply(s, (Rule(tag, pos=pos),), depth, seen)
+            yield s, (Rule(tag, pos=pos),), depth, None
+            return
         renamed = rectify(phi, avoid=s.context.vars)
         if renamed.var in s.context:
-            return None  # context exhausted the pool; cannot happen with fresh_vars
+            return  # context exhausted the pool; cannot happen with fresh_vars
         mid = _on_side(s, left, formulas[:pos] + (renamed,) + formulas[pos + 1:])
-        sub = self.apply(mid, (Rule(tag, pos=pos),), depth, seen)
-        return ProofTree(s, Rule("AlphaRename"), (sub,)) if sub else None
+        yield mid, (Rule(tag, pos=pos),), depth, Rule("AlphaRename")
 
 
 def _axiom_lemma(ax: Formula, ctx: Context) -> ProofTree:
@@ -629,19 +698,29 @@ def prove_bounded(
     tree always concludes exactly `s` and passes `check_proof`.
 
     The search deepens iteratively up to the depth budget, so shallow proofs
-    are found before deep branches are wandered into; each round gets the
-    full node budget.
+    are found before deep branches are wandered into.  `max_nodes` caps the
+    nodes expanded in each round.  The rounds share one table of failed
+    sequents (see the module docstring): a sequent found there at a depth no
+    larger than the one it failed at returns at once and counts as one node,
+    and a hit on a failure that a depth cut-off bounded counts as a cut-off.
+    The deepening stops after a round that fails with no depth cut-off and
+    no unclean return.
+
+    Neither changes the result of a round that stays within the node cap.
+    In a round that hits the cap, the search with the table has expanded no more nodes than the
+    search without it at each point of the same search order, so it proves
+    every goal that one proves, and may prove one in an earlier round.
     """
     axioms = tuple(theory)
     for ax in axioms:
         if free_vars(ax):
             raise ProofError(f"theory axiom {ax!r} is not a sentence")
     goal = Sequent(s.context, axioms + s.antecedent, s.succedent)
-    tree = None
-    for depth in range(0, budget.max_depth + 1):
-        engine = _Search(budget, signature)
+    engine = _Search(budget, signature)
+    for depth in range(budget.max_depth + 1):
+        engine.nodes = engine.cutoffs = engine.unclean = 0
         tree = engine.prove(goal, depth, frozenset())
-        if tree is not None:
+        if tree is not None or not (engine.cutoffs or engine.unclean):
             break
     if tree is None:
         return None

@@ -10,6 +10,7 @@ projection is the identity and markings are monotone across layers.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -96,31 +97,37 @@ class FPCategory:
                 for h in leaving.get(self.dst(g), ()):
                     if self.compose(h, self.compose(g, f)) != self.compose(self.compose(h, g), f):
                         out.append(f"associativity fails at ({h}, {g}, {f})")
+        homs: dict[tuple[str, str], list[str]] = {}
+        for f in sorted(self.morphisms):
+            homs.setdefault(self.morphisms[f], []).append(f)
         for x in self.objects:
-            if len(self.hom(x, self.terminal)) != 1:
+            if len(homs.get((x, self.terminal), ())) != 1:
                 out.append(f"terminal object is not terminal from {x}")
         for (a, b), (p, pr1, pr2) in self.products.items():
             if self.morphisms.get(pr1) != (p, a) or self.morphisms.get(pr2) != (p, b):
                 out.append(f"projections of {a} x {b} have wrong endpoints")
                 continue
             for w in self.objects:
-                for f in self.hom(w, a):
-                    for g in self.hom(w, b):
+                fs, gs = homs.get((w, a), ()), homs.get((w, b), ())
+                if not (fs and gs):
+                    continue
+                for f in fs:
+                    for g in gs:
                         h = self.pairings.get((f, g))
                         if h is None or self.morphisms[h] != (w, p):
                             out.append(f"missing pairing <{f}, {g}>")
                             continue
                         if self.compose(pr1, h) != f or self.compose(pr2, h) != g:
                             out.append(f"pairing <{f}, {g}> fails the projection equations")
-                for f in self.hom(w, a):
-                    for g in self.hom(w, b):
-                        sols = [
-                            h for h in self.hom(w, p)
-                            if self.compose(pr1, h) == f and self.compose(pr2, h) == g
-                        ]
-                        if len(sols) != 1:
+                # the mediators of every (f, g), from one pass over hom(w, p)
+                mediators = Counter(
+                    (self.compose(pr1, h), self.compose(pr2, h)) for h in homs.get((w, p), ())
+                )
+                for f in fs:
+                    for g in gs:
+                        if mediators[f, g] != 1:
                             out.append(
-                                f"product {a} x {b} is not universal at ({f}, {g}): {len(sols)} mediators"
+                                f"product {a} x {b} is not universal at ({f}, {g}): {mediators[f, g]} mediators"
                             )
         return out
 

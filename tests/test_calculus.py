@@ -1,6 +1,8 @@
 import ast
 import hashlib
 import inspect
+import itertools
+import math
 import os
 import pathlib
 import random
@@ -225,16 +227,8 @@ def test_prover_checker_roundtrip_on_random_goals():
     assert proved >= 10
 
 
-def test_random_sequents_do_not_depend_on_hash_seed():
-    # The seeded goal lists of the soundness sweeps must be the same in every
-    # interpreter run, whatever order sets and dicts of strings iterate in.
-    script = (
-        "import random\n"
-        "from helpers import random_sequent\n"
-        "rng = random.Random(20240901)\n"
-        "for _ in range(200):\n"
-        "    print(repr(random_sequent(rng)))\n"
-    )
+def under_hash_seeds(script: str) -> list[list[str]]:
+    """The output lines of `script` run under PYTHONHASHSEED 1 and 2."""
     tests_dir = pathlib.Path(__file__).resolve().parent
     path = [str(tests_dir.parent / "src"), str(tests_dir)]
     if os.environ.get("PYTHONPATH"):
@@ -247,6 +241,20 @@ def test_random_sequents_do_not_depend_on_hash_seed():
         )
         assert run.returncode == 0, run.stderr
         outputs.append(run.stdout.splitlines())
+    return outputs
+
+
+def test_random_sequents_do_not_depend_on_hash_seed():
+    # The seeded goal lists of the soundness sweeps must be the same in every
+    # interpreter run, whatever order sets and dicts of strings iterate in.
+    script = (
+        "import random\n"
+        "from helpers import random_sequent\n"
+        "rng = random.Random(20240901)\n"
+        "for _ in range(200):\n"
+        "    print(repr(random_sequent(rng)))\n"
+    )
+    outputs = under_hash_seeds(script)
     assert len(outputs[0]) == 200
     assert outputs[0] == outputs[1]
 
@@ -262,6 +270,197 @@ def test_random_goal_certificates_are_pinned():
     assert sum(line != "None" for line in lines) == 55
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "4c5b8b5909511ed9ced7353839cdf105bff2868a1fd8e2a566273c5ed95a3738"
+
+
+def test_pinned_certificates_do_not_depend_on_hash_seed():
+    # the failure table is a dict of tuples of formulas: the digest pinned
+    # above must come out under every hash seed
+    script = (
+        "import hashlib, random\n"
+        "from helpers import random_sequent\n"
+        "from doctrina.calculus import Budget, prove_bounded\n"
+        "from doctrina.lang import Signature\n"
+        "from doctrina.sexpr import proof_sexpr\n"
+        "sig = Signature(predicates=(('P', 1), ('Q', 2)))\n"
+        "rng = random.Random(20240901)\n"
+        "lines = []\n"
+        "for _ in range(100):\n"
+        "    tree = prove_bounded(random_sequent(rng, 5), (), Budget(6, 2, 2000), sig)\n"
+        "    lines.append('None' if tree is None else proof_sexpr(tree))\n"
+        "print(hashlib.sha256('\\n'.join(lines).encode()).hexdigest())\n"
+    )
+    pinned = "4c5b8b5909511ed9ced7353839cdf105bff2868a1fd8e2a566273c5ed95a3738"
+    assert under_hash_seeds(script) == [[pinned], [pinned]]
+
+
+# the search itself, before any test puts a spy in its place
+Search = calculus._Search
+
+
+class Forgetful(dict):
+    """A failure table that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def prove_by_rounds(s, theory, budget, signature):
+    """The reference deepening: a fresh search per round, with no failure
+    table and no early stop.  The proof or None, whether some round hit the
+    node cap, and the nodes of each round."""
+    axioms = tuple(theory)
+    goal = Sequent(s.context, axioms + s.antecedent, s.succedent)
+    capped, nodes = False, []
+    for depth in range(budget.max_depth + 1):
+        engine = Search(budget, signature)
+        engine.failed = Forgetful()
+        tree = engine.prove(goal, depth, frozenset())
+        capped |= engine.nodes > budget.max_nodes
+        nodes.append(engine.nodes)
+        if tree is not None:
+            break
+    if tree is None:
+        return None, capped, nodes
+    for k in range(len(axioms)):
+        lemma = calculus._axiom_lemma(axioms[k], s.context)
+        tree = ProofTree(Sequent(s.context, axioms[k + 1:] + s.antecedent, s.succedent), Rule("Cut"), (lemma, tree))
+    return tree, capped, nodes
+
+
+class RoundSpy(Search):
+    """A search that logs the depth and the nodes of each round it runs."""
+
+    log: list
+
+    def prove(self, s, depth, seen):
+        tree = super().prove(s, depth, seen)
+        if not seen:  # only the root of a round has no loop keys yet
+            self.log.append((depth, self.nodes))
+        return tree
+
+
+def spied_rounds(monkeypatch, *args):
+    log = []
+    monkeypatch.setattr(RoundSpy, "log", log, raising=False)
+    monkeypatch.setattr(calculus, "_Search", RoundSpy)
+    return prove_bounded(*args), log
+
+
+CRITERION_10_AXIOMS = (
+    Forall("x", P("x")),
+    Forall("x", Forall("y", Imp(Q("x", "y"), Q("y", "x")))),
+)
+EQ_SIG = Signature(functions=(("f", 1),), predicates=(("P", 1), ("Q", 2)), has_equality=True)
+
+
+def f_eq_sequent(rng):
+    """A goal in context (x1) over P, Q, f and =, with x2 bound by a
+    quantifier where it occurs."""
+
+    def formula():
+        if rng.random() < 0.4:
+            return random_qf_formula(rng, ("x1",), rng.randint(1, 5), True)
+        body = random_qf_formula(rng, ("x1", "x2"), rng.randint(1, 4), True)
+        return rng.choice((Forall, Exists))("x2", body)
+
+    ants = tuple(formula() for _ in range(rng.randint(0, 2)))
+    return Sequent(Context(("x1",)), ants, tuple(formula() for _ in range(rng.randint(1, 2))))
+
+
+def deepening_goals():
+    rng = random.Random(1985)
+    for _ in range(60):
+        yield random_sequent(rng, 5), (), Budget(6, 2, 1500), SIG
+    for _ in range(60):
+        yield random_sequent(rng, 4), CRITERION_10_AXIOMS, Budget(5, 2, 1000), SIG
+    for _ in range(60):
+        yield f_eq_sequent(rng), (), Budget(4, 1, 1000), EQ_SIG
+
+
+def test_deepening_with_the_failure_table_finds_the_reference_proofs(monkeypatch):
+    # where no reference round hit the node cap the certificate is the
+    # reference's, byte for byte, and no round expands more nodes; under the
+    # cap a reference proof is still a proof
+    kept = capped_goals = 0
+    for s, theory, budget, sig in deepening_goals():
+        ref, capped, ref_nodes = prove_by_rounds(s, theory, budget, sig)
+        tree, rounds = spied_rounds(monkeypatch, s, theory, budget, sig)
+        if tree is not None:
+            assert tree.conclusion == s and check_proof(tree, theory, sig).ok
+        if capped:
+            capped_goals += 1
+            assert ref is None or tree is not None, s
+            continue
+        assert (None if tree is None else proof_sexpr(tree)) == (None if ref is None else proof_sexpr(ref)), s
+        assert len(rounds) <= len(ref_nodes)
+        assert all(n <= m for (_, n), m in zip(rounds, ref_nodes)), s
+        kept += ref is not None
+    assert kept >= 100 and capped_goals < 20
+
+
+def test_failure_table_keeps_the_order_of_a_sequent():
+    # Both instances below leave A, C, D => A&B, C&D in some order.  Split
+    # first, C&D closes in one round, A&B needs two: a failure kept by the
+    # multisets would hide the short proof behind the failed order.
+    a, b, c, d = (Pred(n, ()) for n in "ABCD")
+    x, y = And(a, b), And(c, d)
+    s = Sequent(
+        Context(("x",)),
+        (Forall("z", And(Not(x), Not(y))), Forall("z", And(Not(y), Not(x))), a, c, d),
+        (),
+    )
+    budget = Budget(2, 1, 2000)
+    ref, capped, _ = prove_by_rounds(s, (), budget, None)
+    tree = prove_bounded(s, (), budget)
+    assert ref is not None and not capped
+    assert tree is not None and proof_sexpr(tree) == proof_sexpr(ref)
+
+
+def test_every_kept_failure_fails_afresh(monkeypatch):
+    # Each entry of the failure table, searched again with no table, no loop
+    # keys and a larger node cap, fails at the depth it was kept at, or one
+    # round deeper than the budget when it was kept without a bound.  A small
+    # cap makes many rounds stop at it.
+    engines = []
+
+    class Keeper(Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(calculus, "_Search", Keeper)
+    goals = list(itertools.islice(deepening_goals(), 0, 180, 2))
+    checked = 0
+    for s, theory, budget, sig in goals:
+        engines.clear()
+        prove_bounded(s, theory, Budget(budget.max_depth, budget.max_term_depth, 200), sig)
+        for engine in engines:
+            for (xs, ant, suc), known in engine.failed.items():
+                fresh = Search(Budget(max_term_depth=budget.max_term_depth, max_nodes=5000), sig)
+                fresh.failed = Forgetful()
+                depth = budget.max_depth + 1 if known == math.inf else known
+                assert fresh.prove(Sequent(Context(xs), ant, suc), depth, frozenset()) is None, (ant, suc)
+                checked += fresh.nodes <= 5000
+    assert checked > 1000
+
+
+def test_deepening_stops_after_a_saturated_round(monkeypatch):
+    x = ("x",)
+    # the first round reaches an open atomic leaf with no depth cut-off
+    leaf = Sequent(Context(x), (Exists("y", Q("x", "y")),), (P("x"),))
+    assert spied_rounds(monkeypatch, leaf, (), Budget(), SIG) == (None, [(0, 2)])
+    # round 0 cuts the conjunction off; round 1 splits it and saturates
+    split = Sequent(Context(x), (), (And(P("x"), Q("x", "x")),))
+    tree, log = spied_rounds(monkeypatch, split, (), Budget(), SIG)
+    assert tree is None and [depth for depth, _ in log] == [0, 1]
+    # a proof two splits deep is found in the third round
+    deep = Sequent(Context(x), (P("x"), Q("x", "x")), (And(P("x"), And(Q("x", "x"), Top())),))
+    tree, log = spied_rounds(monkeypatch, deep, (), Budget(), SIG)
+    assert check_proof(tree).ok and [depth for depth, _ in log] == [0, 1, 2]
+    # a round stopped by the node cap is no reason to stop deepening
+    capped = Sequent(Context(x), (), (Not(Not(P("x"))),))
+    _, log = spied_rounds(monkeypatch, capped, (), Budget(max_depth=2, max_nodes=1), SIG)
+    assert [depth for depth, _ in log] == [0, 1, 2]
 
 
 def test_proofs_are_sound_in_finite_structures():

@@ -16,7 +16,13 @@ from doctrina.boolalg import (
     right_adjoint_of,
     subalgebra_atoms,
 )
-from doctrina.category import FPCategory, chain_category, finset_category, terminal_category
+from doctrina.category import (
+    FPCategory,
+    chain_category,
+    finset_category,
+    semilattice_category,
+    terminal_category,
+)
 from doctrina.doctrine import (
     Doctrine,
     DoctrineError,
@@ -236,6 +242,98 @@ def test_category_check_reports_associativity_as_the_triple_loop(seed):
     expected = associativity_by_triples(cat)
     assert expected
     assert [line for line in cat.check() if line.startswith("associativity")] == expected
+
+
+def products_by_hom_scans(cat):
+    """The reference: the terminal and product laws, one `hom` scan per
+    (w, f, g) pair."""
+    out = []
+    for x in cat.objects:
+        if len(cat.hom(x, cat.terminal)) != 1:
+            out.append(f"terminal object is not terminal from {x}")
+    for (a, b), (p, pr1, pr2) in cat.products.items():
+        if cat.morphisms.get(pr1) != (p, a) or cat.morphisms.get(pr2) != (p, b):
+            out.append(f"projections of {a} x {b} have wrong endpoints")
+            continue
+        for w in cat.objects:
+            for f in cat.hom(w, a):
+                for g in cat.hom(w, b):
+                    h = cat.pairings.get((f, g))
+                    if h is None or cat.morphisms[h] != (w, p):
+                        out.append(f"missing pairing <{f}, {g}>")
+                        continue
+                    if cat.compose(pr1, h) != f or cat.compose(pr2, h) != g:
+                        out.append(f"pairing <{f}, {g}> fails the projection equations")
+            for f in cat.hom(w, a):
+                for g in cat.hom(w, b):
+                    sols = [
+                        h for h in cat.hom(w, p)
+                        if cat.compose(pr1, h) == f and cat.compose(pr2, h) == g
+                    ]
+                    if len(sols) != 1:
+                        out.append(
+                            f"product {a} x {b} is not universal at ({f}, {g}): {len(sols)} mediators"
+                        )
+    return out
+
+
+def mutated_products(cat, rng):
+    """`cat` with a few of its pairings broken, extra mediators and wrong
+    projections; every composite the laws read stays defined."""
+    morphisms, comp = dict(cat.morphisms), dict(cat.comp)
+    products, pairings = dict(cat.products), dict(cat.pairings)
+    for k in range(rng.randint(0, 2)):
+        # a clone of some h: w -> p, which composes as h does
+        h = rng.choice(sorted(morphisms))
+        w, p = morphisms[h]
+        twin = f"twin{k}[{h}]"
+        morphisms[twin] = (w, p)
+        for (g, f), gf in list(comp.items()):
+            if f == h:
+                comp[(g, twin)] = twin if g == cat.ident[p] else gf
+            if g == h:
+                comp[(twin, f)] = twin if f == cat.ident[w] else gf
+        comp[(twin, twin)] = twin
+    for _ in range(rng.randint(0, 3)):
+        key = rng.choice(sorted(pairings))
+        if rng.random() < 0.5:
+            del pairings[key]
+        else:
+            pairings[key] = rng.choice(sorted(morphisms))
+    for _ in range(rng.randint(0, 2)):
+        key = rng.choice(sorted(products))
+        p, pr1, pr2 = products[key]
+        kind = rng.randrange(3)
+        if kind == 0:
+            products[key] = (p, pr2, pr1)
+        elif kind == 1:
+            products[key] = (p, rng.choice(sorted(cat.hom(p, key[0]))), pr2)
+        else:
+            products[key] = (p, pr1, rng.choice(sorted(morphisms)))
+    # the morphisms in random order: the report must not depend on it
+    morphisms = dict(rng.sample(sorted(morphisms.items()), len(morphisms)))
+    return FPCategory(cat.objects, morphisms, comp, cat.ident, cat.terminal, products, pairings)
+
+
+def test_category_check_reports_products_as_the_hom_scans():
+    # a chain, the powerset lattice of {a, b} and the subsets of a point,
+    # each mutated at random: the terminal and product lines must be the
+    # reference's, in its order
+    subsets = ("0", "a", "b", "ab")
+    bases = [
+        chain_category(3),
+        semilattice_category(subsets, lambda x, y: set(x) - {"0"} <= set(y) - {"0"}),
+        subset01().base,
+    ]
+    rng = random.Random(13)
+    laws = ("terminal", "projections", "missing pairing", "pairing", "product")
+    reported = set()
+    for _ in range(120):
+        cat = mutated_products(rng.choice(bases), rng)
+        expected = products_by_hom_scans(cat)
+        assert [line for line in cat.check() if line.startswith(laws)] == expected
+        reported.update(line.split()[0] for line in expected)
+    assert reported == {"terminal", "projections", "missing", "pairing", "product"}
 
 
 # --- subset doctrine --------------------------------------------------------------
