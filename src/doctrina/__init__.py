@@ -33,7 +33,6 @@ from .formula import (
     Top,
     alpha_eq,
     free_vars,
-    in_syntactic_layer,
     qa_depth,
     substitute_formula,
     to_dnf,

@@ -106,10 +106,6 @@ class BAHom:
         return BAHom(other.source, self.target, tuple(other.atom_map[i] for i in self.atom_map))
 
 
-def identity_hom(alg: BoolAlg) -> BAHom:
-    return BAHom(alg, alg, tuple(range(alg.atoms)))
-
-
 def _preserves_joins(table, size: int) -> bool:
     """Whether an element-indexed table sends 0 to 0 and every element to
     the join of its atoms' images: on a powerset algebra these are exactly

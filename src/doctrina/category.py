@@ -292,7 +292,7 @@ class Functor:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
 
-    def check(self, chosen_products: bool = True) -> list[str]:
+    def check(self) -> list[str]:
         out = []
         for x in self.source.objects:
             if self.obj_map.get(x) not in self.target.objects:
@@ -309,15 +309,14 @@ class Functor:
         for (g, f), h in self.source.comp.items():
             if self.target.compose(self.mor_map[g], self.mor_map[f]) != self.mor_map[h]:
                 out.append(f"composition ({g}, {f}) not preserved")
-        if chosen_products:
-            if self.obj_map[self.source.terminal] != self.target.terminal:
-                out.append("terminal not preserved")
-            for (a, b), (p, pr1, pr2) in self.source.products.items():
-                tp, tpr1, tpr2 = self.target.product(self.obj_map[a], self.obj_map[b])
-                if self.obj_map[p] != tp:
-                    out.append(f"chosen product {a} x {b} not preserved")
-                elif self.mor_map[pr1] != tpr1 or self.mor_map[pr2] != tpr2:
-                    out.append(f"projections of {a} x {b} not preserved")
+        if self.obj_map[self.source.terminal] != self.target.terminal:
+            out.append("terminal not preserved")
+        for (a, b), (p, pr1, pr2) in self.source.products.items():
+            tp, tpr1, tpr2 = self.target.product(self.obj_map[a], self.obj_map[b])
+            if self.obj_map[p] != tp:
+                out.append(f"chosen product {a} x {b} not preserved")
+            elif self.mor_map[pr1] != tpr1 or self.mor_map[pr2] != tpr2:
+                out.append(f"projections of {a} x {b} not preserved")
         return out
 
 

@@ -48,6 +48,7 @@ from .syntactic import (
     SyntacticError,
     Theory,
     TruthTableOracle,
+    check_arities,
     lt_leq,
     universal_consequences,
     completion_leq,
@@ -114,11 +115,7 @@ def default_budget(args) -> Budget:
             depth = int(text)
         except ValueError:
             raise InputError(f"DOCTRINA_BUDGET must be an integer, got {text!r}") from None
-    return Budget(
-        max_depth=depth,
-        max_term_depth=getattr(args, "term_depth", 2),
-        max_nodes=getattr(args, "max_nodes", 20000),
-    )
+    return Budget(max_depth=depth, max_term_depth=args.term_depth, max_nodes=args.max_nodes)
 
 
 def _pool_key(name: str):
@@ -171,6 +168,7 @@ def cmd_prove(args) -> int:
     report = Report()
     s = sexpr.parse_sequent(sexpr.parse_sexpr(load_text(args.sequent)))
     theory = load_theory(args.theory)
+    check_arities(theory, s.antecedent + s.succedent)
     verdict = BoundedOracle(theory, default_budget(args), model_size=args.model_size).decide(s)
     if isinstance(verdict, Proved):
         report.add("VERDICT proved")
@@ -198,6 +196,7 @@ def cmd_entail(args) -> int:
     phi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.phi)))
     psi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.psi)))
     theory = load_theory(args.theory if args.theory else ("prefix" if args.oracle == "prefix" else None))
+    check_arities(theory, (phi, psi))
     budget = default_budget(args)
     ctx = infer_context(phi, psi)
     oracle = make_oracle(args.oracle, theory, budget, args.model_size)
@@ -336,6 +335,7 @@ def cmd_complete(args) -> int:
     if args.phi and args.psi:
         phi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.phi)))
         psi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.psi)))
+        check_arities(theory, (phi, psi))
         ctx = infer_context(phi, psi)
         verdict = completion_leq(
             theory,
@@ -360,6 +360,7 @@ def cmd_complete(args) -> int:
         report.flush()
         return EXIT_UNKNOWN
 
+    check_arities(theory, ())
     found = universal_consequences(theory, contexts, bodies, budget)
     for sentence, _proof in found:
         report.add("CONSEQUENCE " + sexpr.formula_sexpr(sentence))
@@ -372,6 +373,7 @@ def cmd_models(args) -> int:
     report = Report()
     s = sexpr.parse_sequent(sexpr.parse_sexpr(load_text(args.sequent)))
     theory = load_theory(args.theory)
+    check_arities(theory, s.antecedent + s.succedent)
     refuted = BoundedOracle(theory, model_size=args.size).refute(s)
     if refuted is not None:
         m = refuted.structure
@@ -394,13 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="doctrina")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, theory=True, budget=True):
+    def common(sp, theory=True):
         if theory:
             sp.add_argument("--theory", default=None, help="theory file, 'prefix', or 'none'")
-        if budget:
-            sp.add_argument("--budget", type=int, default=None, help="max proof depth")
-            sp.add_argument("--term-depth", dest="term_depth", type=int, default=2)
-            sp.add_argument("--max-nodes", dest="max_nodes", type=int, default=20000)
+        sp.add_argument("--budget", type=int, default=None, help="max proof depth")
+        sp.add_argument("--term-depth", dest="term_depth", type=int, default=2)
+        sp.add_argument("--max-nodes", dest="max_nodes", type=int, default=20000)
         sp.add_argument("--model-size", dest="model_size", type=int, default=2)
 
     sp = sub.add_parser("check-proof")

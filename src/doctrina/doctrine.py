@@ -164,13 +164,12 @@ def check_forall_tables(d: Doctrine) -> list[Violation]:
     return out
 
 
-def verify_first_order(d: Doctrine, tables: Optional[QuantTable] = None) -> list[Violation]:
+def verify_first_order(d: Doctrine) -> list[Violation]:
     """Order-preservation, unit, counit, and Beck-Chevalley for every chosen
     product diagram, exhaustively over all fiber elements."""
     out: list[Violation] = []
     cat = d.base
-    if tables is None:
-        tables = d.universal_tables()
+    tables = d.universal_tables()
     for x in cat.objects:
         for y in cat.objects:
             table = tables.get((x, y))
@@ -232,93 +231,47 @@ def derive_exists(d: Doctrine) -> QuantTable:
 
 def subset_doctrine(sets: dict[str, tuple]) -> Doctrine:
     """The powerset doctrine of the listed finite sets: fibers are powersets,
-    reindexings are preimages, quantifiers the usual set ones, and the
-    fibered equalities the diagonals."""
+    reindexings are preimages, and the fibered equalities the diagonals.
+    The universal tables are the forced right adjoints of reindexing along
+    the first projections, which over a product of sets is the usual
+    universal quantifier."""
     cat, data = finset_category(sets)
     elems: dict[str, tuple] = data["elems"]
-    func = data["func"]
-    decode = data["decode"]
-
-    def mask_of(obj: str, subset) -> int:
-        m = 0
-        for i, e in enumerate(elems[obj]):
-            if e in subset:
-                m |= 1 << i
-        return m
-
-    def set_of(obj: str, mask: int):
-        return {e for i, e in enumerate(elems[obj]) if (mask >> i) & 1}
-
     fibers = {x: BoolAlg(len(elems[x])) for x in cat.objects}
     reindex = {}
     for f, (x, y) in cat.morphisms.items():
-        table = []
-        for b in fibers[y].elements():
-            bset = set_of(y, b)
-            table.append(mask_of(x, {e for e in elems[x] if func[f][e] in bset}))
-        reindex[f] = tuple(table)
-
-    forall: QuantTable = {}
-    for a in cat.objects:
-        for b in cat.objects:
-            p, _, _ = cat.product(a, b)
-            dec = decode[(a, b)]
-            table = []
-            for s in fibers[p].elements():
-                sset = set_of(p, s)
-                table.append(
-                    mask_of(a, {x for x in elems[a]
-                                if all(pt in sset for pt in elems[p] if dec[pt][0] == x)})
-                )
-            forall[(a, b)] = tuple(table)
-
+        image = data["func"][f]
+        atom_map = tuple(elems[y].index(image[e]) for e in elems[x])
+        reindex[f] = BAHom(fibers[y], fibers[x], atom_map).table()
     delta = {}
     for x in cat.objects:
         p, _, _ = cat.product(x, x)
-        dec = decode[(x, x)]
-        delta[x] = mask_of(p, {pt for pt in elems[p] if dec[pt][0] == dec[pt][1]})
-
-    return Doctrine(cat, fibers, reindex, forall=forall, delta=delta)
+        dec = data["decode"][(x, x)]
+        delta[x] = sum(1 << i for i, pt in enumerate(elems[p]) if dec[pt][0] == dec[pt][1])
+    d = Doctrine(cat, fibers, reindex, delta=delta)
+    d.forall = all_forced_universals(d)
+    return d
 
 
 def hbx_doctrine(base: FPCategory, x: str, b: BoolAlg) -> Doctrine:
-    """Fibers are functions Hom(x, -) -> b, reindexing by precomposition;
-    the universal quantifier takes pointwise meets over the quantified leg."""
+    """Fibers are functions Hom(x, -) -> b, reindexing by precomposition:
+    atom k*w + j of a fiber, for w the atom count of b, is atom j of b at
+    the k-th morphism.  The universal tables are the forced right adjoints
+    of reindexing along the first projections, which over a product base
+    take pointwise meets over the quantified leg."""
     homs = {y: base.hom(x, y) for y in base.objects}
     width = b.atoms
     fibers = {y: BoolAlg(len(homs[y]) * width) for y in base.objects}
-
-    def value(mask: int, idx: int) -> int:
-        return (mask >> (idx * width)) & b.top
-
-    def build(values: list[int]) -> int:
-        out = 0
-        for i, v in enumerate(values):
-            out |= v << (i * width)
-        return out
-
     reindex = {}
     for f, (z, y) in base.morphisms.items():
         idx_y = {h: i for i, h in enumerate(homs[y])}
-        table = []
-        for g in fibers[y].elements():
-            table.append(build([value(g, idx_y[base.compose(f, k)]) for k in homs[z]]))
-        reindex[f] = tuple(table)
-
-    forall: QuantTable = {}
-    for y in base.objects:
-        for z in base.objects:
-            p, _, _ = base.product(y, z)
-            idx_p = {h: i for i, h in enumerate(homs[p])}
-            table = []
-            for g in fibers[p].elements():
-                vals = []
-                for f in homs[y]:
-                    vals.append(b.meet_all(value(g, idx_p[base.pair(f, h)]) for h in homs[z]))
-                table.append(build(vals))
-            forall[(y, z)] = tuple(table)
-
-    return Doctrine(base, fibers, reindex, forall=forall)
+        atom_map = tuple(
+            idx_y[base.compose(f, k)] * width + j for k in homs[z] for j in range(width)
+        )
+        reindex[f] = BAHom(fibers[y], fibers[z], atom_map).table()
+    d = Doctrine(base, fibers, reindex)
+    d.forall = all_forced_universals(d)
+    return d
 
 
 def product_doctrine(parts: list[Doctrine]) -> tuple[Doctrine, dict[str, tuple[int, ...]]]:
@@ -385,7 +338,7 @@ def verify_morphism(m: DoctrineMorphism, level: str = "boolean") -> list[Violati
     """Naturality squares; at first-order level also quantifier preservation;
     at elementary level also preservation of the fibered equalities."""
     out: list[Violation] = []
-    errs = m.functor.check(chosen_products=True)
+    errs = m.functor.check()
     out += [violation("functor", detail=e) for e in errs]
     src, tgt, fun = m.source, m.target, m.functor
     for x in src.base.objects:
@@ -628,7 +581,7 @@ def quotient_by_filter(d: Doctrine, filt: Iterable[int]) -> tuple[Doctrine, Doct
 
 def change_of_base(r: Doctrine, m: Functor) -> Doctrine:
     """Precompose a doctrine over the functor's target with the functor."""
-    errs = m.check(chosen_products=True)
+    errs = m.check()
     if errs:
         raise DoctrineError("malformed functor: " + "; ".join(errs))
     if m.target is not r.base and m.target != r.base:

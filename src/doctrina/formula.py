@@ -15,17 +15,14 @@ it, so they work on formulas of any depth.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .lang import (
     Context,
     CtxMorphism,
-    Signature,
     Term,
     Var,
-    check_term,
     fresh_vars,
     subst_term,
 )
@@ -300,10 +297,6 @@ def rectify(phi: Formula, avoid: Iterable[str] = ()) -> Formula:
     return _rebind(phi, {}, _keep_unless(forbidden, set(all_vars(phi)) | forbidden))
 
 
-def is_rectified(phi: Formula) -> bool:
-    return rectify(phi) == phi
-
-
 def substitute(phi: Formula, subst: dict[str, Term], avoid: Iterable[str] = ()) -> Formula:
     """Capture-avoiding simultaneous substitution of free variables.
 
@@ -347,41 +340,6 @@ def substitute_formula(fic: FormulaInContext, f: CtxMorphism) -> FormulaInContex
     return FormulaInContext(out, f.source)
 
 
-def check_formula(phi: Formula, sig: Signature, ctx: Optional[Context] = None) -> None:
-    """Validate predicate arities, equality usage, and free variables."""
-    if isinstance(phi, Pred):
-        arity = sig.predicate_arity(phi.name)
-        if arity is None:
-            raise FormulaError(f"unknown predicate symbol {phi.name}")
-        if arity != len(phi.args):
-            raise FormulaError(f"{phi.name} expects {arity} arguments, got {len(phi.args)}")
-        for a in phi.args:
-            check_term(a, sig, ctx)
-        return
-    if isinstance(phi, Eq):
-        if not sig.has_equality:
-            raise FormulaError("equality atom in a signature without equality")
-        check_term(phi.left, sig, ctx)
-        check_term(phi.right, sig, ctx)
-        return
-    if isinstance(phi, (Top, Bot)):
-        return
-    if isinstance(phi, Not):
-        check_formula(phi.body, sig, ctx)
-        return
-    if isinstance(phi, _BINARY):
-        check_formula(phi.left, sig, ctx)
-        check_formula(phi.right, sig, ctx)
-        return
-    if isinstance(phi, _QUANT):
-        inner = None if ctx is None else (
-            ctx if phi.var in ctx else ctx.extended(phi.var)
-        )
-        check_formula(phi.body, sig, inner)
-        return
-    raise FormulaError(f"not a formula: {phi!r}")
-
-
 def qa_depth(phi: Formula) -> int:
     """Quantifier alternation depth.
 
@@ -403,10 +361,6 @@ def qa_depth(phi: Formula) -> int:
             core = core.body
         return 1 + qa_depth(core)
     raise FormulaError(f"not a formula: {phi!r}")
-
-
-def in_syntactic_layer(phi: Formula, n: int) -> bool:
-    return qa_depth(phi) <= n
 
 
 # --- quantifier-free normal forms -----------------------------------------
@@ -442,31 +396,6 @@ def eval_prop(phi: Formula, valuation: dict[Formula, bool]) -> bool:
     if isinstance(phi, Imp):
         return (not eval_prop(phi.left, valuation)) or eval_prop(phi.right, valuation)
     raise FormulaError(f"not quantifier-free: {phi!r}")
-
-
-def truth_table(phi: Formula, atoms: Optional[list[Formula]] = None) -> tuple[list[Formula], list[bool]]:
-    """All valuations of `atoms` (default: the formula's own), with truth values."""
-    if atoms is None:
-        atoms = atoms_of(phi)
-    rows = []
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        rows.append(eval_prop(phi, dict(zip(atoms, bits))))
-    return atoms, rows
-
-
-def prop_equivalent(a: Formula, b: Formula) -> bool:
-    """Truth-table equivalence of two quantifier-free formulas."""
-    atoms = sorted(set(atoms_of(a)) | set(atoms_of(b)), key=repr)
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        val = dict(zip(atoms, bits))
-        if eval_prop(a, val) != eval_prop(b, val):
-            return False
-    return True
-
-
-def prop_tautology(phi: Formula) -> bool:
-    _, rows = truth_table(phi)
-    return all(rows)
 
 
 def to_dnf(phi: Formula) -> list[Clause]:

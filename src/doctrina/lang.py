@@ -82,12 +82,6 @@ class Signature:
                 if a < 0:
                     raise LangError(f"negative arity for {kind} symbol {n}")
 
-    def function_arity(self, name: str) -> Optional[int]:
-        for n, a in self.functions:
-            if n == name:
-                return a
-        return None
-
     def predicate_arity(self, name: str) -> Optional[int]:
         for n, a in self.predicates:
             if n == name:
@@ -179,22 +173,6 @@ class App(Term):
         if not self.args:
             return self.symbol
         return f"{self.symbol}({', '.join(map(repr, self.args))})"
-
-
-def check_term(t: Term, sig: Signature, ctx: Optional[Context] = None) -> None:
-    """Validate arities and (optionally) that all variables lie in `ctx`."""
-    if isinstance(t, Var):
-        if ctx is not None and t.name not in ctx:
-            raise LangError(f"unbound variable {t.name} for context {ctx.vars}")
-        return
-    assert isinstance(t, App)
-    arity = sig.function_arity(t.symbol)
-    if arity is None:
-        raise LangError(f"unknown function symbol {t.symbol}")
-    if arity != len(t.args):
-        raise LangError(f"{t.symbol} expects {arity} arguments, got {len(t.args)}")
-    for a in t.args:
-        check_term(a, sig, ctx)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ on finite instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .boolalg import boolean_closure
 from .doctrine import (
@@ -164,18 +163,10 @@ def colimit(s: StratifiedSequence) -> tuple[Doctrine, Marking]:
     return rebuilt, dict(s.levels[0])
 
 
-def verify_one_step(
-    d: Doctrine,
-    p0: Marking,
-    p1: Marking,
-    tables: Optional[dict[tuple[str, str], dict[int, int]]] = None,
-) -> list[Violation]:
+def verify_one_step(d: Doctrine, p0: Marking, p1: Marking) -> list[Violation]:
     """One-step universal, one-step Beck-Chevalley, and one-step generation
-    for a pair of markings inside an ambient doctrine.
-
-    `tables` gives, per product diagram, the one-step quantifier as a map
-    from marked elements of the product fiber; by default the ambient
-    quantifier restricted to p0.
+    for a pair of markings inside an ambient doctrine.  The one-step
+    quantifier of each product diagram is the ambient one restricted to p0.
     """
     out: list[Violation] = []
     out += check_submarking(d, p0, "P0")
@@ -186,12 +177,11 @@ def verify_one_step(
     if out:
         return out
     ambient = d.universal_tables()
-    if tables is None:
-        tables = {
-            (x, y): {b: ambient[(x, y)][b] for b in p0[d.base.product(x, y)[0]]}
-            for x in d.base.objects
-            for y in d.base.objects
-        }
+    tables = {
+        (x, y): {b: ambient[(x, y)][b] for b in p0[d.base.product(x, y)[0]]}
+        for x in d.base.objects
+        for y in d.base.objects
+    }
     for x in d.base.objects:
         for y in d.base.objects:
             p, pr1, _ = d.base.product(x, y)
@@ -199,8 +189,8 @@ def verify_one_step(
             ap = d.fiber(p)
             table = tables[(x, y)]
             for b in sorted(p0[p]):
-                u = table.get(b)
-                if u is None or u not in p1[x]:
+                u = table[b]
+                if u not in p1[x]:
                     out.append(violation("one-step-universal-range", X=x, Y=y, elem=b))
                     continue
                 for a in sorted(p1[x]):

@@ -92,6 +92,24 @@ def predicates_of(phi: Formula) -> set[tuple[str, int]]:
     return {(f.name, len(f.args)) for f in subformulas(phi) if isinstance(f, Pred)}
 
 
+def check_arities(theory: Theory, formulas: Iterable[Formula]) -> None:
+    """Refuse a predicate used at two arities, or at one other than the
+    signature declares, in the formulas and the theory's axioms: a structure
+    interprets each predicate name at one arity.  A name that only a
+    predicate family covers keeps the family's own handling."""
+    declared = dict(theory.signature.predicates)
+    arities = dict(declared)
+    used = set().union(*map(predicates_of, [*formulas, *theory.axioms]))
+    for name, n in sorted(used):
+        if name not in arities and any(f.arity_of(name) is not None for f in theory.signature.families):
+            continue
+        first = arities.setdefault(name, n)
+        if first != n:
+            if name in declared:
+                raise SyntacticError(f"predicate {name} is used at arity {n} but declared at arity {first}")
+            raise SyntacticError(f"predicate {name} is used at arities {first} and {n}")
+
+
 # --- oracle verdicts ---------------------------------------------------------
 
 
@@ -506,13 +524,12 @@ def is_quantifier_free_modulo(
     if is_quantifier_free(fic.formula):
         return QfResult("yes", fic.formula)
     all_refuted = True
+    element = LTElement(fic, oracle)
     for psi in candidates:
-        psic = FormulaInContext(psi, fic.context)
-        a = lt_leq(oracle, fic, psic)
-        b = lt_leq(oracle, psic, fic)
-        if isinstance(a, Proved) and isinstance(b, Proved):
+        same = element.equivalent(LTElement(FormulaInContext(psi, fic.context), oracle))
+        if same:
             return QfResult("yes", psi)
-        if not (isinstance(a, Refuted) or isinstance(b, Refuted)):
+        if same is None:
             all_refuted = False
     if complete and all_refuted:
         return QfResult("no")
@@ -531,14 +548,13 @@ def qa_depth_modulo(
     upper = qa_depth(fic.formula)
     refuted: dict[int, bool] = {}
     depths: dict[int, int] = {}
+    element = LTElement(fic, oracle)
     for idx, psi in enumerate(candidates):
-        psic = FormulaInContext(psi, fic.context)
         depths[idx] = qa_depth(psi)
-        a = lt_leq(oracle, fic, psic)
-        b = lt_leq(oracle, psic, fic)
-        if isinstance(a, Proved) and isinstance(b, Proved):
+        same = element.equivalent(LTElement(FormulaInContext(psi, fic.context), oracle))
+        if same:
             upper = min(upper, depths[idx])
-        refuted[idx] = isinstance(a, Refuted) or isinstance(b, Refuted)
+        refuted[idx] = same is False
     lower = 0
     for n in range(upper, -1, -1):
         if all(refuted[i] for i in depths if depths[i] < n):
@@ -654,21 +670,22 @@ def completion_leq(
     if found is not None:
         return Refuted(found[0], found[1], "completion")
     # preload only informative sentences about the predicates at hand,
-    # smallest first, so the cut-free search stays tractable
-    from .formula import prop_tautology
-
-    def strip(sentence: Formula) -> Formula:
+    # smallest first, so the cut-free search stays tractable; a sentence
+    # whose body under its leading universal block is a tautology, with
+    # equality atoms read as propositional letters, informs nothing
+    def informative(sentence: Formula) -> bool:
         body = sentence
         while isinstance(body, Forall):
             body = body.body
-        return body
+        ctx = Context(tuple(sorted(free_vars(body))))
+        return isinstance(prove_qf(Sequent(ctx, (), (body,))), Sequent)
 
     goal_preds = {n for n, _ in predicates_of(phi.formula) | predicates_of(psi.formula)}
     relevant = [
         s for s in universal_theory
         if {n for n, _ in predicates_of(s)} <= goal_preds
         and predicates_of(s)
-        and not prop_tautology(strip(s))
+        and informative(s)
     ]
     relevant.sort(key=size)
     # greedily drop sentences already true in every small model of the kept

@@ -26,7 +26,6 @@ from doctrina.formula import (
     Or,
     Pred,
     Top,
-    prop_tautology,
 )
 from doctrina.calculus import (
     Budget,
@@ -165,8 +164,8 @@ def test_prove_identity():
 
 def test_prove_excluded_middle():
     phi = Or(Pred("A"), Not(Pred("A")))
-    assert prop_tautology(phi)
     s = Sequent(Context(), (), (phi,))
+    assert isinstance(prove_qf(s), ProofTree)
     tree = prove_bounded(s)
     assert tree is not None and check_proof(tree).ok
 

@@ -313,6 +313,42 @@ def test_ill_formed_input_exits_3_without_traceback(argv):
     assert "Traceback" not in run.stderr
 
 
+P1_THEORY = "(theory (signature (predicates (P 1))) (axioms))"
+P2_AXIOM_THEORY = "(theory (signature (predicates (P 1))) (axioms (forall x (P x x))))"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["entail", "(P x y)", "(P x)", "--theory", P1_THEORY], "used at arity 2 but declared at arity 1"),
+        (["entail", "(P x)", "(P x x)"], "used at arities 1 and 2"),
+        (["entail", "(P x)", "(P x x)", "--oracle", "truthtable"], "used at arities 1 and 2"),
+        (["entail", "(P x)", "(P x x)", "--oracle", "prefix"], "used at arities 1 and 2"),
+        (["models", "(seq (ctx x) (ants (P x x)) (sucs (P x)))"], "used at arities 1 and 2"),
+        (["prove", "(seq (ctx x) (ants (P x x)) (sucs (P x)))"], "used at arities 1 and 2"),
+        (["complete", P1_THEORY, "--phi", "(P x)", "--psi", "(P x x)"], "used at arity 2 but declared at arity 1"),
+        (["complete", P2_AXIOM_THEORY], "used at arity 2 but declared at arity 1"),
+        (["prove", "(seq (ctx x) (ants) (sucs (P x)))", "--theory", P2_AXIOM_THEORY],
+         "used at arity 2 but declared at arity 1"),
+    ],
+    ids=["entail-declared", "entail-bounded", "entail-truthtable", "entail-prefix", "models", "prove",
+         "complete-order", "complete-axiom", "prove-axiom"],
+)
+def test_predicate_used_at_two_arities_exits_3(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"ERROR predicate P is {message}\n"
+
+
+def test_predicate_family_names_keep_their_handling(capsys):
+    # the prefix oracle answers a family atom at the wrong arity with Unknown
+    code, out = run_cli(["entail", "(R1 x)", "(R1 x x)", "--oracle", "prefix"], capsys)
+    assert code == 2
+    assert out == "VERDICT unknown note=not a word-language atom: R1(x, x)\n"
+
+
 def test_wide_refutable_sequent_is_answered_before_the_prover_recurses(capsys):
     code, out = run_cli(["prove", "(seq (ctx) (ants" + " P" * 600 + ") (sucs Q))"], capsys)
     assert code == 2

@@ -10,7 +10,6 @@ from doctrina.boolalg import (
     BoolAlg,
     boolean_closure,
     hom_violations,
-    identity_hom,
     is_monotone,
     monotone_maps,
     right_adjoint_of,
@@ -69,7 +68,7 @@ def test_bahom_is_a_homomorphism():
     for atom_map in itertools.product(range(3), repeat=2):
         h = BAHom(src, dst, atom_map)
         assert list(hom_violations(src, dst, h.table())) == []
-    assert identity_hom(src).table() == tuple(src.elements())
+    assert BAHom(src, src, tuple(range(src.atoms))).table() == tuple(src.elements())
 
 
 def test_bahom_compose():
@@ -499,6 +498,102 @@ def test_hbx_over_chain_passes_first_order():
             assert verify_boolean_doctrine(d) == []
             assert verify_first_order(d) == []
             assert check_forall_tables(d) == []
+
+
+def _elementwise_subset_tables(sets):
+    """The reindexing, universal and diagonal tables of the powerset
+    doctrine, filled element by element from the set-theoretic definitions."""
+    cat, data = finset_category(sets)
+    elems, func, decode = data["elems"], data["func"], data["decode"]
+
+    def mask_of(obj, subset):
+        return sum(1 << i for i, e in enumerate(elems[obj]) if e in subset)
+
+    def set_of(obj, mask):
+        return {e for i, e in enumerate(elems[obj]) if (mask >> i) & 1}
+
+    reindex = {}
+    for f, (x, y) in cat.morphisms.items():
+        reindex[f] = tuple(
+            mask_of(x, {e for e in elems[x] if func[f][e] in set_of(y, b)})
+            for b in range(1 << len(elems[y]))
+        )
+    forall = {}
+    for a in cat.objects:
+        for b in cat.objects:
+            p, _, _ = cat.product(a, b)
+            dec = decode[(a, b)]
+            table = []
+            for s in range(1 << len(elems[p])):
+                sset = set_of(p, s)
+                table.append(
+                    mask_of(a, {x for x in elems[a]
+                                if all(pt in sset for pt in elems[p] if dec[pt][0] == x)})
+                )
+            forall[(a, b)] = tuple(table)
+    delta = {}
+    for x in cat.objects:
+        p, _, _ = cat.product(x, x)
+        dec = decode[(x, x)]
+        delta[x] = mask_of(p, {pt for pt in elems[p] if dec[pt][0] == dec[pt][1]})
+    return reindex, forall, delta
+
+
+def _elementwise_hbx_tables(base, x, b):
+    """The reindexing and universal tables of hbx_doctrine, filled element
+    by element: precomposition, and pointwise meets over the pairings."""
+    homs = {y: base.hom(x, y) for y in base.objects}
+    width = b.atoms
+
+    def value(mask, idx):
+        return (mask >> (idx * width)) & b.top
+
+    def build(values):
+        return sum(v << (i * width) for i, v in enumerate(values))
+
+    reindex = {}
+    for f, (z, y) in base.morphisms.items():
+        idx_y = {h: i for i, h in enumerate(homs[y])}
+        reindex[f] = tuple(
+            build([value(g, idx_y[base.compose(f, k)]) for k in homs[z]])
+            for g in range(1 << (len(homs[y]) * width))
+        )
+    forall = {}
+    for y in base.objects:
+        for z in base.objects:
+            p, _, _ = base.product(y, z)
+            idx_p = {h: i for i, h in enumerate(homs[p])}
+            forall[(y, z)] = tuple(
+                build([b.meet_all(value(g, idx_p[base.pair(f, h)]) for h in homs[z]) for f in homs[y]])
+                for g in range(1 << (len(homs[p]) * width))
+            )
+    return reindex, forall
+
+
+def test_subset_doctrine_tables_match_the_elementwise_definitions():
+    for sets in ({"E": (), "U": ("*",)}, {"U": ("*",)}):
+        d = subset_doctrine(sets)
+        assert d.base.check() == []
+        reindex, forall, delta = _elementwise_subset_tables(sets)
+        assert d.reindex == reindex
+        assert d.forall == forall
+        assert d.delta == delta
+
+
+def test_hbx_doctrine_tables_match_the_elementwise_definitions():
+    bases = [chain_category(n) for n in range(1, 6)] + [terminal_category("T")]
+    cases = 0
+    for base in bases:
+        assert base.check() == []
+        for x in base.objects:
+            for atoms in range(7):
+                d = hbx_doctrine(base, x, BoolAlg(atoms))
+                reindex, forall = _elementwise_hbx_tables(base, x, BoolAlg(atoms))
+                assert d.reindex == reindex, (x, atoms)
+                assert d.forall == forall, (x, atoms)
+                assert d.delta is None
+                cases += 1
+    assert cases == 112
 
 
 def test_hbx_forall_of_constant_top():

@@ -23,11 +23,9 @@ from doctrina.formula import (
     atoms_of,
     canonical_form,
     dnf_formula,
+    eval_prop,
     free_vars,
-    in_syntactic_layer,
     is_quantifier_free,
-    is_rectified,
-    prop_equivalent,
     qa_depth,
     rectify,
     size,
@@ -79,9 +77,10 @@ def test_qa_depth_boolean_transparency():
 
 
 def test_in_syntactic_layer_examples():
-    assert in_syntactic_layer(Top(), 0)
-    assert not in_syntactic_layer(Exists("y", Forall("x", R("x", "y"))), 1)
-    assert in_syntactic_layer(Not(Forall("x", R("x", "x"))), 1)
+    # a formula lies in the n-th syntactic layer iff its alternation depth is at most n
+    assert qa_depth(Top()) <= 0
+    assert not qa_depth(Exists("y", Forall("x", R("x", "y")))) <= 1
+    assert qa_depth(Not(Forall("x", R("x", "x")))) <= 1
 
 
 def test_layers_are_nested():
@@ -93,8 +92,8 @@ def test_layers_are_nested():
     ]
     for phi in phis:
         for n in range(4):
-            if in_syntactic_layer(phi, n):
-                assert in_syntactic_layer(phi, n + 1)
+            if qa_depth(phi) <= n:
+                assert qa_depth(phi) <= n + 1
 
 
 def test_qa_depth_agrees_with_brute_force_layers():
@@ -117,12 +116,12 @@ def test_alpha_equivalence():
 def test_rectify_enforces_distinct_binders():
     phi = And(Forall("x", R("x", "x")), Forall("x", S("x")))
     fixed = rectify(phi)
-    assert is_rectified(fixed)
+    assert rectify(fixed) == fixed
     assert alpha_eq(phi, fixed)
     # free variables forbid the same name as a binder
     phi2 = And(R("x", "x"), Forall("x", S("x")))
     fixed2 = rectify(phi2)
-    assert is_rectified(fixed2)
+    assert rectify(fixed2) == fixed2
     assert free_vars(fixed2) == {"x"}
 
 
@@ -208,10 +207,21 @@ def _qf_strategy():
     )
 
 
+def truth_equivalent(a, b) -> bool:
+    """Whether two quantifier-free formulas agree under every valuation of
+    their atoms."""
+    atoms = sorted(set(atoms_of(a)) | set(atoms_of(b)), key=repr)
+    for bits in itertools.product((False, True), repeat=len(atoms)):
+        val = dict(zip(atoms, bits))
+        if eval_prop(a, val) != eval_prop(b, val):
+            return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
 @given(_qf_strategy())
 def test_to_dnf_is_truth_table_equivalent(phi):
-    assert prop_equivalent(phi, dnf_formula(to_dnf(phi)))
+    assert truth_equivalent(phi, dnf_formula(to_dnf(phi)))
 
 
 def test_to_dnf_exhaustive_three_atoms():
@@ -227,7 +237,7 @@ def test_to_dnf_exhaustive_three_atoms():
                 minterms.append(conj([a if b else Not(a) for a, b in zip(atoms, bits)]))
         phi = disj(minterms)
         clauses = to_dnf(phi)
-        assert prop_equivalent(phi, dnf_formula(clauses))
+        assert truth_equivalent(phi, dnf_formula(clauses))
         # prime implicant lists are canonical per function
         assert clauses == to_dnf(dnf_formula(clauses))
 
@@ -247,7 +257,7 @@ def test_to_dnf_four_atoms_sampled():
                 bits = [(m >> j) & 1 for j in range(4)]
                 minterms.append(conj([a if b else Not(a) for a, b in zip(atoms, bits)]))
         phi = disj(minterms)
-        assert prop_equivalent(phi, dnf_formula(to_dnf(phi)))
+        assert truth_equivalent(phi, dnf_formula(to_dnf(phi)))
 
 
 def test_size_counts_nodes():
