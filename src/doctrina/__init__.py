@@ -43,7 +43,6 @@ from .calculus import (
     Rule,
     Sequent,
     check_proof,
-    enlarge_context,
     prove_bounded,
 )
 from .boolalg import BAHom, BoolAlg

@@ -39,12 +39,6 @@ class BoolAlg:
     def elements(self) -> Iterator[int]:
         return iter(range(1 << self.atoms))
 
-    def meet(self, a: int, b: int) -> int:
-        return a & b
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
     def neg(self, a: int) -> int:
         return self.top & ~a
 
@@ -212,30 +206,20 @@ def monotone_maps(src: BoolAlg, dst: BoolAlg) -> Iterator[tuple[int, ...]]:
     yield from extend([])
 
 
+def subalgebra_atoms(alg: BoolAlg, gens: Iterable[int]) -> list[int]:
+    """The atoms of the Boolean subalgebra of alg generated by `gens`, sorted:
+    the nonempty cells into which the generators cut the top, each generator
+    g splitting a cell c into c & g and c & ~g."""
+    cells = [alg.top] if alg.top else []
+    for g in gens:
+        cells = [part for c in cells for part in (c & g, c & ~g) if part]
+    return sorted(cells)
+
+
 def boolean_closure(alg: BoolAlg, seed: Iterable[int]) -> frozenset[int]:
-    """The smallest Boolean subalgebra of alg containing `seed`."""
-    out = {alg.bot, alg.top} | set(seed)
-    frontier = list(out)
-    while frontier:
-        x = frontier.pop()
-        for y in (alg.neg(x),):
-            if y not in out:
-                out.add(y)
-                frontier.append(y)
-        for z in list(out):
-            for y in (x & z, x | z):
-                if y not in out:
-                    out.add(y)
-                    frontier.append(y)
+    """The smallest Boolean subalgebra of alg containing `seed`: every join
+    of its atoms."""
+    out = [alg.bot]
+    for atom in subalgebra_atoms(alg, seed):
+        out += [x | atom for x in out]
     return frozenset(out)
-
-
-def subalgebra_atoms(alg: BoolAlg, members: frozenset[int]) -> list[int]:
-    """The atoms (minimal nonzero elements) of a Boolean subalgebra."""
-    out = []
-    for x in sorted(members):
-        if x == 0:
-            continue
-        if all(y == 0 or y == x or (y & x) != y for y in members):
-            out.append(x)
-    return out

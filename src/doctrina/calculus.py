@@ -97,11 +97,6 @@ class Sequent:
         return f"{ants} =>_{self.context.vars} {sucs}"
 
 
-def enlarge_context(s: Sequent, x: str) -> Sequent:
-    """Append a fresh variable to the context, keeping the formulas."""
-    return Sequent(s.context.extended(x), s.antecedent, s.succedent)
-
-
 @dataclass(frozen=True)
 class Rule:
     """A rule tag with the positional data identifying its principal formulas.

@@ -5,7 +5,8 @@ word-language experiments.
 Exit codes: 0 verified/proved/decided-positive, 1 refuted or verification
 failure (with a certificate in the report), 2 unknown or budget exhausted,
 3 parse, well-formedness or input error.  Reports are deterministic sorted
-lines, buffered and flushed once.
+lines: each command returns its exit code and its lines, and `main` writes
+them once.
 """
 
 from __future__ import annotations
@@ -71,23 +72,6 @@ class InputError(Exception):
     that is not UTF-8, a bad `DOCTRINA_BUDGET`, a missing option."""
 
 
-class Report:
-    """Accumulates report lines; emitted once, sorted within each block."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def add(self, line: str):
-        self.lines.append(line)
-
-    def add_sorted(self, lines):
-        self.lines.extend(sorted(lines))
-
-    def flush(self, out=None):
-        out = out or sys.stdout
-        out.write("\n".join(self.lines) + ("\n" if self.lines else ""))
-
-
 def load_text(arg: str) -> str:
     """Documents are read from a file when the argument names one, otherwise
     the argument itself is the document text."""
@@ -149,50 +133,48 @@ def make_oracle(kind: str, theory: Theory, budget: Budget, model_size: int):
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_check_proof(args) -> int:
-    report = Report()
+def cmd_check_proof(args) -> tuple[int, list[str]]:
     proof = sexpr.parse_proof(sexpr.parse_sexpr(load_text(args.proof)))
     theory = load_theory(args.theory)
+    formulas, stack = [], [proof]
+    while stack:
+        node = stack.pop()
+        formulas += node.conclusion.antecedent + node.conclusion.succedent
+        if node.rule.formula is not None:
+            formulas.append(node.rule.formula)
+        stack.extend(node.premises)
+    check_arities(theory, formulas)
     result = check_proof(proof, theory, theory.signature)
     if result.ok:
-        report.add("VERDICT pass")
-        report.flush()
-        return EXIT_POSITIVE
-    report.add(f"VIOLATION rule-check path={','.join(map(str, result.path)) or 'root'} reason={result.reason}")
-    report.add("VERDICT fail")
-    report.flush()
-    return EXIT_NEGATIVE
+        return EXIT_POSITIVE, ["VERDICT pass"]
+    path = ",".join(map(str, result.path)) or "root"
+    return EXIT_NEGATIVE, [f"VIOLATION rule-check path={path} reason={result.reason}", "VERDICT fail"]
 
 
-def cmd_prove(args) -> int:
-    report = Report()
+def cmd_prove(args) -> tuple[int, list[str]]:
     s = sexpr.parse_sequent(sexpr.parse_sexpr(load_text(args.sequent)))
     theory = load_theory(args.theory)
     check_arities(theory, s.antecedent + s.succedent)
     verdict = BoundedOracle(theory, default_budget(args), model_size=args.model_size).decide(s)
     if isinstance(verdict, Proved):
-        report.add("VERDICT proved")
-        report.add("CERTIFICATE " + sexpr.proof_sexpr(verdict.proof))
-        report.flush()
-        return EXIT_POSITIVE
+        return EXIT_POSITIVE, ["VERDICT proved", "CERTIFICATE " + sexpr.proof_sexpr(verdict.proof)]
     if isinstance(verdict, Refuted):
         m = verdict.structure
         name = "empty structure" if not m.carrier else f"structure of size {len(m.carrier)}"
-        report.add(f"NOTE countermodel: {name}, assignment " + _assignment_text(verdict.assignment))
-        report.add("CERTIFICATE " + sexpr.structure_sexpr(m))
-    report.add("VERDICT unknown")
-    report.flush()
-    return EXIT_UNKNOWN
+        return EXIT_UNKNOWN, [
+            f"NOTE countermodel: {name}, assignment " + _assignment_text(verdict.assignment),
+            "CERTIFICATE " + sexpr.structure_sexpr(m),
+            "VERDICT unknown",
+        ]
+    return EXIT_UNKNOWN, ["VERDICT unknown"]
 
 
-def cmd_qa_depth(args) -> int:
+def cmd_qa_depth(args) -> tuple[int, list[str]]:
     phi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.formula)))
-    print(qa_depth(phi))
-    return EXIT_POSITIVE
+    return EXIT_POSITIVE, [str(qa_depth(phi))]
 
 
-def cmd_entail(args) -> int:
-    report = Report()
+def cmd_entail(args) -> tuple[int, list[str]]:
     phi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.phi)))
     psi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.psi)))
     theory = load_theory(args.theory if args.theory else ("prefix" if args.oracle == "prefix" else None))
@@ -202,44 +184,38 @@ def cmd_entail(args) -> int:
     oracle = make_oracle(args.oracle, theory, budget, args.model_size)
     verdict = lt_leq(oracle, FormulaInContext(phi, ctx), FormulaInContext(psi, ctx))
     if isinstance(verdict, Proved):
-        report.add(f"VERDICT proved method={verdict.method}")
-        report.add("CERTIFICATE " + sexpr.proof_sexpr(verdict.proof))
-        report.flush()
-        return EXIT_POSITIVE
+        return EXIT_POSITIVE, [
+            f"VERDICT proved method={verdict.method}",
+            "CERTIFICATE " + sexpr.proof_sexpr(verdict.proof),
+        ]
     if isinstance(verdict, Refuted):
-        report.add(f"VERDICT refuted method={verdict.method}")
-        report.add("CERTIFICATE " + sexpr.structure_sexpr(verdict.structure))
-        report.add("NOTE assignment " + _assignment_text(verdict.assignment))
-        report.flush()
-        return EXIT_NEGATIVE
-    report.add(f"VERDICT unknown note={verdict.note}")
-    report.flush()
-    return EXIT_UNKNOWN
+        return EXIT_NEGATIVE, [
+            f"VERDICT refuted method={verdict.method}",
+            "CERTIFICATE " + sexpr.structure_sexpr(verdict.structure),
+            "NOTE assignment " + _assignment_text(verdict.assignment),
+        ]
+    return EXIT_UNKNOWN, [f"VERDICT unknown note={verdict.note}"]
 
 
-def cmd_verify_doctrine(args) -> int:
-    report = Report()
+def cmd_verify_doctrine(args) -> tuple[int, list[str]]:
     d = sexpr.parse_doctrine(sexpr.parse_sexpr(load_text(args.doctrine)))
     marking = None
     if args.marking:
         marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)), d)
     # the doctrine verifiers read the fibers along the category's endpoints,
     # so they run only over a base that passes its own check
+    notes: list[str] = []
     violations = [f"VIOLATION category detail={e}" for e in d.base.check()]
     if not violations:
-        violations = _doctrine_violations(args, d, marking, report)
+        violations = _doctrine_violations(args, d, marking, notes)
     if violations:
-        report.add_sorted(violations)
-        report.add("VERDICT fail")
-        report.flush()
-        return EXIT_NEGATIVE
-    report.add("VERDICT pass")
-    report.flush()
-    return EXIT_POSITIVE
+        return EXIT_NEGATIVE, notes + sorted(violations) + ["VERDICT fail"]
+    return EXIT_POSITIVE, notes + ["VERDICT pass"]
 
 
-def _doctrine_violations(args, d, marking, report: Report) -> list[str]:
-    """The violation lines of the verifiers `args.level` runs."""
+def _doctrine_violations(args, d, marking, notes: list[str]) -> list[str]:
+    """The violation lines of the verifiers `args.level` runs; their NOTE
+    lines go to `notes`."""
     violations = []
     vs = verify_boolean_doctrine(d)
     if args.level in ("first-order", "elementary", "qff", "one-step", "stratified") and not vs:
@@ -253,7 +229,7 @@ def _doctrine_violations(args, d, marking, report: Report) -> list[str]:
             if family is None:
                 violations.append("VIOLATION no-fibered-equality")
             else:
-                report.add("NOTE fibered equalities " + str(sorted(family.items())))
+                notes.append("NOTE fibered equalities " + str(sorted(family.items())))
     if not vs and args.level == "qff":
         if marking is None:
             raise InputError("qff level needs --marking")
@@ -269,61 +245,48 @@ def _doctrine_violations(args, d, marking, report: Report) -> list[str]:
         try:
             seq = stratify(d, marking)
             vs += verify_qa_stratified(seq)
-            report.add(f"NOTE stabilization index {seq.stabilization_index}")
+            notes.append(f"NOTE stabilization index {seq.stabilization_index}")
         except DoctrineError as e:
             violations.append(f"VIOLATION stratify detail={e}")
     return violations + report_lines(vs)
 
 
-def cmd_stratify(args) -> int:
-    report = Report()
+def cmd_stratify(args) -> tuple[int, list[str]]:
     d = sexpr.parse_doctrine(sexpr.parse_sexpr(load_text(args.doctrine)))
     marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)), d)
     try:
         seq = stratify(d, marking)
     except DoctrineError as e:
-        report.add(f"VIOLATION stratify detail={e}")
-        report.add("VERDICT fail")
-        report.flush()
-        return EXIT_NEGATIVE
+        return EXIT_NEGATIVE, [f"VIOLATION stratify detail={e}", "VERDICT fail"]
     errs = verify_qa_stratified(seq)
-    for n, level in enumerate(seq.levels):
-        report.add(f"LEVEL {n} " + sexpr.marking_sexpr(level))
-    report.add(f"NOTE stabilization index {seq.stabilization_index}")
+    lines = [f"LEVEL {n} " + sexpr.marking_sexpr(level) for n, level in enumerate(seq.levels)]
+    lines.append(f"NOTE stabilization index {seq.stabilization_index}")
     if errs:
-        report.add_sorted(report_lines(errs))
-        report.add("VERDICT fail")
-        report.flush()
-        return EXIT_NEGATIVE
-    report.add("VERDICT pass")
-    report.flush()
-    return EXIT_POSITIVE
+        return EXIT_NEGATIVE, lines + sorted(report_lines(errs)) + ["VERDICT fail"]
+    return EXIT_POSITIVE, lines + ["VERDICT pass"]
 
 
-def cmd_prefix_demo(args) -> int:
+def cmd_prefix_demo(args) -> tuple[int, list[str]]:
     from .prefix import does_not_generate_demo, intersection_experiment
 
-    report = Report()
+    lines: list[str] = []
     ok = True
     if args.which in ("intersection", "no-least"):
         exp = intersection_experiment(args.k, args.arity, args.nmax)
-        report.add_sorted(exp.lines)
-        report.add_sorted(report_lines(exp.violations))
+        lines += sorted(exp.lines) + sorted(report_lines(exp.violations))
         ok = ok and exp.ok
     if args.which in ("separations", "no-least"):
         demo = does_not_generate_demo()
-        report.add_sorted(demo.lines)
-        report.add_sorted(report_lines(demo.violations))
+        lines += sorted(demo.lines) + sorted(report_lines(demo.violations))
         ok = ok and demo.ok
-    report.add("VERDICT pass" if ok else "VERDICT fail")
-    report.flush()
-    return EXIT_POSITIVE if ok else EXIT_NEGATIVE
+    if ok:
+        return EXIT_POSITIVE, lines + ["VERDICT pass"]
+    return EXIT_NEGATIVE, lines + ["VERDICT fail"]
 
 
-def cmd_complete(args) -> int:
+def cmd_complete(args) -> tuple[int, list[str]]:
     from .lang import canonical_context
 
-    report = Report()
     theory = load_theory(args.theory)
     budget = default_budget(args)
     contexts = [canonical_context(n) for n in range(args.ctx_size + 1)]
@@ -347,30 +310,18 @@ def cmd_complete(args) -> int:
             consequence_bodies=bodies,
         )
         if isinstance(verdict, Proved):
-            report.add("VERDICT proved")
-            report.add("CERTIFICATE " + sexpr.proof_sexpr(verdict.proof))
-            report.flush()
-            return EXIT_POSITIVE
+            return EXIT_POSITIVE, ["VERDICT proved", "CERTIFICATE " + sexpr.proof_sexpr(verdict.proof)]
         if isinstance(verdict, Refuted):
-            report.add("VERDICT refuted")
-            report.add("CERTIFICATE " + sexpr.structure_sexpr(verdict.structure))
-            report.flush()
-            return EXIT_NEGATIVE
-        report.add("VERDICT unknown")
-        report.flush()
-        return EXIT_UNKNOWN
+            return EXIT_NEGATIVE, ["VERDICT refuted", "CERTIFICATE " + sexpr.structure_sexpr(verdict.structure)]
+        return EXIT_UNKNOWN, ["VERDICT unknown"]
 
     check_arities(theory, ())
     found = universal_consequences(theory, contexts, bodies, budget)
-    for sentence, _proof in found:
-        report.add("CONSEQUENCE " + sexpr.formula_sexpr(sentence))
-    report.add(f"VERDICT enumerated {len(found)}")
-    report.flush()
-    return EXIT_POSITIVE
+    lines = ["CONSEQUENCE " + sexpr.formula_sexpr(sentence) for sentence, _proof in found]
+    return EXIT_POSITIVE, lines + [f"VERDICT enumerated {len(found)}"]
 
 
-def cmd_models(args) -> int:
-    report = Report()
+def cmd_models(args) -> tuple[int, list[str]]:
     s = sexpr.parse_sequent(sexpr.parse_sexpr(load_text(args.sequent)))
     theory = load_theory(args.theory)
     check_arities(theory, s.antecedent + s.succedent)
@@ -378,14 +329,12 @@ def cmd_models(args) -> int:
     if refuted is not None:
         m = refuted.structure
         name = "empty structure" if not m.carrier else f"structure of size {len(m.carrier)}"
-        report.add(f"VERDICT refuted by {name}")
-        report.add("CERTIFICATE " + sexpr.structure_sexpr(m))
-        report.add("NOTE assignment " + _assignment_text(refuted.assignment))
-        report.flush()
-        return EXIT_NEGATIVE
-    report.add("VERDICT unknown no countermodel up to size " + str(args.size))
-    report.flush()
-    return EXIT_UNKNOWN
+        return EXIT_NEGATIVE, [
+            f"VERDICT refuted by {name}",
+            "CERTIFICATE " + sexpr.structure_sexpr(m),
+            "NOTE assignment " + _assignment_text(refuted.assignment),
+        ]
+    return EXIT_UNKNOWN, ["VERDICT unknown no countermodel up to size " + str(args.size)]
 
 
 @functools.cache
@@ -468,7 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        sys.stdout.write("".join(line + "\n" for line in lines))
+        return code
     except (
         ParseError, InputError, LangError, FormulaError, ProofError, CategoryError, DoctrineError,
         SemanticsError, SyntacticError, PrefixError, OSError,

@@ -82,16 +82,6 @@ class Signature:
                 if a < 0:
                     raise LangError(f"negative arity for {kind} symbol {n}")
 
-    def predicate_arity(self, name: str) -> Optional[int]:
-        for n, a in self.predicates:
-            if n == name:
-                return a
-        for fam in self.families:
-            a = fam.arity_of(name)
-            if a is not None:
-                return a
-        return None
-
     def constants(self) -> list[str]:
         return [n for n, a in self.functions if a == 0]
 
@@ -137,9 +127,6 @@ class Term:
     def variables(self) -> frozenset[str]:
         raise NotImplementedError
 
-    def depth(self) -> int:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Var(Term):
@@ -147,9 +134,6 @@ class Var(Term):
 
     def variables(self) -> frozenset[str]:
         return frozenset((self.name,))
-
-    def depth(self) -> int:
-        return 0
 
     def __repr__(self):
         return self.name
@@ -165,9 +149,6 @@ class App(Term):
         for a in self.args:
             out |= a.variables()
         return out
-
-    def depth(self) -> int:
-        return 1 + max((a.depth() for a in self.args), default=0)
 
     def __repr__(self):
         if not self.args:

@@ -6,8 +6,8 @@ predicate symbols by sets of tuples; equality is interpreted as identity.
 Formulas are evaluated by two routes:
 
 - `eval_in_structure` walks the formula tree in one structure under one
-  assignment.  It is the reference semantics; `falsifying_assignment` and
-  `sequent_valid_in_structure` loop it over the context assignments.
+  assignment.  It is the reference semantics; `falsifying_assignment` loops
+  it over the context assignments.
 - The block-mask form: `CarrierStructures` numbers the structures of one
   carrier so that, for fixed function tables, the predicate
   interpretations are the bits of one index.  A block of up to 4,096 of
@@ -76,14 +76,6 @@ class FiniteStructure:
             raise SemanticsError(f"predicate {name} has no interpretation")
         return self.predicates[name]
 
-    def describe(self) -> str:
-        bits = [f"carrier={list(self.carrier)}"]
-        for name in sorted(self.functions):
-            bits.append(f"{name}={dict(sorted(self.functions[name].items(), key=repr))}")
-        for name in sorted(self.predicates):
-            bits.append(f"{name}={sorted(self.predicates[name], key=repr)}")
-        return "; ".join(bits)
-
 
 def eval_term(t: Term, m: FiniteStructure, assignment: dict[str, object]):
     if isinstance(t, Var):
@@ -148,12 +140,6 @@ def falsifying_assignment(s: Sequent, m: FiniteStructure) -> Optional[dict]:
         if _falsifies(s, m, assignment):
             return assignment
     return None
-
-
-def sequent_valid_in_structure(s: Sequent, m: FiniteStructure) -> bool:
-    """True when every assignment satisfying all antecedents satisfies some
-    succedent."""
-    return falsifying_assignment(s, m) is None
 
 
 # The block-mask route numbers the predicate interpretations of a carrier

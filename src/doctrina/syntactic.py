@@ -451,21 +451,10 @@ def morphism_from_family(
 # --- candidate spaces ----------------------------------------------------------
 
 
-def atom_pool(
-    signature: Signature,
-    ctx: Context,
-    max_arity: Optional[int] = None,
-    family_arities: Iterable[int] = (),
-) -> list[Formula]:
+def atom_pool(signature: Signature, ctx: Context) -> list[Formula]:
     """Predicate atoms over the context variables (no function symbols)."""
     out: list[Formula] = []
-    preds = list(signature.predicates)
-    for fam in signature.families:
-        for n in family_arities:
-            preds.append((fam.name(n), n))
-    for name, arity in preds:
-        if max_arity is not None and arity > max_arity:
-            continue
+    for name, arity in signature.predicates:
         for vs in itertools.product(ctx.vars, repeat=arity):
             out.append(Pred(name, tuple(Var(v) for v in vs)))
     return sorted(out, key=repr)
@@ -486,21 +475,6 @@ def enumerate_qf(atoms: Sequence[Formula], max_size: int) -> list[Formula]:
                     layer.append(Or(a, b))
         by_size[s] = layer
     return [f for s in sorted(by_size) for f in by_size[s]]
-
-
-def minterm_candidates(atoms: Sequence[Formula]) -> list[Formula]:
-    """One representative per Boolean function of the given atoms, as a
-    disjunction of minterms; 2^(2^n) candidates, so keep n small."""
-    from .formula import conj, disj
-
-    minterms = [
-        conj([a if b else Not(a) for a, b in zip(atoms, bits)])
-        for bits in itertools.product((False, True), repeat=len(atoms))
-    ]
-    return [
-        disj([mt for mt, k in zip(minterms, keep) if k])
-        for keep in itertools.product((False, True), repeat=len(minterms))
-    ]
 
 
 # --- modulo-theory notions ------------------------------------------------------
@@ -783,10 +757,7 @@ class LayerGenerator:
     body: Formula
 
     def formula(self) -> Formula:
-        out: Formula = self.body
-        for v in reversed(self.qvars):
-            out = Forall(v, out)
-        return out
+        return universal_closure(self.body, Context(self.qvars))
 
     def __repr__(self):
         return repr(self.formula())

@@ -24,6 +24,8 @@ from doctrina.formula import (
     Or,
     Pred,
     Top,
+    conj,
+    disj,
     free_vars,
     is_quantifier_free,
 )
@@ -233,6 +235,19 @@ def random_prefix_formula(rng: random.Random, k: int, size: int) -> Formula:
     ls = rng.randint(1, size - 2) if size > 2 else 1
     ctor = (And, Or, Imp)[kind - 1]
     return ctor(random_prefix_formula(rng, k, ls), random_prefix_formula(rng, k, size - 1 - ls))
+
+
+def minterm_candidates(atoms: list[Formula]) -> list[Formula]:
+    """One representative per Boolean function of the given atoms, as a
+    disjunction of minterms; 2^(2^n) candidates, so keep n small."""
+    minterms = [
+        conj([a if b else Not(a) for a, b in zip(atoms, bits)])
+        for bits in itertools.product((False, True), repeat=len(atoms))
+    ]
+    return [
+        disj([mt for mt, k in zip(minterms, keep) if k])
+        for keep in itertools.product((False, True), repeat=len(minterms))
+    ]
 
 
 # --- exhaustive truncated word-model search (oracle for the prefix criterion) ----

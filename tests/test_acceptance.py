@@ -40,6 +40,7 @@ from doctrina.doctrine import (
 )
 from doctrina.stratify import colimit, stratify, verify_one_step, verify_qa_stratified, verify_qff
 from doctrina.semantics import countermodel_search, eval_in_structure
+from doctrina.sexpr import structure_sexpr
 from doctrina.syntactic import (
     BoundedOracle,
     Proved,
@@ -89,7 +90,7 @@ def test_criterion_1_calculus_soundness_sweep():
         # valid in every structure of size <= 3 (the search is compared with
         # a loop over enumerate_structures in tests/test_semantics.py)
         found = countermodel_search(s, (), SIG, 3)
-        assert found is None, (s, found[0].describe())
+        assert found is None, (s, structure_sexpr(found[0]))
     assert proved >= 40
     report(1, f"calculus soundness sweep ({proved} proofs over 200 goals)", t0, 60)
 

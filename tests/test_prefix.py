@@ -40,7 +40,7 @@ from doctrina.prefix import (
     word_countermodel,
 )
 
-from helpers import random_prefix_formula, word_refutable
+from helpers import minterm_candidates, random_prefix_formula, word_refutable
 
 
 def atom(*positions):
@@ -257,8 +257,6 @@ def test_p0n_membership_examples():
 def test_p0n_no_matches_exhaustive_candidate_sweep():
     # independent route: try all 16 Boolean functions of the two candidate
     # atoms directly through the exact entailment
-    from doctrina.syntactic import minterm_candidates
-
     ctx = canonical_context(1)
     r1 = atom(1).formula(ctx)
     candidates = minterm_candidates([atom(1, 1, 1).formula(ctx), atom(1, 1, 1, 1).formula(ctx)])
@@ -279,8 +277,6 @@ def test_p0n_witness_is_verified_both_ways():
 def test_p0n_monotone_hierarchy():
     ctx = canonical_context(1)
     atoms = level_atoms(ctx, 0, 2)
-    from doctrina.syntactic import minterm_candidates
-
     for phi in minterm_candidates([a.formula(ctx) for a in atoms[:2]]):
         answers = [p0n_membership(phi, n, ctx, arity_bound=3).kind for n in (0, 1, 2)]
         # once out, never back in

@@ -29,8 +29,8 @@ from doctrina.semantics import (
     eval_in_structure,
     eval_term,
     falsifying_assignment,
-    sequent_valid_in_structure,
 )
+from doctrina.sexpr import structure_sexpr
 
 from helpers import random_sequent, satisfying_tuples
 
@@ -119,9 +119,9 @@ def test_tuple_interpretation_matches_eval():
 def test_sequent_validity_in_structure():
     m = FiniteStructure((0, 1), {}, {"P": frozenset({(0,), (1,)})})
     s = Sequent(Context(("x",)), (), (P("x"),))
-    assert sequent_valid_in_structure(s, m)
+    assert falsifying_assignment(s, m) is None
     m2 = FiniteStructure((0, 1), {}, {"P": frozenset({(0,)})})
-    assert not sequent_valid_in_structure(s, m2)
+    assert falsifying_assignment(s, m2) is not None
     assert falsifying_assignment(s, m2) == {"x": 1}
 
 
@@ -244,9 +244,7 @@ def test_falsifying_assignment_matches_reference_loop(s):
     # `countermodel_search` tests below.
     for m in DIFF_STRUCTURES:
         expected = outcome(reference_falsifying_assignment, s, m)
-        assert outcome(falsifying_assignment, s, m) == expected, (s, m.describe())
-        valid = expected if expected[0] == "error" else ("value", expected[1] is None)
-        assert outcome(sequent_valid_in_structure, s, m) == valid, (s, m.describe())
+        assert outcome(falsifying_assignment, s, m) == expected, (s, structure_sexpr(m))
 
 
 def test_countermodel_certificates_match_reference_loop():
@@ -451,8 +449,8 @@ def test_axiom_mask_keeps_excluded_structures_from_the_confirm_step(monkeypatch)
     axioms = (Forall("x", Eq(fx(X), X)), Exists("x", And(Pred("S"), P("x"))))
     s = Sequent(Context(("x",)), (P("x"),), (Eq(X, C),))
     found = countermodel_search(s, axioms, DIFF_SIG, 2)
-    confirmed = {m.describe() for m in seen}
-    assert confirmed == {found[0].describe()}
+    confirmed = {structure_sexpr(m) for m in seen}
+    assert confirmed == {structure_sexpr(found[0])}
     assert found == reference_countermodel_search(s, axioms, DIFF_SIG, 2)
     seen.clear()
     contradictory = (Forall("x", P("x")), Exists("x", Not(P("x"))))

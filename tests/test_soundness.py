@@ -10,7 +10,7 @@ from doctrina.lang import Context, Signature, Var, canonical_context
 from doctrina.formula import FormulaInContext, Pred, Top
 from doctrina.calculus import Budget, Sequent, check_proof, prove_bounded
 from doctrina.doctrine import subset_doctrine
-from doctrina.semantics import countermodel_search, sequent_valid_in_structure
+from doctrina.semantics import countermodel_search, falsifying_assignment
 from doctrina.syntactic import BoundedOracle, DoctrineTarget, Proved, sequent_valid
 from doctrina.prefix import (
     PrefixOracle,
@@ -66,7 +66,7 @@ def test_prefix_proofs_hold_in_all_word_models():
         assert isinstance(v, Proved)
         assert check_proof(v.proof, prefix_theory(), SIGNATURE).ok
         for m in models:
-            assert sequent_valid_in_structure(s, m.as_structure()), (s, sorted(m.words))
+            assert falsifying_assignment(s, m.as_structure()) is None, (s, sorted(m.words))
             checked += 1
     assert checked > 30
 

@@ -394,7 +394,7 @@ def test_interpretation_naturality_in_tuple_semantics():
                     a = dict(zip(f.source.vars, values))
                     image = {v: eval_term(t, m, a) for v, t in zip(ctx2.vars, f.components)}
                     lhs = eval_in_structure(reindexed, m, a)
-                    assert lhs == eval_in_structure(phi, m, image), (phi, f, m.describe(), values)
+                    assert lhs == eval_in_structure(phi, m, image), (phi, f, structure_sexpr(m), values)
 
 
 def test_morphism_from_family_checks_axioms():

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, except names it
 re-exports explicitly in the `import name as name` form; and every
 top-level function, class and method of the package is referenced from
-outside its own body somewhere in the sources, tests or bench."""
+outside its own body somewhere in the sources or the bench, or is one of
+the paper's constructions that only tests reach."""
 
 import ast
 import pathlib
@@ -59,54 +60,108 @@ def test_the_check_sees_unused_names():
     assert unused_imports(source) == ["itertools"]
 
 
-def name_uses(tree: ast.AST) -> Counter:
-    """How often each name is read, as a variable or as an attribute."""
-    uses: Counter = Counter()
+# The paper's constructions that only tests reach: they are what this repo
+# reproduces, so they stay although no caller in the package or the bench
+# needs them.
+TESTS_ONLY_CONSTRUCTIONS = {
+    "boolalg.py": {"monotone_maps"},
+    "category.py": {"terminal_category"},
+    "doctrine.py": {
+        "change_of_base",
+        "derive_exists",
+        "embedding_morphism",
+        "generated_markings",
+        "injectivity_report",
+        "quotient_by_filter",
+        "subdoctrine_from_markings",
+        "subset_doctrine",
+        "verify_morphism",
+    },
+    "lang.py": {"compose_ctx", "identity_morphism", "pairing"},
+    "stratify.py": {"colimit"},
+    "syntactic.py": {
+        "epr_valid",
+        "is_quantifier_free_modulo",
+        "morphism_from_family",
+        "naturality_of_interpretation",
+        "one_step_beck_chevalley",
+        "one_step_layer",
+        "qa_depth_modulo",
+        "sequent_valid",
+    },
+}
+
+
+def name_uses(tree: ast.AST) -> tuple[Counter, Counter]:
+    """How often each name is read as a variable, and as an attribute."""
+    names: Counter = Counter()
+    attributes: Counter = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            uses[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            uses[node.attr] += 1
-    return uses
+            attributes[node.attr] += 1
+    return names, attributes
 
 
-def definitions(tree: ast.Module) -> list[ast.AST]:
-    """The top-level functions and classes and the methods of those classes;
-    dunder methods are called by the language, not by name."""
+def definitions(tree: ast.Module) -> list[tuple[ast.AST, bool]]:
+    """The top-level functions and classes and the methods of those classes,
+    each with whether it is a method; dunder methods are called by the
+    language, not by name."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            out.append(node)
+            out.append((node, False))
         if isinstance(node, ast.ClassDef):
             out += [
-                m for m in node.body
+                (m, True) for m in node.body
                 if isinstance(m, ast.FunctionDef) and not (m.name.startswith("__") and m.name.endswith("__"))
             ]
     return out
 
 
-def unreferenced_definitions(sources: dict[str, str], package: set[str]) -> list[str]:
+def reads(uses: tuple[Counter, Counter], name: str, method: bool) -> int:
+    """The reads of `name`: a method is read only through an attribute, so
+    a local variable of the same name is not a caller."""
+    names, attributes = uses
+    return attributes[name] + (0 if method else names[name])
+
+
+def unreferenced_definitions(sources: dict[str, str], package: set[str], allowed: dict[str, set[str]]) -> list[str]:
     """The definitions of the `package` files whose name is read nowhere in
-    `sources` outside their own body.  Imports are not reads, so an export
-    from `__init__.py` does not count."""
+    `sources` outside their own body, less those `allowed` names for their
+    file.  Imports are not reads, so an export from `__init__.py` does not
+    count."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    uses: Counter = Counter()
+    uses: tuple[Counter, Counter] = (Counter(), Counter())
     for tree in trees.values():
-        uses += name_uses(tree)
+        names, attributes = name_uses(tree)
+        uses[0].update(names)
+        uses[1].update(attributes)
     return sorted(
         f"{name}:{d.name}"
         for name in package
-        for d in definitions(trees[name])
-        if uses[d.name] == name_uses(d)[d.name]
+        for d, method in definitions(trees[name])
+        if reads(uses, d.name, method) == reads(name_uses(d), d.name, method)
+        and d.name not in allowed.get(pathlib.PurePath(name).name, ())
     )
 
 
 def test_every_definition_is_referenced():
-    files = [p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")]
+    """Reads count in the package and the bench only: code that only a test
+    calls is kept for that test alone, unless it is one of the paper's
+    constructions."""
+    files = [p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")]
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in files}
     package = {name for name in sources if name.startswith("src/doctrina/") and not name.endswith("__init__.py")}
     assert len(package) > 10
-    assert unreferenced_definitions(sources, package) == []
+    assert unreferenced_definitions(sources, package, TESTS_ONLY_CONSTRUCTIONS) == []
+    defined = {
+        pathlib.PurePath(name).name: {d.name for d, _ in definitions(ast.parse(sources[name]))}
+        for name in package
+    }
+    stale = {m: names - defined[m] for m, names in TESTS_ONLY_CONSTRUCTIONS.items() if names - defined[m]}
+    assert stale == {}
 
 
 def test_the_check_sees_unreferenced_definitions():
@@ -117,10 +172,21 @@ def test_the_check_sees_unreferenced_definitions():
             "    def unused_method(self): return 1\n"
             "    def __repr__(self): return 'A'\n"
             "    def recursive(self): return self.recursive()\n"
+            "    def depth(self): return 0\n"
             "def f(n): return f(n - 1)\n"
-            "def g(): return A().used()\n"
+            "def g(depth=1): return A().used() + depth\n"
+            "def tested(): return 1\n"
+            "def construction(): return 2\n"
         ),
-        "test_pkg.py": "from pkg import g, f\nassert g()\n",
+        "main.py": "from pkg import g\nprint(g())\n",
         "__init__.py": "from .pkg import f\n",
     }
-    assert unreferenced_definitions(sources, {"pkg.py"}) == ["pkg.py:f", "pkg.py:recursive"]
+    tests = {"test_pkg.py": "from pkg import tested, construction, f\nassert tested() + construction() + f(0)\n"}
+    # counted, a test's read would hide `tested` and `construction`
+    assert unreferenced_definitions({**sources, **tests}, {"pkg.py"}, {}) == ["pkg.py:depth", "pkg.py:recursive"]
+    # a local `depth` is not a read of the method `A.depth`
+    flagged = ["pkg.py:construction", "pkg.py:depth", "pkg.py:f", "pkg.py:recursive", "pkg.py:tested"]
+    assert unreferenced_definitions(sources, {"pkg.py"}, {}) == flagged
+    # the allowlist keeps a construction that only tests reach
+    allowed = {"pkg.py": {"construction"}}
+    assert unreferenced_definitions(sources, {"pkg.py"}, allowed) == [n for n in flagged if n != "pkg.py:construction"]
