@@ -72,10 +72,17 @@ class InputError(Exception):
     that is not UTF-8, a bad `DOCTRINA_BUDGET`, a missing option."""
 
 
+def _names_a_file(arg: str) -> bool:
+    try:
+        return Path(arg).exists()
+    except OSError:  # a name too long to be a file, say
+        return False
+
+
 def load_text(arg: str) -> str:
     """Documents are read from a file when the argument names one, otherwise
     the argument itself is the document text."""
-    if not arg.lstrip().startswith("(") and Path(arg).exists():
+    if not arg.lstrip().startswith("(") and _names_a_file(arg):
         try:
             return Path(arg).read_text(encoding="utf-8")
         except UnicodeDecodeError as e:
@@ -122,10 +129,18 @@ def infer_context(*formulas) -> Context:
 
 def make_oracle(kind: str, theory: Theory, budget: Budget, model_size: int):
     """The entailment oracle named on the command line; the budget and the
-    model size bound only the bounded oracle, the other two are exact."""
+    model size bound only the bounded oracle, the other two are exact, and
+    refuse a theory they would not decide modulo: the truth table takes a
+    signature without axioms, the prefix oracle only the prefix theory."""
     if kind == "truthtable":
+        if theory.axioms or theory.axiom_family is not None:
+            raise InputError("the truthtable oracle decides over a theory without axioms; "
+                             "use the bounded oracle")
         return TruthTableOracle(theory.signature)
     if kind == "prefix":
+        if theory != prefix_theory():
+            raise InputError("the prefix oracle decides modulo the prefix theory only; "
+                             "give --theory prefix or leave it out")
         return PrefixOracle()
     return BoundedOracle(theory, budget, model_size)
 

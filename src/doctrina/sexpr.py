@@ -1,14 +1,15 @@
 """The s-expression text format for every document the tools exchange:
 formulas, sequents, signatures, theories, structures, proofs, doctrine
-descriptions, and markings.  Parsing is whitespace-insensitive with
-position-annotated errors; printing is canonical, so parse after print is
-the identity on every document the suite produces.  Documents nest at most
-`MAX_NESTING` brackets deep."""
+descriptions, and markings.  Parsing is whitespace-insensitive, and every
+error names its position as a 1-based `line:col`.  A node keeps only the
+index of its first token; positions come from `tokenize`, computed when an
+error is raised and never otherwise.  Printing is canonical, so parse after
+print is the identity on every document the suite produces.  Documents nest
+at most `MAX_NESTING` brackets deep."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .lang import App, Context, LangError, PredicateFamily, Signature, Term, Var
@@ -40,18 +41,54 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass
-class SAtom:
-    text: str
-    line: int
-    col: int
+class _Source:
+    """The text of one parse.  Its token positions are computed, by
+    `tokenize`, only when a node's position is first read: when an error
+    is raised."""
+
+    __slots__ = ("text", "positions")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.positions: Optional[list] = None
+
+    def position(self, k: int) -> tuple[int, int]:
+        if self.positions is None:
+            self.positions = [(line, col) for _, line, col in tokenize(self.text)]
+        return self.positions[k]
 
 
-@dataclass
-class SList:
-    items: list
-    line: int
-    col: int
+class _Node:
+    """A node of the tree: the index of its first token (an atom, or the
+    bracket that opens a list) in the document's token sequence."""
+
+    __slots__ = ("index", "source")
+
+    @property
+    def line(self) -> int:
+        return self.source.position(self.index)[0]
+
+    @property
+    def col(self) -> int:
+        return self.source.position(self.index)[1]
+
+
+class SAtom(_Node):
+    __slots__ = ("text",)
+
+    def __init__(self, text: str, index: int, source: _Source):
+        self.text = text
+        self.index = index
+        self.source = source
+
+
+class SList(_Node):
+    __slots__ = ("items",)
+
+    def __init__(self, items: list, index: int, source: _Source):
+        self.items = items
+        self.index = index
+        self.source = source
 
 
 SNode = Union[SAtom, SList]
@@ -62,10 +99,14 @@ SNode = Union[SAtom, SList]
 # here instead.
 MAX_NESTING = 200
 
-# A bracket, an atom (a run of characters other than brackets, `;` and
-# whitespace), a comment up to the end of its line, or a line break; spaces,
-# tabs and carriage returns match nothing and are skipped.
-_TOKEN = re.compile(r"[()]|[^(); \t\r\n]+|;[^\n]*|\n")
+# A bracket or an atom (a run of characters other than brackets, `;` and
+# whitespace); a comment runs to the end of its line.  `tokenize` also
+# matches line breaks, to count lines; spaces, tabs and carriage returns
+# match nothing and are skipped.  `parse_many` reads the same brackets and
+# atoms, in the same order, from the text with its comments removed.
+_BRACKET_OR_ATOM = re.compile(r"[()]|[^(); \t\r\n]+")
+_COMMENT = re.compile(r";[^\n]*")
+_TOKEN = re.compile(rf"{_BRACKET_OR_ATOM.pattern}|{_COMMENT.pattern}|\n")
 
 
 def tokenize(text: str):
@@ -89,20 +130,29 @@ def parse_sexpr(text: str) -> SNode:
 
 
 def parse_many(text: str) -> list[SNode]:
+    """The documents of `text`.  The k-th token read here is the k-th token
+    of `tokenize`, which gives its position when an error needs one."""
+    source = _Source(text)
+    if ";" in text:
+        text = _COMMENT.sub("", text)
     stack: list[SList] = []
     out: list[SNode] = []
-    for tok, line, col in tokenize(text):
+    items = out
+    for k, tok in enumerate(_BRACKET_OR_ATOM.findall(text)):
         if tok == "(":
             if len(stack) == MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING} brackets", line, col)
-            stack.append(SList([], line, col))
+                raise ParseError(f"nesting deeper than {MAX_NESTING} brackets", *source.position(k))
+            node = SList([], k, source)
+            items.append(node)
+            stack.append(node)
+            items = node.items
         elif tok == ")":
             if not stack:
-                raise ParseError("unmatched ')'", line, col)
-            done = stack.pop()
-            (stack[-1].items if stack else out).append(done)
+                raise ParseError("unmatched ')'", *source.position(k))
+            stack.pop()
+            items = stack[-1].items if stack else out
         else:
-            (stack[-1].items if stack else out).append(SAtom(tok, line, col))
+            items.append(SAtom(tok, k, source))
     if stack:
         raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
     return out
@@ -492,11 +542,25 @@ _DOCTRINE_PARTS = {
 _OPEN_SECTIONS = ("objects", "reindex", "forall")
 
 
-def _element(node: SNode, alg: BoolAlg, what: str) -> int:
+def _element(node: SNode, alg: Optional[BoolAlg], what: str) -> int:
     v = _int(node, what)
-    if v < 0 or v >> alg.atoms:
+    if alg is not None and (v < 0 or v >> alg.atoms):
         _fail(node, f"{what} {v} is not an element of a fiber with {alg.atoms} atoms")
     return v
+
+
+def _elements(nodes: list, alg: Optional[BoolAlg], what: str) -> tuple[int, ...]:
+    """The integer entries `nodes`, each an element of `alg` unless it is
+    None: read in one pass, and entry by entry only to report the first
+    entry that is not one."""
+    try:
+        values = tuple(map(int, [n.text for n in nodes]))
+    except (AttributeError, ValueError):  # a list entry, or a text int() refuses
+        pass
+    else:
+        if alg is None or not values or (min(values) >= 0 and not max(values) >> alg.atoms):
+            return values
+    return tuple(_element(n, alg, what) for n in nodes)
 
 
 def _table(item: SList, start: int, over: BoolAlg, into: BoolAlg) -> tuple[int, ...]:
@@ -506,7 +570,7 @@ def _table(item: SList, start: int, over: BoolAlg, into: BoolAlg) -> tuple[int, 
     nodes = item.items[start:]
     if over.atoms >= len(nodes).bit_length() or len(nodes) != over.size:
         _fail(item, f"table has {len(nodes)} entries for a fiber with {over.atoms} atoms")
-    return tuple(_element(v, into, "table entry") for v in nodes)
+    return _elements(nodes, into, "table entry")
 
 
 def parse_doctrine(node: SNode) -> Doctrine:
@@ -593,7 +657,7 @@ def parse_doctrine(node: SNode) -> Doctrine:
     delta: dict[str, int] = {}
     for item in sections["delta"]:
         x = obj(item.items[1])
-        delta[x] = _element(item.items[2], fibers[products[(x, x)][0]], "element")
+        delta[x] = _elements(item.items[2:], fibers[products[(x, x)][0]], "element")[0]
     cat = FPCategory(tuple(objects), morphisms, comp, ident, terminal, products, pairings)
     return Doctrine(cat, fibers, reindex, forall=forall or None, delta=delta or None)
 
@@ -637,11 +701,7 @@ def parse_marking(node: SNode, doctrine: Doctrine) -> Marking:
         if not isinstance(item, SList) or not item.items:
             _fail(item, "expected (object elems...)")
         obj = _atom_text(item.items[0], "object")
-        alg = doctrine.fibers.get(obj)
-        out[obj] = frozenset(
-            _int(v, "element") if alg is None else _element(v, alg, "element")
-            for v in item.items[1:]
-        )
+        out[obj] = frozenset(_elements(item.items[1:], doctrine.fibers.get(obj), "element"))
     return out
 
 

@@ -357,6 +357,46 @@ def test_predicate_family_names_keep_their_handling(capsys):
     assert out == "VERDICT unknown note=not a word-language atom: R1(x, x)\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["entail", "(P x)", "(Q x)", "--oracle", "truthtable", "--theory",
+          "(theory (signature (predicates (P 1) (Q 1))) (axioms (forall x (imp (P x) (Q x)))))"],
+         "the truthtable oracle decides over a theory without axioms; use the bounded oracle"),
+        (["entail", "(P x)", "(Q x)", "--oracle", "truthtable", "--theory", "prefix"],
+         "the truthtable oracle decides over a theory without axioms; use the bounded oracle"),
+        (["entail", "true", "(R1 x1)", "--oracle", "prefix", "--theory",
+          "(theory (signature (families R)) (axioms (forall x (R1 x))))"],
+         "the prefix oracle decides modulo the prefix theory only; give --theory prefix or leave it out"),
+        (["entail", "(R2 x1 x2)", "(R1 x1)", "--oracle", "prefix", "--theory", "none"],
+         "the prefix oracle decides modulo the prefix theory only; give --theory prefix or leave it out"),
+    ],
+    ids=["truthtable-axioms", "truthtable-prefix", "prefix-other-theory", "prefix-none"],
+)
+def test_exact_oracles_refuse_a_theory_they_would_ignore(argv, message, capsys):
+    # each answered `VERDICT refuted` with a structure that breaks the
+    # theory's axioms, or decided modulo another theory than the one given
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"ERROR {message}\n"
+
+
+def test_exact_oracles_keep_the_theories_they_decide_modulo(capsys):
+    signature_only = "(theory (signature (predicates (P 1) (Q 1))) (axioms))"
+    code, out = run_cli(["entail", "(P x)", "(Q x)", "--oracle", "truthtable", "--theory", signature_only], capsys)
+    assert code == 1 and out.startswith("VERDICT refuted method=truthtable\n")
+    code, out = run_cli(["entail", "(R2 x1 x2)", "(R1 x1)", "--oracle", "prefix", "--theory", "prefix"], capsys)
+    assert code == 0 and out.startswith("VERDICT proved method=prefix\n")
+
+
+def test_an_argument_too_long_to_be_a_file_name_is_the_document(capsys):
+    code, out = run_cli(["qa-depth", "P" * 300], capsys)
+    assert code == 0
+    assert out == "0\n"
+
+
 def test_wide_refutable_sequent_is_answered_before_the_prover_recurses(capsys):
     code, out = run_cli(["prove", "(seq (ctx) (ants" + " P" * 600 + ") (sucs Q))"], capsys)
     assert code == 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -283,3 +284,93 @@ def test_parsers_refuse_mutated_documents_with_parse_errors(data):
         parse(sexpr.parse_sexpr(" ".join(tokens)))
     except ParseError:
         pass
+
+
+# --- pinned error messages and positions ------------------------------------------
+
+FUZZ_SEPARATORS = (" ", "\n  ", " ; c\n", "\t")
+
+
+def _edited_documents(rng, per_document):
+    """Single-token edits of each fuzz document, joined with mixed
+    separators so that the error positions fall on many lines and columns,
+    some after comments."""
+    for parse, text in FUZZ_DOCUMENTS:
+        base = [tok for tok, _, _ in sexpr.tokenize(text)]
+        for _ in range(per_document):
+            tokens = list(base)
+            i = rng.randrange(len(tokens))
+            edit = rng.choice(("delete", "duplicate", "replace"))
+            if edit == "delete":
+                del tokens[i]
+            elif edit == "duplicate":
+                tokens.insert(i, tokens[i])
+            else:
+                tokens[i] = rng.choice(FUZZ_TOKENS + base)
+            yield parse, "".join(rng.choice(FUZZ_SEPARATORS) + tok for tok in tokens)
+
+
+def _outcome(parse, text):
+    try:
+        parse(sexpr.parse_sexpr(text))
+    except ParseError as e:
+        return str(e)
+    return "ok"
+
+
+def test_parse_error_messages_and_positions_are_pinned():
+    # the digest of every message (or "ok") over 2,007 edited documents,
+    # taken before the tree builder kept token indices instead of positions
+    outcomes = [_outcome(parse, text) for parse, text in _edited_documents(random.Random(16), 223)]
+    assert sum(o != "ok" for o in outcomes) > 1000
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "032803c9a27450f5478e01828c87e8897c2cad2baacf7e50ecfede6643d1ab76"
+
+
+TABLE_DOCTRINE = sexpr.doctrine_sexpr(subset_doctrine({"E": (), "U": ("*",)}))
+
+
+@pytest.mark.parametrize("section, edited, message", [
+    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 0 a)", "26:22: expected an integer table entry, got 'a'"),
+    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 0 -1)",
+     "26:22: table entry -1 is not an element of a fiber with 1 atoms"),
+    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 0 2)",
+     "26:22: table entry 2 is not an element of a fiber with 1 atoms"),
+    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 0 (1))", "26:22: expected table entry"),
+    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 0 1 1)", "26:3: table has 3 entries for a fiber with 1 atoms"),
+    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 2 a)",
+     "26:20: table entry 2 is not an element of a fiber with 1 atoms"),
+    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 1_0 -0)",
+     "26:20: table entry 10 is not an element of a fiber with 1 atoms"),
+    ("(forall U U 0 1)", "(forall U U 0 x1)", "30:17: expected an integer table entry, got 'x1'"),
+    ("(forall U E 1)", "(forall U E 3)", "29:15: table entry 3 is not an element of a fiber with 1 atoms"),
+    ("(delta U 1)", "(delta U 2)", "32:12: element 2 is not an element of a fiber with 1 atoms"),
+    ("(delta U 1)", "(delta U (1))", "32:12: expected element"),
+])
+def test_table_entries_keep_their_messages_and_positions(section, edited, message):
+    assert TABLE_DOCTRINE.count(section) == 1
+    text = TABLE_DOCTRINE.replace(section, edited)
+    with pytest.raises(ParseError) as e:
+        sexpr.parse_doctrine(sexpr.parse_sexpr(text))
+    assert str(e.value) == "parse error at " + message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(marking (E 0)\n (U 0 x))", "2:7: expected an integer element, got 'x'"),
+    ("(marking (E 0)\n (U 0 -1))", "2:7: element -1 is not an element of a fiber with 1 atoms"),
+    ("(marking (E 0)\n (U 2 0))", "2:5: element 2 is not an element of a fiber with 1 atoms"),
+    ("(marking (E 0)\n (U 0 (1)))", "2:7: expected element"),
+    ("(marking (E 0)\n (W 7 x))", "2:7: expected an integer element, got 'x'"),
+])
+def test_marking_entries_keep_their_messages_and_positions(text, message):
+    d = subset_doctrine({"E": (), "U": ("*",)})
+    with pytest.raises(ParseError) as e:
+        sexpr.parse_marking(sexpr.parse_sexpr(text), d)
+    assert str(e.value) == "parse error at " + message
+
+
+def test_markings_of_objects_the_doctrine_lacks_keep_any_integer():
+    d = subset_doctrine({"E": (), "U": ("*",)})
+    node = sexpr.parse_sexpr("(marking (U 1 0 1) (W -5 99) (E))")
+    assert sexpr.parse_marking(node, d) == {
+        "U": frozenset({0, 1}), "W": frozenset({-5, 99}), "E": frozenset()}
