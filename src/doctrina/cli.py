@@ -28,13 +28,13 @@ from .doctrine import (
     DoctrineError,
     check_forall_tables,
     find_fibered_equalities,
+    layer_step,
     report_lines,
     verify_boolean_doctrine,
     verify_elementary,
     verify_first_order,
 )
 from .stratify import (
-    layer_step,
     stratify,
     verify_one_step,
     verify_qa_stratified,
@@ -217,6 +217,8 @@ def cmd_verify_doctrine(args) -> tuple[int, list[str]]:
     marking = None
     if args.marking:
         marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)), d)
+    elif args.level in ("qff", "one-step", "stratified"):
+        raise InputError(f"{args.level} level needs --marking")
     # the doctrine verifiers read the fibers along the category's endpoints,
     # so they run only over a base that passes its own check
     notes: list[str] = []
@@ -246,39 +248,20 @@ def _doctrine_violations(args, d, marking, notes: list[str]) -> list[str]:
             else:
                 notes.append("NOTE fibered equalities " + str(sorted(family.items())))
     if not vs and args.level == "qff":
-        if marking is None:
-            raise InputError("qff level needs --marking")
         vs += verify_qff(d, marking)
     if not vs and args.level == "one-step":
-        if marking is None:
-            raise InputError("one-step level needs --marking")
         p1 = layer_step(d, marking, d.universal_tables())
         vs += verify_one_step(d, marking, p1)
     if not vs and args.level == "stratified":
-        if marking is None:
-            raise InputError("stratified level needs --marking")
         try:
             seq = stratify(d, marking)
             vs += verify_qa_stratified(seq)
+            if args.command == "stratify":
+                notes += [f"LEVEL {n} " + sexpr.marking_sexpr(level) for n, level in enumerate(seq.levels)]
             notes.append(f"NOTE stabilization index {seq.stabilization_index}")
         except DoctrineError as e:
             violations.append(f"VIOLATION stratify detail={e}")
     return violations + report_lines(vs)
-
-
-def cmd_stratify(args) -> tuple[int, list[str]]:
-    d = sexpr.parse_doctrine(sexpr.parse_sexpr(load_text(args.doctrine)))
-    marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)), d)
-    try:
-        seq = stratify(d, marking)
-    except DoctrineError as e:
-        return EXIT_NEGATIVE, [f"VIOLATION stratify detail={e}", "VERDICT fail"]
-    errs = verify_qa_stratified(seq)
-    lines = [f"LEVEL {n} " + sexpr.marking_sexpr(level) for n, level in enumerate(seq.levels)]
-    lines.append(f"NOTE stabilization index {seq.stabilization_index}")
-    if errs:
-        return EXIT_NEGATIVE, lines + sorted(report_lines(errs)) + ["VERDICT fail"]
-    return EXIT_POSITIVE, lines + ["VERDICT pass"]
 
 
 def cmd_prefix_demo(args) -> tuple[int, list[str]]:
@@ -402,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stratify")
     sp.add_argument("doctrine")
     sp.add_argument("marking")
-    sp.set_defaults(func=cmd_stratify)
+    sp.set_defaults(func=cmd_verify_doctrine, level="stratified")
 
     sp = sub.add_parser("prefix-demo")
     sp.add_argument("which", choices=("intersection", "no-least", "separations"))

@@ -631,19 +631,28 @@ def close_boolean_substitution(d: Doctrine, marking: Marking) -> Marking:
     return {x: frozenset(v) for x, v in cur.items()}
 
 
+def layer_step(d: Doctrine, marking: Marking, tables: QuantTable) -> Marking:
+    """One generation step: Boolean closure of all universal quantifications
+    of marked elements over every chosen product diagram."""
+    out: Marking = {}
+    for x in d.base.objects:
+        gens: set[int] = set()
+        for y in d.base.objects:
+            p = d.base.product(x, y)[0]
+            for b in marking.get(p, ()):
+                gens.add(tables[(x, y)][b])
+        out[x] = boolean_closure(d.fiber(x), gens)
+    return out
+
+
 def generated_markings(d: Doctrine, seed: Marking) -> Marking:
     """Close a marking under Boolean operations, reindexings, and the
     universal quantifiers: the subdoctrine generated by the seed."""
     tables = d.universal_tables()
     cur = close_boolean_substitution(d, seed)
     while True:
-        nxt = {x: set(v) for x, v in cur.items()}
-        for x in d.base.objects:
-            for y in d.base.objects:
-                p = d.base.product(x, y)[0]
-                for b in cur[p]:
-                    nxt[x].add(tables[(x, y)][b])
-        nxt = close_boolean_substitution(d, {x: frozenset(v) for x, v in nxt.items()})
+        step = layer_step(d, cur, tables)
+        nxt = close_boolean_substitution(d, {x: cur[x] | step[x] for x in d.base.objects})
         if nxt == cur:
             return cur
         cur = nxt

@@ -13,20 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .boolalg import boolean_closure
 from .doctrine import (
     Doctrine,
     DoctrineError,
     Marking,
     QuantTable,
     Violation,
+    close_boolean_substitution,
+    layer_step,
     violation,
 )
 
 
 def check_submarking(d: Doctrine, marking: Marking, label: str = "P0") -> list[Violation]:
     """Subfunctor conditions: Boolean-subalgebra per fiber, closed under
-    reindexing."""
+    reindexing.  A marking of every object is closed exactly when it is the
+    fixpoint of `close_boolean_substitution`; the pairs are enumerated only
+    to report a marking that is not."""
+    if all(x in marking for x in d.base.objects) and close_boolean_substitution(d, marking) == marking:
+        return []
     out: list[Violation] = []
     for x in d.base.objects:
         alg = d.fiber(x)
@@ -51,20 +56,6 @@ def check_submarking(d: Doctrine, marking: Marking, label: str = "P0") -> list[V
     return out
 
 
-def layer_step(d: Doctrine, marking: Marking, tables: QuantTable) -> Marking:
-    """One generation step: Boolean closure of all universal quantifications
-    of marked elements over every chosen product diagram."""
-    out: Marking = {}
-    for x in d.base.objects:
-        gens: set[int] = set()
-        for y in d.base.objects:
-            p = d.base.product(x, y)[0]
-            for b in marking.get(p, ()):
-                gens.add(tables[(x, y)][b])
-        out[x] = boolean_closure(d.fiber(x), gens)
-    return out
-
-
 def compute_layers(d: Doctrine, marking: Marking) -> list[Marking]:
     """Iterate the generation step until two consecutive markings agree.
     Termination is guaranteed by the finiteness of the fibers."""
@@ -77,10 +68,9 @@ def compute_layers(d: Doctrine, marking: Marking) -> list[Marking]:
         levels.append(nxt)
 
 
-def verify_qff(d: Doctrine, marking: Marking) -> list[Violation]:
-    """Subfunctor plus generation: the stabilized union of the layers must
-    exhaust every fiber, and the layers must be monotone along the way.
-    Raises if the doctrine lacks a reindexing or universal table."""
+def _qff_layers(d: Doctrine, marking: Marking) -> tuple[list[Violation], list[Marking]]:
+    """The violations of `verify_qff` and, when the marking is a subfunctor,
+    its layers."""
     for f in d.base.morphisms:
         if f not in d.reindex:
             raise DoctrineError(f"no reindexing table for {f}")
@@ -90,7 +80,7 @@ def verify_qff(d: Doctrine, marking: Marking) -> list[Violation]:
         raise DoctrineError("no universal table for {} x {}".format(*missing[0]))
     out = check_submarking(d, marking)
     if out:
-        return out
+        return out, []
     levels = compute_layers(d, marking)
     for n in range(len(levels) - 1):
         for x in d.base.objects:
@@ -101,7 +91,14 @@ def verify_qff(d: Doctrine, marking: Marking) -> list[Violation]:
         missing = set(d.fiber(x).elements()) - set(top_level[x])
         for a in sorted(missing):
             out.append(violation("generation", X=x, elem=a))
-    return out
+    return out, levels
+
+
+def verify_qff(d: Doctrine, marking: Marking) -> list[Violation]:
+    """Subfunctor plus generation: the stabilized union of the layers must
+    exhaust every fiber, and the layers must be monotone along the way.
+    Raises if the doctrine lacks a reindexing or universal table."""
+    return _qff_layers(d, marking)[0]
 
 
 @dataclass
@@ -127,12 +124,11 @@ class StratifiedSequence:
 
 
 def stratify(d: Doctrine, marking: Marking) -> StratifiedSequence:
-    errs = verify_qff(d, marking)
+    errs, levels = _qff_layers(d, marking)
     if errs:
         raise DoctrineError(
             "marking is not a quantifier-free fragment: " + "; ".join(v.line() for v in errs[:5])
         )
-    levels = compute_layers(d, marking)
     return StratifiedSequence(d, tuple(levels))
 
 
@@ -176,12 +172,10 @@ def verify_one_step(d: Doctrine, p0: Marking, p1: Marking) -> list[Violation]:
             out.append(violation("inclusion", X=x))
     if out:
         return out
-    ambient = d.universal_tables()
-    tables = {
-        (x, y): {b: ambient[(x, y)][b] for b in p0[d.base.product(x, y)[0]]}
-        for x in d.base.objects
-        for y in d.base.objects
-    }
+    # P0 passed its check, so it is closed under reindexing: every entry
+    # read below, the fxid-reindexed ones included, is the quantifier of an
+    # element of P0
+    tables = d.universal_tables()
     for x in d.base.objects:
         for y in d.base.objects:
             p, pr1, _ = d.base.product(x, y)
@@ -200,7 +194,7 @@ def verify_one_step(d: Doctrine, p0: Marking, p1: Marking) -> list[Violation]:
         for y in d.base.objects:
             fxid = d.base.times_id(f, y)
             for b in sorted(p0[d.base.product(x, y)[0]]):
-                lhs = tables[(x1, y)].get(d.re(fxid, b))
+                lhs = tables[(x1, y)][d.re(fxid, b)]
                 rhs = d.re(f, tables[(x, y)][b])
                 if lhs != rhs:
                     out.append(violation("one-step-beck-chevalley", f=f, Y=y, elem=b))

@@ -549,18 +549,17 @@ def universal_consequences(
     contexts: Sequence[Context],
     bodies: Callable[[Context], Sequence[Formula]],
     budget: Budget = Budget(max_depth=5, max_nodes=2500),
-    family_up_to: int = -1,
 ) -> list[tuple[Formula, ProofTree]]:
     """Universal sentences (closures of quantifier-free bodies) provable
     from the theory within the budget, with their certificates.
 
     Bodies are deduplicated up to propositional equivalence (by their prime
     implicant form); the bounded oracle refutes a survivor in a model of size
-    2 of the bounded axiom set before any proof search, and every returned
-    sentence carries its tree."""
+    2 of the listed axioms, with no sentence of the axiom family, before any
+    proof search, and every returned sentence carries its tree."""
     from .formula import dnf_formula, to_dnf
 
-    oracle = BoundedOracle(theory, budget, 2, family_up_to)
+    oracle = BoundedOracle(theory, budget, 2, family_up_to=-1)
     out: list[tuple[Formula, ProofTree]] = []
     seen: set = set()
     for ctx in contexts:

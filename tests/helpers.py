@@ -253,6 +253,31 @@ def minterm_candidates(atoms: list[Formula]) -> list[Formula]:
 # --- exhaustive truncated word-model search (oracle for the prefix criterion) ----
 
 
+def word_assignments(k: int) -> list[tuple[str, ...]]:
+    """Every assignment of the k context variables to letters of a k-letter
+    alphabet."""
+    letters = tuple(f"a{i}" for i in range(1, k + 1))
+    return list(itertools.product(letters, repeat=k))
+
+
+def prefix_closures(positives: list[PrefixAtom], rhos: list[tuple[str, ...]]) -> list[set]:
+    """Under each assignment, the prefix closure of the positive words."""
+    out = []
+    for rho in rhos:
+        closure = set()
+        for p in positives:
+            w = p.word(rho)
+            closure.update(w[:i] for i in range(len(w) + 1))
+        out.append(closure)
+    return out
+
+
+def refuted_by_closures(closures: list[set], negatives: list[PrefixAtom], rhos: list[tuple[str, ...]]) -> bool:
+    """Whether under some assignment no negative word lies in the positive
+    side's prefix closure `closures` (from `prefix_closures` on `rhos`)."""
+    return any(all(n.word(rho) not in closure for n in negatives) for rho, closure in zip(rhos, closures))
+
+
 def word_refutable(positives: list[PrefixAtom], negatives: list[PrefixAtom], k: int) -> bool:
     """Whether some assignment of the context variables to letters admits a
     truncated word model satisfying every positive atom and no negative one.
@@ -260,16 +285,7 @@ def word_refutable(positives: list[PrefixAtom], negatives: list[PrefixAtom], k: 
     Sweeps every assignment into a k-letter alphabet; for a fixed assignment
     only the prefix closure of the positive words needs checking, since any
     larger language still satisfies the positives and can only lose the
-    falsification.  With no positives the empty language always refutes."""
-    if not positives:
-        return True
-    letters = tuple(f"a{i}" for i in range(1, k + 1))
-    for rho in itertools.product(letters, repeat=k):
-        closure = set()
-        for p in positives:
-            w = p.word(rho)
-            for i in range(len(w) + 1):
-                closure.add(w[:i])
-        if all(n.word(rho) not in closure for n in negatives):
-            return True
-    return False
+    falsification.  With no positives the closures are empty, and the empty
+    language always refutes."""
+    rhos = word_assignments(k)
+    return refuted_by_closures(prefix_closures(positives, rhos), negatives, rhos)

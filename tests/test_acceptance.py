@@ -62,7 +62,14 @@ from doctrina.prefix import (
     word_countermodel,
 )
 
-from helpers import brute_layer_index, enumerate_formulas, random_sequent, word_refutable
+from helpers import (
+    brute_layer_index,
+    enumerate_formulas,
+    prefix_closures,
+    random_sequent,
+    refuted_by_closures,
+    word_assignments,
+)
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -116,9 +123,13 @@ def test_criterion_3_prefix_oracle_equivalence():
         sides = [()] + [(a,) for a in atoms] + [
             (atoms[i], atoms[j]) for i in range(len(atoms)) for j in range(i + 1, len(atoms))
         ]
+        # word_refutable's test, with each positive side's prefix closures
+        # built once per assignment and read for every negative side
+        rhos = word_assignments(k)
         for pos in sides:
+            closures = prefix_closures(list(pos), rhos)
             for neg in sides:
-                expected = not word_refutable(list(pos), list(neg), k)
+                expected = not refuted_by_closures(closures, list(neg), rhos)
                 got = prefix_entails(list(pos), list(neg))
                 assert got == expected, (k, pos, neg)
                 checked += 1

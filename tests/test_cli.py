@@ -1,6 +1,7 @@
 import io
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -12,6 +13,9 @@ from doctrina.sexpr import MAX_NESTING
 from doctrina.boolalg import BoolAlg
 from doctrina.category import chain_category
 from doctrina.doctrine import full_marking, hbx_doctrine, subset_doctrine
+from doctrina.stratify import stratify
+
+from test_stratify import chain_doctrine_with_proper_fragment
 
 
 def run_cli(argv, capsys):
@@ -153,6 +157,78 @@ def test_stratify_command(tmp_path, capsys):
     assert code == 0
     assert "LEVEL 0" in out
     assert "VERDICT pass" in out
+
+
+def _one_entry_mutants(d, rng, kind, count):
+    """Copies of `d` with one entry of one reindexing or universal table
+    changed to another element of the same fiber."""
+    tables = d.forall if kind == "forall" else d.reindex
+
+    def source(key):
+        return key[0] if kind == "forall" else d.base.morphisms[key][0]
+
+    keys = [k for k in sorted(tables) if d.fiber(source(k)).atoms > 0]
+    for _ in range(count):
+        key = rng.choice(keys)
+        table = list(tables[key])
+        table[rng.randrange(len(table))] ^= rng.randint(1, d.fiber(source(key)).top)
+        yield d.with_tables(**{kind: {**tables, key: tuple(table)}})
+
+
+def test_stratify_fails_every_mutant_as_verify_doctrine_does(capsys):
+    # with a full marking there is one level and no pair for
+    # verify_qa_stratified to check, so only the checks that run before it
+    # (category, Boolean, first-order) see these mutants
+    d = hbx_doctrine(chain_category(3), "c1", BoolAlg(2))
+    marking = sexpr.marking_sexpr(full_marking(d))
+    rng = random.Random(3)
+    for kind in ("reindex", "forall"):
+        for mutant in _one_entry_mutants(d, rng, kind, 100):
+            text = sexpr.doctrine_sexpr(mutant)
+            code, out = run_cli(["stratify", text, marking], capsys)
+            expected = run_cli(["verify-doctrine", text, "--level", "stratified", "--marking", marking], capsys)
+            assert (code, out) == expected, kind
+            assert code == 1 and "\nVIOLATION " in "\n" + out, (kind, out)
+
+
+def _passing_pairs():
+    for n in range(1, 5):
+        for i in range(1, n + 1):
+            for k in range(1, 4):
+                d = hbx_doctrine(chain_category(n), f"c{i}", BoolAlg(k))
+                yield d, full_marking(d)
+    d = subset_doctrine({"E": (), "U": ("*",)})
+    yield d, full_marking(d)
+    yield chain_doctrine_with_proper_fragment()
+
+
+def test_stratify_prints_its_levels_then_the_verify_doctrine_report(capsys):
+    levels_seen = set()
+    for d, marking in _passing_pairs():
+        text, mtext = sexpr.doctrine_sexpr(d), sexpr.marking_sexpr(marking)
+        code, out = run_cli(["stratify", text, mtext], capsys)
+        _, report = run_cli(["verify-doctrine", text, "--level", "stratified", "--marking", mtext], capsys)
+        seq = stratify(d, marking)
+        levels = "".join(f"LEVEL {n} {sexpr.marking_sexpr(m)}\n" for n, m in enumerate(seq.levels))
+        assert code == 0 and report.endswith("VERDICT pass\n"), report
+        assert out == levels + report
+        levels_seen.add(len(seq.levels))
+    assert levels_seen == {1, 2}
+
+
+@pytest.mark.parametrize("level", ["qff", "one-step", "stratified"])
+@pytest.mark.parametrize("doctrine", ["passing", "failing"])
+def test_a_level_that_needs_a_marking_exits_3_without_one(level, doctrine, capsys):
+    d = hbx_doctrine(chain_category(2), "c1", BoolAlg(2))
+    if doctrine == "failing":
+        d = next(_one_entry_mutants(d, random.Random(0), "reindex", 1))
+    text = sexpr.doctrine_sexpr(d)
+    verdict = run_cli(["verify-doctrine", text, "--level", "first-order"], capsys)[0]
+    assert verdict == (0 if doctrine == "passing" else 1)
+    assert main(["verify-doctrine", text, "--level", level]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {level} level needs --marking\n"
 
 
 def test_prefix_demo_separations(capsys):
@@ -482,10 +558,12 @@ def _subset01_with(old, new):
     [
         (["verify-doctrine", ONE_OBJECT.format(" (reindex i 0 1)"), "--level", "one-step",
           "--marking", "(marking)"], 1, "VIOLATION marking-missing level=P0 X=a"),
+        # stratify runs the checks of verify-doctrine --level stratified,
+        # whose first-order and Boolean verifiers report the missing tables
         (["stratify", _without_forall_e_e(), "(marking (E 0) (U 0 1))"], 1,
-         "VIOLATION stratify detail=no universal table for E x E"),
+         "VIOLATION forall-missing X=E Y=E"),
         (["stratify", ONE_OBJECT.format(""), "(marking (a 0 1))"], 1,
-         "VIOLATION stratify detail=no reindexing table for i"),
+         "VIOLATION reindex-table f=i"),
         (["verify-doctrine", ONE_OBJECT.format(" (reindex i 0 1)").replace(" (compose i i i)", "")],
          3, "ERROR no composite of i after i"),
         # declared morphisms with the wrong endpoints as structure maps: the
