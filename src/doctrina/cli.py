@@ -222,18 +222,23 @@ def cmd_verify_doctrine(args) -> tuple[int, list[str]]:
     # the doctrine verifiers read the fibers along the category's endpoints,
     # so they run only over a base that passes its own check
     notes: list[str] = []
+    levels: list = []
     violations = [f"VIOLATION category detail={e}" for e in d.base.check()]
     if not violations:
-        violations = _doctrine_violations(args, d, marking, notes)
+        violations, levels = _doctrine_violations(args, d, marking, notes)
+    # the one line that depends on the verb: stratify also prints the layers
+    if args.command == "stratify":
+        notes = [f"LEVEL {n} " + sexpr.marking_sexpr(level) for n, level in enumerate(levels)] + notes
     if violations:
         return EXIT_NEGATIVE, notes + sorted(violations) + ["VERDICT fail"]
     return EXIT_POSITIVE, notes + ["VERDICT pass"]
 
 
-def _doctrine_violations(args, d, marking, notes: list[str]) -> list[str]:
-    """The violation lines of the verifiers `args.level` runs; their NOTE
-    lines go to `notes`."""
+def _doctrine_violations(args, d, marking, notes: list[str]) -> tuple[list[str], list]:
+    """The violation lines of the verifiers `args.level` runs, and the layers
+    the stratified level built; their NOTE lines go to `notes`."""
     violations = []
+    levels = []
     vs = verify_boolean_doctrine(d)
     if args.level in ("first-order", "elementary", "qff", "one-step", "stratified") and not vs:
         vs += verify_first_order(d)
@@ -256,12 +261,11 @@ def _doctrine_violations(args, d, marking, notes: list[str]) -> list[str]:
         try:
             seq = stratify(d, marking)
             vs += verify_qa_stratified(seq)
-            if args.command == "stratify":
-                notes += [f"LEVEL {n} " + sexpr.marking_sexpr(level) for n, level in enumerate(seq.levels)]
+            levels = seq.levels
             notes.append(f"NOTE stabilization index {seq.stabilization_index}")
         except DoctrineError as e:
             violations.append(f"VIOLATION stratify detail={e}")
-    return violations + report_lines(vs)
+    return violations + report_lines(vs), levels
 
 
 def cmd_prefix_demo(args) -> tuple[int, list[str]]:

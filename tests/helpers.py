@@ -289,3 +289,23 @@ def word_refutable(positives: list[PrefixAtom], negatives: list[PrefixAtom], k: 
     language always refutes."""
     rhos = word_assignments(k)
     return refuted_by_closures(prefix_closures(positives, rhos), negatives, rhos)
+
+
+# --- one-entry doctrine mutants ----------------------------------------------
+
+
+def one_entry_mutant(rng, d, table_kind):
+    """A copy of `d` with one entry of one reindexing or universal table
+    changed to another element of the same fiber."""
+    if table_kind == "forall":
+        tables = d.forall
+        keys = [k for k in sorted(tables) if d.fiber(k[0]).atoms > 0]
+        top_of = lambda k: d.fiber(k[0]).top
+    else:
+        tables = d.reindex
+        keys = [f for f in sorted(tables) if d.fiber(d.base.morphisms[f][0]).atoms > 0]
+        top_of = lambda f: d.fiber(d.base.morphisms[f][0]).top
+    key = rng.choice(keys)
+    table = list(tables[key])
+    table[rng.randrange(len(table))] ^= rng.randint(1, top_of(key))
+    return d.with_tables(**{table_kind: {**tables, key: tuple(table)}})

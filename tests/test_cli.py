@@ -15,6 +15,7 @@ from doctrina.category import chain_category
 from doctrina.doctrine import full_marking, hbx_doctrine, subset_doctrine
 from doctrina.stratify import stratify
 
+from helpers import one_entry_mutant
 from test_stratify import chain_doctrine_with_proper_fragment
 
 
@@ -159,22 +160,6 @@ def test_stratify_command(tmp_path, capsys):
     assert "VERDICT pass" in out
 
 
-def _one_entry_mutants(d, rng, kind, count):
-    """Copies of `d` with one entry of one reindexing or universal table
-    changed to another element of the same fiber."""
-    tables = d.forall if kind == "forall" else d.reindex
-
-    def source(key):
-        return key[0] if kind == "forall" else d.base.morphisms[key][0]
-
-    keys = [k for k in sorted(tables) if d.fiber(source(k)).atoms > 0]
-    for _ in range(count):
-        key = rng.choice(keys)
-        table = list(tables[key])
-        table[rng.randrange(len(table))] ^= rng.randint(1, d.fiber(source(key)).top)
-        yield d.with_tables(**{kind: {**tables, key: tuple(table)}})
-
-
 def test_stratify_fails_every_mutant_as_verify_doctrine_does(capsys):
     # with a full marking there is one level and no pair for
     # verify_qa_stratified to check, so only the checks that run before it
@@ -183,8 +168,8 @@ def test_stratify_fails_every_mutant_as_verify_doctrine_does(capsys):
     marking = sexpr.marking_sexpr(full_marking(d))
     rng = random.Random(3)
     for kind in ("reindex", "forall"):
-        for mutant in _one_entry_mutants(d, rng, kind, 100):
-            text = sexpr.doctrine_sexpr(mutant)
+        for _ in range(100):
+            text = sexpr.doctrine_sexpr(one_entry_mutant(rng, d, kind))
             code, out = run_cli(["stratify", text, marking], capsys)
             expected = run_cli(["verify-doctrine", text, "--level", "stratified", "--marking", marking], capsys)
             assert (code, out) == expected, kind
@@ -221,7 +206,7 @@ def test_stratify_prints_its_levels_then_the_verify_doctrine_report(capsys):
 def test_a_level_that_needs_a_marking_exits_3_without_one(level, doctrine, capsys):
     d = hbx_doctrine(chain_category(2), "c1", BoolAlg(2))
     if doctrine == "failing":
-        d = next(_one_entry_mutants(d, random.Random(0), "reindex", 1))
+        d = one_entry_mutant(random.Random(0), d, "reindex")
     text = sexpr.doctrine_sexpr(d)
     verdict = run_cli(["verify-doctrine", text, "--level", "first-order"], capsys)[0]
     assert verdict == (0 if doctrine == "passing" else 1)

@@ -46,6 +46,8 @@ from doctrina.doctrine import (
 )
 from doctrina.category import Functor, identity_functor
 
+from helpers import one_entry_mutant
+
 
 def subset01():
     return subset_doctrine({"E": (), "U": ("*",)})
@@ -883,23 +885,6 @@ def test_change_of_base_rejects_malformed_functor():
 # --- pinned outputs -------------------------------------------------------------------------
 
 
-def _one_entry_mutant(rng, d, table_kind):
-    """A copy of `d` with one entry of one reindexing or universal table
-    changed to another element of the same fiber."""
-    if table_kind == "forall":
-        tables = d.forall
-        keys = [k for k in sorted(tables) if d.fiber(k[0]).atoms > 0]
-        top_of = lambda k: d.fiber(k[0]).top
-    else:
-        tables = d.reindex
-        keys = [f for f in sorted(tables) if d.fiber(d.base.morphisms[f][0]).atoms > 0]
-        top_of = lambda f: d.fiber(d.base.morphisms[f][0]).top
-    key = rng.choice(keys)
-    table = list(tables[key])
-    table[rng.randrange(len(table))] ^= rng.randint(1, top_of(key))
-    return d.with_tables(**{table_kind: {**tables, key: tuple(table)}})
-
-
 def _pinned_doctrines():
     rng = random.Random(2024)
     out = []
@@ -911,8 +896,8 @@ def _pinned_doctrines():
         out.append(d.with_tables(forall=all_forced_universals(d)))
     mutants = []
     for d in out:
-        mutants.append(_one_entry_mutant(rng, d, "reindex"))
-        mutants.append(_one_entry_mutant(rng, d, "forall"))
+        mutants.append(one_entry_mutant(rng, d, "reindex"))
+        mutants.append(one_entry_mutant(rng, d, "forall"))
     return out + mutants
 
 
