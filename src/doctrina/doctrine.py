@@ -151,22 +151,21 @@ def all_forced_universals(d: Doctrine) -> QuantTable:
     }
 
 
-def check_forall_tables(d: Doctrine) -> list[Violation]:
-    """Compare any carried quantifier tables against the forced adjoints."""
-    out = []
-    if d.forall is None:
-        return out
-    for (x, y), table in sorted(d.forall.items()):
-        forced = forced_universal(d, x, y)
-        for b, got in enumerate(table):
-            if got != forced[b]:
-                out.append(violation("forall-not-adjoint", X=x, Y=y, elem=b))
-    return out
+def check_forall_tables(d: Doctrine, x: str, y: str) -> list[Violation]:
+    """The entries where the universal table of (x, y) differs from the
+    forced adjoint, to report a table that breaks an adjunction law."""
+    forced = forced_universal(d, x, y)
+    return [violation("forall-not-adjoint", X=x, Y=y, elem=b)
+            for b, got in enumerate(d.universal_tables()[(x, y)]) if got != forced[b]]
 
 
 def verify_first_order(d: Doctrine) -> list[Violation]:
     """Order-preservation, unit, counit, and Beck-Chevalley for every chosen
-    product diagram, exhaustively over all fiber elements."""
+    product diagram, exhaustively over all fiber elements.  A table that
+    breaks one of the first three also gets a `forall-not-adjoint` line per
+    entry where it differs from the forced adjoint; one that keeps them is
+    that adjoint once `verify_boolean_doctrine` passes (right adjoints are
+    unique), so it needs no comparison."""
     out: list[Violation] = []
     cat = d.base
     tables = d.universal_tables()
@@ -181,6 +180,7 @@ def verify_first_order(d: Doctrine) -> list[Violation]:
             if len(table) != ap.size:
                 out.append(violation("forall-table", X=x, Y=y))
                 continue
+            before = len(out)
             if not is_monotone(ap, table):
                 for b in ap.elements():
                     for b2 in ap.elements():
@@ -192,6 +192,8 @@ def verify_first_order(d: Doctrine) -> list[Violation]:
             for b in ap.elements():
                 if not ap.leq(d.re(pr1, table[b]), b):
                     out.append(violation("forall-counit", X=x, Y=y, elem=b))
+            if len(out) > before:
+                out += check_forall_tables(d, x, y)
     for f, (x1, x) in sorted(cat.morphisms.items()):
         for y in cat.objects:
             t_upper = tables.get((x, y))

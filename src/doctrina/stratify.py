@@ -26,8 +26,9 @@ from .doctrine import (
 
 def check_submarking(d: Doctrine, marking: Marking, label: str = "P0") -> list[Violation]:
     """Subfunctor conditions: Boolean-subalgebra per fiber, closed under
-    reindexing."""
-    out: list[Violation] = []
+    reindexing; and no marked object the doctrine lacks."""
+    out = [violation("marking-unknown", level=label, X=x)
+           for x in sorted(marking) if x not in d.base.objects]
     for x in d.base.objects:
         alg = d.fiber(x)
         members = marking.get(x)
@@ -201,8 +202,9 @@ def verify_one_step(d: Doctrine, p0: Marking, p1: Marking) -> list[Violation]:
 
 
 def verify_qa_stratified(s: StratifiedSequence) -> list[Violation]:
-    """Every adjacent pair is a one-step doctrine and the one-step
-    quantifiers agree where the layers overlap."""
+    """The QA-stratified axioms: every adjacent pair is a one-step doctrine
+    and the one-step quantifiers agree where the layers overlap.  The
+    layers `stratify` builds satisfy them over a first-order doctrine."""
     out: list[Violation] = []
     for n in range(len(s.levels) - 1):
         errs = verify_one_step(s.ambient, s.levels[n], s.levels[n + 1])

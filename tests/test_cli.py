@@ -1,3 +1,4 @@
+import importlib
 import io
 import os
 import pathlib
@@ -214,6 +215,57 @@ def test_a_level_that_needs_a_marking_exits_3_without_one(level, doctrine, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"ERROR {level} level needs --marking\n"
+
+
+@pytest.mark.parametrize("level", ["boolean", "first-order", "elementary"])
+def test_a_level_that_reads_no_marking_exits_3_with_one(level, capsys):
+    text = sexpr.doctrine_sexpr(subset_doctrine({"E": (), "U": ("*",)}))
+    # the marking is refused before it is parsed: this one is not a document
+    assert main(["verify-doctrine", text, "--level", level, "--marking", "(marking (E 0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"ERROR {level} level takes no --marking\n"
+
+
+@pytest.mark.parametrize("level", ["qff", "one-step", "stratified"])
+def test_a_marked_object_the_doctrine_lacks_is_reported(level, capsys):
+    text = sexpr.doctrine_sexpr(subset_doctrine({"E": (), "U": ("*",)}))
+    marking = "(marking (E 0) (U 0 1) (Z 0 5 7))"
+    code, out = run_cli(["verify-doctrine", text, "--level", level, "--marking", marking], capsys)
+    assert code == 1 and out.endswith("VERDICT fail\n"), out
+    assert "VIOLATION marking-unknown level=P0 X=Z" in out
+    assert "NOTE stabilization index" not in out
+
+
+def test_the_stratified_level_compares_no_adjoint_of_a_table_that_keeps_the_laws(monkeypatch, capsys):
+    # a universal table that keeps monotonicity, the unit and the counit is
+    # the forced adjoint, so only a pair whose table breaks one is compared;
+    # the layers stratify builds are not checked again
+    from doctrina import cli, doctrine
+
+    # the package exports a function named stratify, so look the module up
+    stratify_module = importlib.import_module("doctrina.stratify")
+    d = hbx_doctrine(chain_category(3), "c2", BoolAlg(2))
+    mutant = one_entry_mutant(random.Random(1), d, "forall")
+    (pair,) = [k for k in d.forall if mutant.forall[k] != d.forall[k]]
+    marking = sexpr.marking_sexpr(full_marking(d))
+    compared, checked = [], []
+    forced_universal = doctrine.forced_universal
+
+    def counted(d, x, y):
+        compared.append((x, y))
+        return forced_universal(d, x, y)
+
+    monkeypatch.setattr(doctrine, "forced_universal", counted)
+    for module in (cli, stratify_module):
+        monkeypatch.setattr(module, "verify_qa_stratified", lambda seq: checked.append(seq) or [])
+    argv = ["verify-doctrine", sexpr.doctrine_sexpr(d), "--level", "stratified", "--marking", marking]
+    assert run_cli(argv, capsys)[0] == 0
+    assert compared == [] and checked == []
+    argv[1] = sexpr.doctrine_sexpr(mutant)
+    code, out = run_cli(argv, capsys)
+    assert code == 1 and f"VIOLATION forall-not-adjoint X={pair[0]} Y={pair[1]} " in out
+    assert compared == [pair] and checked == []
 
 
 def test_prefix_demo_separations(capsys):

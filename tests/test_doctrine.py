@@ -27,7 +27,6 @@ from doctrina.doctrine import (
     DoctrineError,
     all_forced_universals,
     change_of_base,
-    check_forall_tables,
     derive_exists,
     embedding_morphism,
     find_fibered_equalities,
@@ -402,7 +401,6 @@ def test_subset_doctrine_passes_all_verifiers():
     assert d.base.check() == []
     assert verify_boolean_doctrine(d) == []
     assert verify_first_order(d) == []
-    assert check_forall_tables(d) == []
 
 
 def test_subset_forall_displays():
@@ -501,7 +499,7 @@ def test_verifier_pinpoints_corrupted_quantifier():
     kinds = {v.kind for v in violations}
     assert kinds & {"forall-unit", "forall-counit", "forall-monotone"}
     assert any(("X", "U") in v.data for v in violations)
-    assert check_forall_tables(d2)
+    assert "forall-not-adjoint" in kinds
 
 
 def test_identity_quantifier_on_nontrivial_fiber_fails():
@@ -543,7 +541,6 @@ def test_hbx_over_chain_passes_first_order():
             d = hbx_doctrine(cat, x, BoolAlg(2))
             assert verify_boolean_doctrine(d) == []
             assert verify_first_order(d) == []
-            assert check_forall_tables(d) == []
 
 
 def _elementwise_subset_tables(sets):

@@ -8,6 +8,7 @@ from doctrina.doctrine import (
     Doctrine,
     DoctrineError,
     all_forced_universals,
+    close_boolean_substitution,
     embedding_morphism,
     find_fibered_equalities,
     full_marking,
@@ -250,3 +251,40 @@ def test_fragment_delta_must_be_marked():
     restricted["U"] = frozenset({0})
     out = verify_elementary(d, family, marking=restricted)
     assert any(v.kind == "delta-not-marked" for v in out)
+
+
+def test_stratify_builds_qa_stratified_layers_from_every_fragment():
+    # verify-doctrine --level stratified relies on this instead of running
+    # verify_qa_stratified: the layers of a quantifier-free fragment of a
+    # doctrine that passes the Boolean and first-order laws are
+    # QA-stratified.  Beck-Chevalley is one of those laws: without it the
+    # one-step check can fail
+    rng = random.Random(18)
+    doctrines = [
+        hbx_doctrine(chain_category(n), x, BoolAlg(k))
+        for n in range(1, 5)
+        for x in chain_category(n).objects
+        for k in range(1, 4)
+    ]
+    for _ in range(300):
+        d = random_doctrine(rng, 3, 3)
+        doctrines.append(d.with_tables(forall=all_forced_universals(d)))
+    deep = first_order = 0
+    failing_kinds = set()
+    for d in doctrines:
+        first_order_passes = not verify_boolean_doctrine(d) and not verify_first_order(d)
+        for _ in range(6):
+            x = rng.choice(d.base.objects)
+            m = close_boolean_substitution(d, {x: {rng.randrange(d.fiber(x).size)}})
+            if verify_qff(d, m):
+                continue
+            seq = stratify(d, m)
+            lines = verify_qa_stratified(seq)
+            if first_order_passes:
+                assert lines == [], lines
+                first_order += 1
+                deep += seq.stabilization_index >= 1
+            else:
+                failing_kinds |= {v.kind for v in lines}
+    assert first_order >= 500 and deep >= 100, (first_order, deep)
+    assert "level0-one-step-beck-chevalley" in failing_kinds

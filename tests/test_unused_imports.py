@@ -78,7 +78,7 @@ TESTS_ONLY_CONSTRUCTIONS = {
         "verify_morphism",
     },
     "lang.py": {"compose_ctx", "identity_morphism", "pairing"},
-    "stratify.py": {"colimit"},
+    "stratify.py": {"colimit", "verify_qa_stratified"},
     "syntactic.py": {
         "epr_valid",
         "is_quantifier_free_modulo",
