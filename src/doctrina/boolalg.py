@@ -100,13 +100,16 @@ class BAHom:
         return BAHom(other.source, self.target, tuple(other.atom_map[i] for i in self.atom_map))
 
 
-def _preserves_joins(table, size: int) -> bool:
-    """Whether an element-indexed table sends 0 to 0 and every element to
-    the join of its atoms' images: on a powerset algebra these are exactly
-    the maps that preserve all joins."""
-    return table[0] == 0 and all(
-        table[a] == table[a & (a - 1)] | table[a & -a] for a in range(1, size)
-    )
+def _preserves_joins(table, alg: BoolAlg) -> bool:
+    """Whether an element-indexed table over `alg` sends every element to
+    the join of its atoms' images (0 to 0): on a powerset algebra these are
+    exactly the maps that preserve all joins.  Decided by one comparison
+    with the join table of the atom images, built one atom at a time."""
+    joins = [0]
+    for i in range(alg.atoms):
+        image = table[1 << i]
+        joins += [v | image for v in joins]
+    return joins == list(table[:alg.size])
 
 
 def is_monotone(alg: BoolAlg, table) -> bool:
@@ -126,7 +129,7 @@ def is_monotone(alg: BoolAlg, table) -> bool:
 def _is_hom(src: BoolAlg, dst: BoolAlg, table) -> bool:
     """Whether a table preserves joins and its atom images are pairwise
     disjoint and join to the top of dst."""
-    if not _preserves_joins(table, src.size):
+    if not _preserves_joins(table, src):
         return False
     seen = 0
     for i in range(src.atoms):
@@ -173,7 +176,7 @@ def right_adjoint_of(src: BoolAlg, dst: BoolAlg, f: Callable[[int], int]) -> tup
     b, so R(b) is the join of those atoms, in O(n) per b.  Otherwise the
     join runs over all a, as the definition says."""
     values = [f(a) for a in src.elements()]
-    if _preserves_joins(values, src.size):
+    if _preserves_joins(values, src):
         atoms = [(1 << i, values[1 << i]) for i in range(src.atoms)]
         return tuple(src.join_all(bit for bit, v in atoms if dst.leq(v, b)) for b in dst.elements())
     return tuple(src.join_all(a for a, v in enumerate(values) if dst.leq(v, b)) for b in dst.elements())

@@ -1,11 +1,15 @@
 """The s-expression text format for every document the tools exchange:
 formulas, sequents, signatures, theories, structures, proofs, doctrine
 descriptions, and markings.  Parsing is whitespace-insensitive, and every
-error names its position as a 1-based `line:col`.  A node keeps only the
-index of its first token; positions come from `tokenize`, computed when an
-error is raised and never otherwise.  Printing is canonical, so parse after
-print is the identity on every document the suite produces.  Documents nest
-at most `MAX_NESTING` brackets deep."""
+error names its position as a 1-based `line:col`.  Printing is canonical, so
+parse after print is the identity on every document the suite produces.
+Documents nest at most `MAX_NESTING` brackets deep.
+
+The tree is built once per bracket, not once per token: a list (`SList`)
+keeps the token indices of its `(` and its `)`, and an atom is a plain `str`
+in its list.  Positions are computed only when an error is raised: an atom's
+token index is its parent's `(` plus one plus the tokens of its earlier
+siblings (`_at`), and `tokenize` turns a token index into `line:col`."""
 
 from __future__ import annotations
 
@@ -58,32 +62,12 @@ class _Source:
         return self.positions[k]
 
 
-class _Node:
-    """A node of the tree: the index of its first token (an atom, or the
-    bracket that opens a list) in the document's token sequence."""
+class SList:
+    """A bracketed list: its items, each a `str` atom or an `SList`, and the
+    token indices of its `(` (`index`) and of its `)` (`close`, set when the
+    `)` is read)."""
 
-    __slots__ = ("index", "source")
-
-    @property
-    def line(self) -> int:
-        return self.source.position(self.index)[0]
-
-    @property
-    def col(self) -> int:
-        return self.source.position(self.index)[1]
-
-
-class SAtom(_Node):
-    __slots__ = ("text",)
-
-    def __init__(self, text: str, index: int, source: _Source):
-        self.text = text
-        self.index = index
-        self.source = source
-
-
-class SList(_Node):
-    __slots__ = ("items",)
+    __slots__ = ("items", "index", "close", "source")
 
     def __init__(self, items: list, index: int, source: _Source):
         self.items = items
@@ -91,7 +75,20 @@ class SList(_Node):
         self.source = source
 
 
-SNode = Union[SAtom, SList]
+class SAtom(str):
+    """An atom that knows its token index.  A list holds its atoms as plain
+    `str`; this view is built only for a document that is one atom, for an
+    atom a reader passes to a reader that may report it, and for an atom
+    being reported (`_at`)."""
+
+    def __new__(cls, text: str, index: int, source: _Source):
+        atom = super().__new__(cls, text)
+        atom.index = index
+        atom.source = source
+        return atom
+
+
+SNode = Union[str, SList]
 
 # The formula, term and proof walkers recurse once per bracket of their
 # input, with up to four Python frames each; within this limit they stay
@@ -99,14 +96,15 @@ SNode = Union[SAtom, SList]
 # here instead.
 MAX_NESTING = 200
 
-# A bracket or an atom (a run of characters other than brackets, `;` and
-# whitespace); a comment runs to the end of its line.  `tokenize` also
-# matches line breaks, to count lines; spaces, tabs and carriage returns
-# match nothing and are skipped.  `parse_many` reads the same brackets and
-# atoms, in the same order, from the text with its comments removed.
-_BRACKET_OR_ATOM = re.compile(r"[()]|[^(); \t\r\n]+")
+# A bracket, an atom, a comment or a line break.  An atom is a run of
+# characters other than brackets, `;` and the four separators: space, tab,
+# CR and LF (nothing else separates atoms, so `\x0b` or `\xa0` stays inside
+# one).  A comment runs to the end of its line.  `tokenize` matches line
+# breaks to count lines; the other separators match nothing and are skipped.
+# `parse_many` reads the same brackets and atoms, in the same order, from the
+# text with its comments removed.
 _COMMENT = re.compile(r";[^\n]*")
-_TOKEN = re.compile(rf"{_BRACKET_OR_ATOM.pattern}|{_COMMENT.pattern}|\n")
+_TOKEN = re.compile(rf"[()]|[^(); \t\r\n]+|{_COMMENT.pattern}|\n")
 
 
 def tokenize(text: str):
@@ -130,64 +128,97 @@ def parse_sexpr(text: str) -> SNode:
 
 
 def parse_many(text: str) -> list[SNode]:
-    """The documents of `text`.  The k-th token read here is the k-th token
-    of `tokenize`, which gives its position when an error needs one."""
+    """The documents of `text`, a document that is one atom as an `SAtom`.
+
+    The text is split at its brackets, and each run between two brackets
+    into atoms at the separators alone, so the loop turns once per bracket.
+    The documents are the items of a root list whose `(` is token -1; `k`
+    counts the tokens read, in the order of `tokenize`, which gives the
+    position of token `k` when an error needs one."""
     source = _Source(text)
     if ";" in text:
         text = _COMMENT.sub("", text)
-    stack: list[SList] = []
-    out: list[SNode] = []
-    items = out
-    for k, tok in enumerate(_BRACKET_OR_ATOM.findall(text)):
-        if tok == "(":
-            if len(stack) == MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING} brackets", *source.position(k))
-            node = SList([], k, source)
-            items.append(node)
-            stack.append(node)
-            items = node.items
-        elif tok == ")":
-            if not stack:
-                raise ParseError("unmatched ')'", *source.position(k))
-            stack.pop()
-            items = stack[-1].items if stack else out
+    text = text.replace("\t", " ").replace("\r", " ").replace("\n", " ")
+    root = SList([], -1, source)
+    stack = [root]
+    items = root.items
+    k = 0
+    for i, piece in enumerate(text.split("(")):
+        for j, run in enumerate(piece.split(")")):
+            if j:  # the run follows a `)`
+                if len(stack) == 1:
+                    raise ParseError("unmatched ')'", *source.position(k))
+                stack.pop().close = k
+                items = stack[-1].items
+                k += 1
+            elif i:  # the run follows a `(`
+                if len(stack) > MAX_NESTING:
+                    raise ParseError(f"nesting deeper than {MAX_NESTING} brackets", *source.position(k))
+                node = SList([], k, source)
+                items.append(node)
+                stack.append(node)
+                items = node.items
+                k += 1
+            if run and run != " ":
+                before = len(items)
+                items += filter(None, run.split(" "))
+                k += len(items) - before
+    if len(stack) > 1:
+        _fail(stack[-1], "unclosed '('")
+    out = root.items
+    k = 0
+    for i, node in enumerate(out):
+        if isinstance(node, SList):
+            k = node.close + 1
         else:
-            items.append(SAtom(tok, k, source))
-    if stack:
-        raise ParseError("unclosed '('", stack[-1].line, stack[-1].col)
+            out[i] = SAtom(node, k, source)
+            k += 1
     return out
 
 
-def _fail(node: SNode, message: str):
-    raise ParseError(message, node.line, node.col)
+def _at(parent: SList, k: int) -> SNode:
+    """Item `k` of `parent`, an atom as an `SAtom`: its token index is the
+    parent's `(` plus one plus the tokens of the items before it."""
+    node = parent.items[k]
+    if isinstance(node, SList):
+        return node
+    index = parent.index + 1
+    for item in parent.items[:k]:
+        index += item.close - item.index + 1 if isinstance(item, SList) else 1
+    return SAtom(node, index, parent.source)
+
+
+def _fail(node: Union[SAtom, SList], message: str):
+    raise ParseError(message, *node.source.position(node.index))
 
 
 def _head(node: SNode) -> Optional[str]:
-    if isinstance(node, SList) and node.items and isinstance(node.items[0], SAtom):
-        return node.items[0].text
+    if isinstance(node, SList) and node.items and isinstance(node.items[0], str):
+        return node.items[0]
     return None
 
 
 def _atom_text(node: SNode, what: str) -> str:
-    if not isinstance(node, SAtom):
+    if not isinstance(node, str):
         _fail(node, f"expected {what}")
-    return node.text
+    return node
 
 
-def _int(node: SNode, what: str) -> int:
-    text = _atom_text(node, what)
+def _int(item: SList, k: int, what: str) -> int:
+    """Item `k` of `item` as an integer."""
+    text = _atom_text(item.items[k], what)
     try:
         return int(text)
     except ValueError:
-        _fail(node, f"expected an integer {what}, got {text!r}")
+        _fail(_at(item, k), f"expected an integer {what}, got {text!r}")
 
 
 # --- terms and formulas -------------------------------------------------------
 
 
 def parse_term(node: SNode) -> Term:
-    if isinstance(node, SAtom):
-        return Var(node.text)
+    if isinstance(node, str):
+        return Var(str(node))  # a plain `str`, also for an `SAtom`
     if not node.items:
         _fail(node, "empty term")
     sym = _atom_text(node.items[0], "function symbol")
@@ -207,12 +238,12 @@ _CONNECTIVES = {"true", "false", "not", "and", "or", "imp", "forall", "exists", 
 
 
 def parse_formula(node: SNode) -> Formula:
-    if isinstance(node, SAtom):
-        if node.text == "true":
+    if isinstance(node, str):
+        if node == "true":
             return Top()
-        if node.text == "false":
+        if node == "false":
             return Bot()
-        return Pred(node.text)
+        return Pred(str(node))  # a plain `str`, also for an `SAtom`
     if not node.items:
         _fail(node, "empty formula")
     head = _atom_text(node.items[0], "formula head")
@@ -283,7 +314,7 @@ def parse_sequent(node: SNode) -> Sequent:
     if _head(node) != "seq":
         _fail(node, "expected (seq (ctx ...) (ants ...) (sucs ...))")
     ctx_node = ants_node = sucs_node = None
-    for item in node.items[1:]:
+    for k, item in enumerate(node.items[1:], 1):
         h = _head(item)
         if h == "ctx":
             ctx_node = item
@@ -292,7 +323,7 @@ def parse_sequent(node: SNode) -> Sequent:
         elif h == "sucs":
             sucs_node = item
         else:
-            _fail(item, "expected a ctx, ants, or sucs section")
+            _fail(_at(node, k), "expected a ctx, ants, or sucs section")
     if ctx_node is None:
         _fail(node, "missing (ctx ...)")
     vars_ = tuple(_atom_text(v, "variable") for v in ctx_node.items[1:])
@@ -325,27 +356,21 @@ def parse_signature(node: SNode) -> Signature:
     predicates: list[tuple[str, int]] = []
     families: list[PredicateFamily] = []
     has_eq = False
-    for item in node.items[1:]:
+    for k, item in enumerate(node.items[1:], 1):
         h = _head(item)
-        if h == "functions":
-            for f in item.items[1:]:
+        if h in ("functions", "predicates"):
+            symbols = functions if h == "functions" else predicates
+            for j, f in enumerate(item.items[1:], 1):
                 if not isinstance(f, SList) or len(f.items) != 2:
-                    _fail(f, "expected (name arity)")
-                functions.append((_atom_text(f.items[0], "name"), _int(f.items[1], "arity")))
-        elif h == "predicates":
-            for p in item.items[1:]:
-                if not isinstance(p, SList) or len(p.items) != 2:
-                    _fail(p, "expected (name arity)")
-                predicates.append((_atom_text(p.items[0], "name"), _int(p.items[1], "arity")))
+                    _fail(_at(item, j), "expected (name arity)")
+                symbols.append((_atom_text(f.items[0], "name"), _int(f, 1, "arity")))
         elif h == "families":
             for fam in item.items[1:]:
                 families.append(PredicateFamily(_atom_text(fam, "family prefix")))
-        elif isinstance(item, SAtom) and item.text == "equality":
-            has_eq = True
-        elif h == "equality":
+        elif item == "equality" or h == "equality":
             has_eq = True
         else:
-            _fail(item, "unknown signature section")
+            _fail(_at(node, k), "unknown signature section")
     try:
         return Signature(tuple(functions), tuple(predicates), has_eq, tuple(families))
     except LangError as e:
@@ -371,7 +396,7 @@ def parse_theory(node: SNode) -> Theory:
     sig = None
     axioms: list[Formula] = []
     axioms_node = node
-    for item in node.items[1:]:
+    for k, item in enumerate(node.items[1:], 1):
         h = _head(item)
         if h == "signature":
             sig = parse_signature(item)
@@ -379,7 +404,7 @@ def parse_theory(node: SNode) -> Theory:
             axioms = [parse_formula(f) for f in item.items[1:]]
             axioms_node = item
         else:
-            _fail(item, "unknown theory section")
+            _fail(_at(node, k), "unknown theory section")
     if sig is None:
         _fail(node, "theory needs a signature")
     try:
@@ -402,7 +427,7 @@ def parse_structure(node: SNode) -> FiniteStructure:
     carrier: tuple = ()
     functions: dict[str, dict[tuple, object]] = {}
     predicates: dict[str, frozenset] = {}
-    for item in node.items[1:]:
+    for k, item in enumerate(node.items[1:], 1):
         h = _head(item)
         if h == "carrier":
             carrier = tuple(_atom_text(e, "carrier element") for e in item.items[1:])
@@ -411,25 +436,25 @@ def parse_structure(node: SNode) -> FiniteStructure:
         elif h == "fun":
             name = _atom_text(item.items[1], "function name")
             table = {}
-            for entry in item.items[2:]:
+            for j, entry in enumerate(item.items[2:], 2):
                 if not isinstance(entry, SList) or len(entry.items) != 2:
-                    _fail(entry, "expected ((args...) value)")
+                    _fail(_at(item, j), "expected ((args...) value)")
                 args_node, val = entry.items
                 if not isinstance(args_node, SList):
-                    _fail(args_node, "expected an argument tuple")
+                    _fail(_at(entry, 0), "expected an argument tuple")
                 args = tuple(_atom_text(a, "argument") for a in args_node.items)
                 table[args] = _atom_text(val, "value")
             functions[name] = table
         elif h == "pred":
             name = _atom_text(item.items[1], "predicate name")
             tuples = []
-            for entry in item.items[2:]:
+            for j, entry in enumerate(item.items[2:], 2):
                 if not isinstance(entry, SList):
-                    _fail(entry, "expected a tuple")
+                    _fail(_at(item, j), "expected a tuple")
                 tuples.append(tuple(_atom_text(a, "element") for a in entry.items))
             predicates[name] = frozenset(tuples)
         else:
-            _fail(item, "unknown structure section")
+            _fail(_at(node, k), "unknown structure section")
     try:
         return FiniteStructure(carrier, functions, predicates)
     except SemanticsError as e:
@@ -462,20 +487,20 @@ def parse_proof(node: SNode) -> ProofTree:
     rule = None
     concl = None
     premises: list[ProofTree] = []
-    for item in node.items[1:]:
+    for k, item in enumerate(node.items[1:], 1):
         h = _head(item)
         if h == "rule":
             if len(item.items) < 2:
                 _fail(item, "rule needs a tag")
             tag = _atom_text(item.items[1], "rule tag")
             kw = {}
-            for arg in item.items[2:]:
+            for j, arg in enumerate(item.items[2:], 2):
                 if not isinstance(arg, SList) or len(arg.items) != 2:
-                    _fail(arg, "expected (key value) rule argument")
+                    _fail(_at(item, j), "expected (key value) rule argument")
                 key = _atom_text(arg.items[0], "rule argument key")
                 val = arg.items[1]
                 if key in ("pos", "which"):
-                    kw[key] = _int(val, key)
+                    kw[key] = _int(arg, 1, key)
                 elif key in ("term", "term2"):
                     kw[key] = parse_term(val)
                 elif key == "var":
@@ -488,11 +513,11 @@ def parse_proof(node: SNode) -> ProofTree:
         elif h == "concl":
             if len(item.items) != 2:
                 _fail(item, "concl takes one sequent")
-            concl = parse_sequent(item.items[1])
+            concl = parse_sequent(_at(item, 1))
         elif h == "premises":
-            premises = [parse_proof(p) for p in item.items[1:]]
+            premises = [parse_proof(_at(item, j)) for j in range(1, len(item.items))]
         else:
-            _fail(item, "unknown proof section")
+            _fail(_at(node, k), "unknown proof section")
     if rule is None or concl is None:
         _fail(node, "proof needs a rule and a conclusion")
     return ProofTree(concl, rule, tuple(premises))
@@ -542,35 +567,35 @@ _DOCTRINE_PARTS = {
 _OPEN_SECTIONS = ("objects", "reindex", "forall")
 
 
-def _element(node: SNode, alg: Optional[BoolAlg], what: str) -> int:
-    v = _int(node, what)
+def _element(item: SList, k: int, alg: Optional[BoolAlg], what: str) -> int:
+    v = _int(item, k, what)
     if alg is not None and (v < 0 or v >> alg.atoms):
-        _fail(node, f"{what} {v} is not an element of a fiber with {alg.atoms} atoms")
+        _fail(_at(item, k), f"{what} {v} is not an element of a fiber with {alg.atoms} atoms")
     return v
 
 
-def _elements(nodes: list, alg: Optional[BoolAlg], what: str) -> tuple[int, ...]:
-    """The integer entries `nodes`, each an element of `alg` unless it is
-    None: read in one pass, and entry by entry only to report the first
-    entry that is not one."""
+def _elements(item: SList, start: int, alg: Optional[BoolAlg], what: str) -> tuple[int, ...]:
+    """The integer entries of `item` from part `start` on, each an element
+    of `alg` unless it is None: read in one pass, and entry by entry only
+    to report the first entry that is not one."""
     try:
-        values = tuple(map(int, [n.text for n in nodes]))
-    except (AttributeError, ValueError):  # a list entry, or a text int() refuses
+        values = tuple(map(int, item.items[start:]))
+    except (TypeError, ValueError):  # a list entry, or a text int() refuses
         pass
     else:
         if alg is None or not values or (min(values) >= 0 and not max(values) >> alg.atoms):
             return values
-    return tuple(_element(n, alg, what) for n in nodes)
+    return tuple(_element(item, k, alg, what) for k in range(start, len(item.items)))
 
 
 def _table(item: SList, start: int, over: BoolAlg, into: BoolAlg) -> tuple[int, ...]:
     """The entries of a table section from part `start` on: one per element
     of `over` (a huge atom count is refused before its size is built), each
     an element of `into`."""
-    nodes = item.items[start:]
-    if over.atoms >= len(nodes).bit_length() or len(nodes) != over.size:
-        _fail(item, f"table has {len(nodes)} entries for a fiber with {over.atoms} atoms")
-    return _elements(nodes, into, "table entry")
+    count = len(item.items) - start
+    if over.atoms >= count.bit_length() or count != over.size:
+        _fail(item, f"table has {count} entries for a fiber with {over.atoms} atoms")
+    return _elements(item, start, into, "table entry")
 
 
 def parse_doctrine(node: SNode) -> Doctrine:
@@ -582,10 +607,10 @@ def parse_doctrine(node: SNode) -> Doctrine:
     if _head(node) != "doctrine":
         _fail(node, "expected (doctrine ...)")
     sections: dict[str, list[SList]] = {h: [] for h in _DOCTRINE_PARTS}
-    for item in node.items[1:]:
+    for k, item in enumerate(node.items[1:], 1):
         h = _head(item)
         if h not in _DOCTRINE_PARTS:
-            _fail(item, "unknown doctrine section")
+            _fail(_at(node, k), "unknown doctrine section")
         n, given = _DOCTRINE_PARTS[h], len(item.items) - 1
         if given < n or (given > n and h not in _OPEN_SECTIONS):
             at_least = "at least " if h in _OPEN_SECTIONS else ""
@@ -597,46 +622,39 @@ def parse_doctrine(node: SNode) -> Doctrine:
         objects = [_atom_text(o, "object") for o in item.items[1:]]
     listed = set(objects)
 
-    def obj(n: SNode) -> str:
-        text = _atom_text(n, "object")
+    def obj(item: SList, k: int) -> str:
+        text = _atom_text(item.items[k], "object")
         if text not in listed:
-            _fail(n, f"{text} is not a listed object")
+            _fail(_at(item, k), f"{text} is not a listed object")
         return text
 
     morphisms: dict[str, tuple[str, str]] = {}
     for item in sections["morphism"]:
         name = _atom_text(item.items[1], "morphism")
-        morphisms[name] = (obj(item.items[2]), obj(item.items[3]))
+        morphisms[name] = (obj(item, 2), obj(item, 3))
 
-    def mor(n: SNode) -> str:
-        text = _atom_text(n, "morphism")
+    def mor(item: SList, k: int) -> str:
+        text = _atom_text(item.items[k], "morphism")
         if text not in morphisms:
-            _fail(n, f"{text} is not a declared morphism")
+            _fail(_at(item, k), f"{text} is not a declared morphism")
         return text
 
     if not sections["terminal"]:
         _fail(node, "doctrine needs a terminal object")
-    terminal = obj(sections["terminal"][-1].items[1])
-    ident = {obj(item.items[1]): mor(item.items[2]) for item in sections["identity"]}
-    comp = {
-        (mor(item.items[1]), mor(item.items[2])): mor(item.items[3])
-        for item in sections["compose"]
-    }
+    terminal = obj(sections["terminal"][-1], 1)
+    ident = {obj(item, 1): mor(item, 2) for item in sections["identity"]}
+    comp = {(mor(item, 1), mor(item, 2)): mor(item, 3) for item in sections["compose"]}
     products = {
-        (obj(item.items[1]), obj(item.items[2])):
-            (obj(item.items[3]), mor(item.items[4]), mor(item.items[5]))
+        (obj(item, 1), obj(item, 2)): (obj(item, 3), mor(item, 4), mor(item, 5))
         for item in sections["product"]
     }
-    pairings = {
-        (mor(item.items[1]), mor(item.items[2])): mor(item.items[3])
-        for item in sections["pairing"]
-    }
+    pairings = {(mor(item, 1), mor(item, 2)): mor(item, 3) for item in sections["pairing"]}
     fibers: dict[str, BoolAlg] = {}
     for item in sections["fiber"]:
         try:
-            fibers[obj(item.items[1])] = BoolAlg(_int(item.items[2], "atom count"))
+            fibers[obj(item, 1)] = BoolAlg(_int(item, 2, "atom count"))
         except BoolAlgError as e:
-            _fail(item.items[2], str(e))
+            _fail(_at(item, 2), str(e))
     for x in objects:
         for what, given in (("identity", ident), ("fiber", fibers)):
             if x not in given:
@@ -647,17 +665,17 @@ def parse_doctrine(node: SNode) -> Doctrine:
 
     reindex: dict[str, tuple[int, ...]] = {}
     for item in sections["reindex"]:
-        f = mor(item.items[1])
+        f = mor(item, 1)
         x, y = morphisms[f]
         reindex[f] = _table(item, 2, fibers[y], fibers[x])
     forall: dict[tuple[str, str], tuple[int, ...]] = {}
     for item in sections["forall"]:
-        a, b = obj(item.items[1]), obj(item.items[2])
+        a, b = obj(item, 1), obj(item, 2)
         forall[(a, b)] = _table(item, 3, fibers[products[(a, b)][0]], fibers[a])
     delta: dict[str, int] = {}
     for item in sections["delta"]:
-        x = obj(item.items[1])
-        delta[x] = _elements(item.items[2:], fibers[products[(x, x)][0]], "element")[0]
+        x = obj(item, 1)
+        delta[x] = _elements(item, 2, fibers[products[(x, x)][0]], "element")[0]
     cat = FPCategory(tuple(objects), morphisms, comp, ident, terminal, products, pairings)
     return Doctrine(cat, fibers, reindex, forall=forall or None, delta=delta or None)
 
@@ -697,11 +715,11 @@ def parse_marking(node: SNode, doctrine: Doctrine) -> Marking:
     if _head(node) != "marking":
         _fail(node, "expected (marking (object elems...) ...)")
     out: Marking = {}
-    for item in node.items[1:]:
+    for k, item in enumerate(node.items[1:], 1):
         if not isinstance(item, SList) or not item.items:
-            _fail(item, "expected (object elems...)")
+            _fail(_at(node, k), "expected (object elems...)")
         obj = _atom_text(item.items[0], "object")
-        out[obj] = frozenset(_elements(item.items[1:], doctrine.fibers.get(obj), "element"))
+        out[obj] = frozenset(_elements(item, 1, doctrine.fibers.get(obj), "element"))
     return out
 
 

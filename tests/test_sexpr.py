@@ -374,3 +374,107 @@ def test_markings_of_objects_the_doctrine_lacks_keep_any_integer():
     node = sexpr.parse_sexpr("(marking (U 1 0 1) (W -5 99) (E))")
     assert sexpr.parse_marking(node, d) == {
         "U": frozenset({0, 1}), "W": frozenset({-5, 99}), "E": frozenset()}
+
+
+# --- the tree and its positions --------------------------------------------------
+
+
+def _tokens_of_tree(nodes):
+    """(token, token index, positioned item) for every token of a parse, in
+    tree order: each atom as the view `_at` gives, each list at its `(` and
+    again at its `)`."""
+    out = []
+
+    def walk(parent, items):
+        for k, item in enumerate(items):
+            node = item if parent is None else sexpr._at(parent, k)
+            if isinstance(node, sexpr.SList):
+                out.append(("(", node.index, node))
+                walk(node, node.items)
+                out.append((")", node.close, node))
+            else:
+                out.append((str(node), node.index, node))
+
+    walk(None, nodes)
+    return out
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(st.text(alphabet="();\t\r\n ab1é\x0b\x00", max_size=60))
+def test_the_tree_is_the_token_sequence(text):
+    try:
+        nodes = sexpr.parse_many(text)
+    except ParseError:
+        return
+    tokens = list(sexpr.tokenize(text))
+    flat = _tokens_of_tree(nodes)
+    assert [tok for tok, _, _ in flat] == [tok for tok, _, _ in tokens]
+    for k, ((tok, index, node), (_, line, col)) in enumerate(zip(flat, tokens)):
+        assert index == k
+        assert node.source.position(index) == (line, col)
+
+
+def test_table_entries_are_plain_strings():
+    # no node per table entry: the items of table and marking sections are str
+    tree = sexpr.parse_sexpr(TABLE_DOCTRINE)
+    sections = [item for item in tree.items if sexpr._head(item) in ("reindex", "forall", "delta")]
+    marking = sexpr.parse_sexpr("(marking (E 0) (U 0 1))")
+    assert len(sections) > 5
+    for item in sections + marking.items[1:]:
+        assert all(type(entry) is str for entry in item.items)
+
+
+SEQ = "(seq (ctx) (ants) (sucs))"
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    # lone-atom documents after whitespace, a comment or CR LF
+    ("doctrine", "  foo", "1:3: expected (doctrine ...)"),
+    ("doctrine", "; a comment\nfoo", "2:1: expected (doctrine ...)"),
+    ("sequent", "\r\n  x", "2:3: expected (seq (ctx ...) (ants ...) (sucs ...))"),
+    # an atom after nested lists among its siblings
+    ("sequent", "(seq (ctx x) (ants (P (f (g x)))) junk)", "1:35: expected a ctx, ants, or sucs section"),
+    ("structure", "(structure (carrier a) (fun f ((a) a) zz))", "1:39: expected ((args...) value)"),
+    ("structure", "(structure (carrier a) (pred P (a) zz))", "1:36: expected a tuple"),
+    ("theory", "(theory (signature (predicates (P 1))) junk)", "1:40: unknown theory section"),
+    ("doctrine", "(doctrine (objects A) junk)", "1:23: unknown doctrine section"),
+    # atom children of concl, premises, ants, rule, signature and marking
+    ("proof", "(proof (rule Id) (concl x) (premises))", "1:25: expected (seq (ctx ...) (ants ...) (sucs ...))"),
+    ("proof", f"(proof (rule Id) (concl {SEQ}) (premises x))",
+     "1:62: expected (proof (rule ...) (concl ...) (premises ...))"),
+    ("sequent", "(seq (ctx x) (ants P Q) (sucs R) junk)", "1:34: expected a ctx, ants, or sucs section"),
+    ("sequent", "(seq (ctx x) ants (sucs))", "1:14: expected a ctx, ants, or sucs section"),
+    ("proof", f"(proof (rule Id zz) (concl {SEQ}) (premises))", "1:17: expected (key value) rule argument"),
+    ("proof", f"(proof (rule LW (pos 0) zz) (concl {SEQ}) (premises))", "1:25: expected (key value) rule argument"),
+    ("proof", f"(proof (rule LW (pos a)) (concl {SEQ}) (premises))", "1:22: expected an integer pos, got 'a'"),
+    ("signature", "(signature (predicates (P 1) Q))", "1:30: expected (name arity)"),
+    ("signature", "(signature (functions (f x)))", "1:26: expected an integer arity, got 'x'"),
+    ("signature", "(signature (functions (f 1)) junk)", "1:30: unknown signature section"),
+    ("marking", "(marking (U 0) x)", "1:16: expected (object elems...)"),
+    ("marking", "(marking (E 0)\n (U 1 y))", "2:7: expected an integer element, got 'y'"),
+    # \xa0 and \x0b do not separate atoms
+    ("marking", "(marking (U 0\xa01))", "1:13: expected an integer element, got '0\\xa01'"),
+    ("marking", "(marking (U 1\x0b0))", "1:13: expected an integer element, got '1\\x0b0'"),
+    ("doctrine", "a\x0bb", "1:1: expected (doctrine ...)"),
+    ("doctrine", "a\xa0b c", "1:1: expected one document, found 2"),
+    # the nesting limit, and brackets that do not match
+    ("sexpr", "(" * 200 + ")" * 200, None),
+    ("sexpr", "(" * 201 + ")" * 201, "1:201: nesting deeper than 200 brackets"),
+    ("sexpr", "\n" + "(" * 201 + ")" * 201, "2:201: nesting deeper than 200 brackets"),
+    ("sexpr", "(a ((b) c) d) )", "1:15: unmatched ')'"),
+    ("sexpr", "(a ((b) c)\n (d", "2:2: unclosed '('"),
+])
+def test_positions_that_only_the_parent_knows(reader, text, message):
+    d = subset_doctrine({"E": (), "U": ("*",)})
+    parse = {
+        "doctrine": sexpr.parse_doctrine, "sequent": sexpr.parse_sequent, "proof": sexpr.parse_proof,
+        "signature": sexpr.parse_signature, "theory": sexpr.parse_theory,
+        "structure": sexpr.parse_structure, "marking": lambda node: sexpr.parse_marking(node, d),
+        "sexpr": lambda node: node,
+    }[reader]
+    if message is None:
+        parse(sexpr.parse_sexpr(text))
+        return
+    with pytest.raises(ParseError) as e:
+        parse(sexpr.parse_sexpr(text))
+    assert str(e.value) == "parse error at " + message
