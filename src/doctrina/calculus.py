@@ -17,6 +17,15 @@ the checker compares each node's premises with what it returns, and the
 prover builds each premise it searches through it.  `_check_node` checks the
 six leaf rules and Cut itself.
 
+A quantifier instance (the premise formula of LForall and RExists) is built
+once and kept in a table on the quantified formula's node, as nodes keep
+their canonical form.  The table is keyed by the witness term and the
+context's variables, and that key is exact: `substitute` reads nothing else
+from the context, and the rest of the instance is a function of the node.
+So the prover's duplicate-instance test, the premise it then builds and the
+checker's comparison all read one object, whose canonical form is computed
+once, and the table goes with its node.
+
 `prove_qf` runs the same search, uncapped, on a quantifier-free sequent,
 closing atomic leaves by Id or by a caller's lemma for a pair of atoms.  It
 decides the sequent: it returns the proof, or the first atomic leaf that
@@ -200,14 +209,16 @@ def _on_side(c: Sequent, left: bool, formulas: tuple[Formula, ...], ctx: Optiona
 
 def _instance(phi: Formula, t: Term, ctx: Context) -> Formula:
     """The body of the quantified formula `phi` with the term `t` for its
-    bound variable, in context `ctx`.  The last instance is kept on `phi`, as
-    formula nodes keep their canonical form, so the prover's duplicate-instance
-    check and the premise it then builds share one substitution."""
-    last = getattr(phi, "_instance", None)
-    if last is not None and last[0] is t and last[1] is ctx:
-        return last[2]
-    inst = substitute(phi.body, {phi.var: t}, avoid=ctx.vars)
-    object.__setattr__(phi, "_instance", (t, ctx, inst))
+    bound variable, in context `ctx`: built once per `(t, ctx.vars)` and kept
+    in `phi`'s instance table (see the module docstring)."""
+    table = getattr(phi, "_instances", None)
+    if table is None:
+        table = {}
+        object.__setattr__(phi, "_instances", table)
+    key = (t, ctx.vars)
+    inst = table.get(key)
+    if inst is None:
+        inst = table[key] = substitute(phi.body, {phi.var: t}, avoid=ctx.vars)
     return inst
 
 

@@ -35,7 +35,7 @@ from .doctrine import (
 )
 # an explicit re-export: bench/tracing.py wraps cli.check_forall_tables
 from .doctrine import check_forall_tables as check_forall_tables
-from .stratify import stratify, verify_one_step, verify_qff
+from .stratify import FragmentError, stratify, verify_one_step, verify_qff
 # an explicit re-export: bench/tracing.py wraps cli.verify_qa_stratified
 from .stratify import verify_qa_stratified as verify_qa_stratified
 # an explicit re-export: bench/tracing.py wraps cli.countermodel_search
@@ -259,6 +259,8 @@ def _doctrine_violations(args, d, marking, notes: list[str]) -> tuple[list[str],
             seq = stratify(d, marking)
             levels = seq.levels
             notes.append(f"NOTE stabilization index {seq.stabilization_index}")
+        except FragmentError as e:
+            vs += e.violations  # the lines `--level qff` prints
         except DoctrineError as e:
             violations.append(f"VIOLATION stratify detail={e}")
     return violations + report_lines(vs), levels

@@ -11,6 +11,12 @@ binders: `canonical_form`, `rectify` and `substitute` each pass it only
 their naming rule.  `subformulas` is an iterative pre-order iterator, and
 the folds (`size`, `all_vars`, `is_quantifier_free`, `atoms_of`) loop over
 it, so they work on formulas of any depth.
+
+Nodes keep what is derived from them: their hash, free variables and
+canonical form.  A formula without binders is its own canonical form, so
+`canonical_form` returns it unbuilt and marks it with the sentinel `_SELF`
+instead of a reference to itself, which would leave every atom as cyclic
+garbage.  A formula with binders draws one pool name per binder.
 """
 
 from __future__ import annotations
@@ -145,6 +151,9 @@ BOT = Bot()
 _BINARY = (And, Or, Imp)
 _QUANT = (Forall, Exists)
 
+# the `_canonical` of a formula that is its own canonical form
+_SELF = object()
+
 
 def iff(a: Formula, b: Formula) -> Formula:
     """Bi-implication sugar: (a -> b) and (b -> a)."""
@@ -275,11 +284,16 @@ def canonical_form(phi: Formula) -> Formula:
     the pool names are chosen to avoid the free variables, so the canonical
     form only depends on the alpha-class.  Kept on the node after the first
     call: formulas are immutable and this sits on the prover's hot path.
+    A formula without binders is returned as it is.
     """
     cached = getattr(phi, "_canonical", None)
     if cached is not None:
-        return cached
-    supply = iter(fresh_vars(size(phi), free_vars(phi)))
+        return phi if cached is _SELF else cached
+    binders = sum(isinstance(f, _QUANT) for f in subformulas(phi))
+    if not binders:
+        object.__setattr__(phi, "_canonical", _SELF)
+        return phi
+    supply = iter(fresh_vars(binders, free_vars(phi)))
     out = _rebind(phi, {}, lambda _: next(supply))
     object.__setattr__(phi, "_canonical", out)
     return out

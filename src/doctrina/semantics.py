@@ -15,6 +15,10 @@ Formulas are evaluated by two routes:
   denotes the mask of the structures it holds in, an atom is a periodic
   mask (or a constant one for the index bits above the block), connectives
   are `& | ^`, and quantifiers are meets and joins over the carrier.
+  There is one numbering per carrier size, function symbols and predicate
+  list: `carrier_structures` takes it from a bounded cache, and it computes
+  the masks of its low cells once.  Every search reads the same numbering,
+  and nothing changes it once built.
 
 `countermodel_search` filters each block by the masks of the axioms and of
 the falsified sequent, then confirms the candidates, lowest index first,
@@ -31,6 +35,7 @@ checked.  tests/test_semantics.py compares each route with the reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -174,6 +179,13 @@ class CarrierStructures:
         bit = itertools.count(self.bits - 1, -1)
         self.cells = [(name, [(t, next(bit)) for t in domain]) for name, domain in domains]
         self.count = self.picks << self.bits
+        self.width = width = min(self.bits, _BLOCK_BITS)
+        self.full = full = (1 << (1 << width)) - 1
+        # per predicate, the masks of its cells below the block width, the
+        # same in every block, and its cells above it, constant in a block
+        self.low = {name: {t: _STRIPES[bit] & full for t, bit in cells if bit < width} for name, cells in self.cells}
+        high = {name: [(t, bit - width) for t, bit in cells if bit >= width] for name, cells in self.cells}
+        self.high = {name: cells for name, cells in high.items() if cells}
 
     def tables(self, pick: int) -> dict[str, dict[tuple, object]]:
         images = []
@@ -192,18 +204,16 @@ class CarrierStructures:
     def blocks(self, pick: int) -> Iterator[tuple[int, "_Block"]]:
         """The structures of one function pick in blocks of at most 4,096,
         each with the index of its first structure.  Within a block a cell
-        among the low bits is a periodic mask and a higher cell is constant."""
-        width = min(self.bits, _BLOCK_BITS)
-        full = (1 << (1 << width)) - 1
+        among the low bits is a periodic mask and a higher cell is constant.
+        When every cell is a low one there is one block, and its atom table
+        is `low` itself, shared by every search."""
+        width, full, low = self.width, self.full, self.low
         functions = self.tables(pick)
         for block in range(1 << (self.bits - width)):
-            atoms = {
-                name: {
-                    t: _STRIPES[bit] & full if bit < width else full if block >> (bit - width) & 1 else 0
-                    for t, bit in cells
-                }
-                for name, cells in self.cells
-            }
+            atoms = low if not self.high else {**low, **{
+                name: {**low[name], **{t: full if block >> b & 1 else 0 for t, b in cells}}
+                for name, cells in self.high.items()
+            }}
             yield (pick << self.bits) | (block << width), _Block(self.carrier, functions, atoms, full)
 
 
@@ -287,20 +297,26 @@ class _Block:
         return out
 
 
+# one numbering per (k, functions, predicates), shared by every search; 64
+# holds every carrier size of a few signatures and predicate lists
+_numbering = functools.lru_cache(maxsize=64)(CarrierStructures)
+
+
 def carrier_structures(
     signature: Signature,
     size: int,
-    predicates: Optional[list[tuple[str, int]]] = None,
+    predicates: Optional[Iterable[tuple[str, int]]] = None,
 ) -> Iterator[CarrierStructures]:
     """The numbered structures of each carrier size k <= size, smallest
     first.  The empty carrier is included unless the signature has
     constants.  `predicates` restricts/extends the interpreted predicate
     symbols, which matters for signatures with infinite predicate
-    families."""
-    preds = list(signature.predicates) if predicates is None else list(predicates)
+    families.  The numberings are shared by every caller: read them, never
+    change them."""
+    preds = tuple(signature.predicates if predicates is None else predicates)
     start = 0 if not signature.constants() else 1
     for k in range(start, size + 1):
-        yield CarrierStructures(k, signature.functions, preds)
+        yield _numbering(k, tuple(signature.functions), preds)
 
 
 def enumerate_structures(

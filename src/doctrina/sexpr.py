@@ -204,13 +204,20 @@ def _atom_text(node: SNode, what: str) -> str:
     return node
 
 
+# an integer is ASCII decimal: `int` alone would also read `1_0`, `\u0661`
+# and an atom ending in a Unicode space
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _int(item: SList, k: int, what: str) -> int:
     """Item `k` of `item` as an integer."""
     text = _atom_text(item.items[k], what)
     try:
-        return int(text)
-    except ValueError:
-        _fail(_at(item, k), f"expected an integer {what}, got {text!r}")
+        if _DECIMAL.fullmatch(text):
+            return int(text)
+    except ValueError:  # more digits than `int` reads
+        pass
+    _fail(_at(item, k), f"expected an integer {what}, got {text!r}")
 
 
 # --- terms and formulas -------------------------------------------------------
@@ -576,15 +583,18 @@ def _element(item: SList, k: int, alg: Optional[BoolAlg], what: str) -> int:
 
 def _elements(item: SList, start: int, alg: Optional[BoolAlg], what: str) -> tuple[int, ...]:
     """The integer entries of `item` from part `start` on, each an element
-    of `alg` unless it is None: read in one pass, and entry by entry only
-    to report the first entry that is not one."""
+    of `alg` unless it is None: read in one pass when every entry is
+    unsigned ASCII decimal, and entry by entry, as `_int` reads them,
+    otherwise or to report the first entry that is not one."""
+    items = item.items[start:]
     try:
-        values = tuple(map(int, item.items[start:]))
-    except (TypeError, ValueError):  # a list entry, or a text int() refuses
+        digits = "".join(items)
+        if digits.isascii() and digits.isdigit():
+            values = tuple(map(int, items))
+            if alg is None or not max(values) >> alg.atoms:
+                return values
+    except (TypeError, ValueError):  # a list entry, or more digits than `int` reads
         pass
-    else:
-        if alg is None or not values or (min(values) >= 0 and not max(values) >> alg.atoms):
-            return values
     return tuple(_element(item, k, alg, what) for k in range(start, len(item.items)))
 
 

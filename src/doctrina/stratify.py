@@ -119,12 +119,24 @@ class StratifiedSequence:
         return {b: tables[(x, y)][b] for b in sorted(self.level(n)[p])}
 
 
+class FragmentError(DoctrineError):
+    """A marking that is not a quantifier-free fragment, with every
+    violation `verify_qff` reports for it."""
+
+    def __init__(self, violations: list[Violation]):
+        super().__init__(
+            "marking is not a quantifier-free fragment: " + "; ".join(v.line() for v in violations[:5])
+        )
+        self.violations = violations
+
+
 def stratify(d: Doctrine, marking: Marking) -> StratifiedSequence:
+    """The layers of a quantifier-free fragment.  Raises `FragmentError`
+    when the marking is not one, and `DoctrineError` when the doctrine
+    lacks a reindexing or universal table."""
     errs, levels = _qff_layers(d, marking)
     if errs:
-        raise DoctrineError(
-            "marking is not a quantifier-free fragment: " + "; ".join(v.line() for v in errs[:5])
-        )
+        raise FragmentError(errs)
     return StratifiedSequence(d, tuple(levels))
 
 

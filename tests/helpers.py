@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from doctrina.lang import App, Context, CtxMorphism, Term, Var, canonical_context, pool_var
+from doctrina.lang import App, Context, CtxMorphism, Term, Var, canonical_context, fresh_vars, pool_var
 from doctrina.formula import (
     And,
     Bot,
@@ -28,6 +28,7 @@ from doctrina.formula import (
     disj,
     free_vars,
     is_quantifier_free,
+    size,
 )
 from doctrina.calculus import Sequent
 from doctrina.prefix import PrefixAtom
@@ -160,6 +161,29 @@ def enumerate_formulas(atoms: list[Formula], variables: list[str], max_size: int
                     layer.append((Imp(a, b), fr, bd))
         by_size[s] = layer
     return [f for s in sorted(by_size) for f, _, _ in by_size[s]]
+
+
+def rebuilt_canonical_form(phi: Formula) -> Formula:
+    """The canonical form as a walk that rebuilds every node and draws one
+    pool name per node, using one per binder in encounter order: the
+    reference for `formula.canonical_form`."""
+    supply = iter(fresh_vars(size(phi), free_vars(phi)))
+
+    def walk(f: Formula, env: dict[str, Term]) -> Formula:
+        if isinstance(f, Pred):
+            return Pred(f.name, tuple(naive_subst(a, env) for a in f.args))
+        if isinstance(f, Eq):
+            return Eq(naive_subst(f.left, env), naive_subst(f.right, env))
+        if isinstance(f, (Top, Bot)):
+            return f
+        if isinstance(f, Not):
+            return Not(walk(f.body, env))
+        if isinstance(f, (And, Or, Imp)):
+            return type(f)(walk(f.left, env), walk(f.right, env))
+        v = next(supply)
+        return type(f)(v, walk(f.body, {**env, f.var: Var(v)}))
+
+    return walk(phi, {})
 
 
 # --- random sequents over a small relational signature --------------------------

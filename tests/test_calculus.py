@@ -26,6 +26,8 @@ from doctrina.formula import (
     Or,
     Pred,
     Top,
+    canonical_form,
+    substitute,
 )
 from doctrina.calculus import (
     Budget,
@@ -40,7 +42,7 @@ from doctrina.calculus import (
 from doctrina.semantics import enumerate_structures, falsifying_assignment
 from doctrina.sexpr import proof_sexpr, structure_sexpr
 
-from helpers import random_qf_formula, random_sequent
+from helpers import random_qf_formula, random_sequent, rebuilt_canonical_form
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -268,6 +270,35 @@ def test_random_goal_certificates_are_pinned():
     assert sum(line != "None" for line in lines) == 55
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "4c5b8b5909511ed9ced7353839cdf105bff2868a1fd8e2a566273c5ed95a3738"
+
+
+def test_every_instance_taken_is_a_fresh_substitution(monkeypatch):
+    # the prover's and the checker's instances come from one table per
+    # quantified node, keyed by the term and the context's variables: each
+    # equals a substitution built afresh, and a key read again gets the
+    # object it got before, whose canonical form is the rebuilding walk's
+    taken = []
+    instance = calculus._instance
+
+    def recording(phi, t, ctx):
+        inst = instance(phi, t, ctx)
+        taken.append((phi, t, ctx, inst))
+        return inst
+
+    monkeypatch.setattr(calculus, "_instance", recording)
+    rng = random.Random(20240901)
+    proved = 0
+    for _ in range(60):
+        tree = prove_bounded(random_sequent(rng, 5), (), Budget(6, 2, 2000), SIG)
+        if tree is not None:
+            assert check_proof(tree, (), SIG).ok
+            proved += 1
+    kept = {}
+    for phi, t, ctx, inst in taken:
+        assert inst == substitute(phi.body, {phi.var: t}, avoid=ctx.vars)
+        assert canonical_form(inst) == rebuilt_canonical_form(inst)
+        assert kept.setdefault((id(phi), t, ctx.vars), inst) is inst
+    assert proved > 20 and len(taken) > 10 * len(kept) > 1000, (proved, len(taken), len(kept))
 
 
 def test_pinned_certificates_do_not_depend_on_hash_seed():

@@ -237,6 +237,27 @@ def test_a_marked_object_the_doctrine_lacks_is_reported(level, capsys):
     assert "NOTE stabilization index" not in out
 
 
+def test_a_marking_that_is_no_fragment_gets_the_qff_report_at_every_level(capsys):
+    # one line per violation, however many there are: the chain of 4 with
+    # only its bounds marked breaks generation at six entries
+    chain = hbx_doctrine(chain_category(4), "c2", BoolAlg(2))
+    subsets = subset_doctrine({"E": (), "U": ("*",)})
+    cases = [
+        (chain, sexpr.marking_sexpr({x: frozenset({0, chain.fiber(x).top}) for x in chain.base.objects})),
+        (subsets, "(marking (E 0) (U 0 1) (Z 0 5 7))"),
+        (subsets, "(marking (E 0) (U 1))"),
+    ]
+    violations = []
+    for d, marking in cases:
+        text = sexpr.doctrine_sexpr(d)
+        qff = run_cli(["verify-doctrine", text, "--level", "qff", "--marking", marking], capsys)
+        assert run_cli(["verify-doctrine", text, "--level", "stratified", "--marking", marking], capsys) == qff
+        assert run_cli(["stratify", text, marking], capsys) == qff
+        violations.append(sum(line.startswith("VIOLATION ") for line in qff[1].splitlines()))
+        assert qff[0] == 1 and qff[1].endswith("VERDICT fail\n"), qff
+    assert violations[0] > 5 and min(violations) >= 1, violations
+
+
 def test_the_stratified_level_compares_no_adjoint_of_a_table_that_keeps_the_laws(monkeypatch, capsys):
     # a universal table that keeps monotonicity, the unit and the counit is
     # the forced adjoint, so only a pair whose table breaks one is compared;

@@ -918,7 +918,7 @@ def test_verify_doctrine_reports_are_pinned(capsys):
                 lines.append(f"{main(['verify-doctrine', text, '--level', level, '--marking', m])}")
                 lines.append(capsys.readouterr().out)
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "f072f2f4283e3bf7d123b0790f0891ddf46195690fff58638ba5a7ca3c942111"
+    assert digest == "fe1157bb14aebd1b10597956e702cb8a3e20526e55f0e5a0af9d643f03544031"
 
 
 def _table_text(d):

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +40,7 @@ from doctrina.formula import (
 from doctrina.sexpr import formula_sexpr, parse_formula, parse_sexpr
 from doctrina.syntactic import max_pred_arity, predicates_of
 
-from helpers import brute_layer_index, enumerate_formulas, random_formula
+from helpers import brute_layer_index, enumerate_formulas, random_formula, random_sequent, rebuilt_canonical_form
 
 
 def R(*names):
@@ -345,3 +347,40 @@ def test_cached_node_data_matches_an_uncached_twin(seed, size, fill_original):
         same = canonical_form(a) == canonical_form(b)
         assert alpha_eq(a, b) == alpha_eq(b, a) == same
     assert alpha_eq(phi, variant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9))
+def test_canonical_form_equals_the_rebuilding_walk(seed, size):
+    phi = random_formula(random.Random(seed), ("x1", "x2"), size)
+    for f in subformulas(phi):
+        assert canonical_form(f) == rebuilt_canonical_form(f), f
+
+
+def test_canonical_forms_of_the_seeded_sweep_goals_equal_the_rebuilding_walk():
+    rng = random.Random(20240901)
+    checked = 0
+    for _ in range(100):
+        s = random_sequent(rng, 5)
+        for phi in s.antecedent + s.succedent:
+            for f in subformulas(phi):
+                assert canonical_form(f) == rebuilt_canonical_form(f), f
+                checked += 1
+    assert checked > 500
+
+
+def test_a_binder_free_formula_is_its_own_canonical_form_and_no_cycle():
+    phi = And(Pred("P", (Var("x1"),)), Not(Eq(Var("x1"), Var("x2"))))
+    quantified = Forall("x3", Imp(phi, Pred("Q", (Var("x3"), Var("x1")))))
+    for f in subformulas(quantified):
+        canonical_form(f)
+    assert canonical_form(phi) is phi and canonical_form(phi.left) is phi.left
+    assert canonical_form(quantified) is not quantified
+    # freed by reference counting alone: neither node is in a reference cycle
+    refs = [weakref.ref(phi), weakref.ref(phi.left), weakref.ref(quantified)]
+    gc.disable()
+    try:
+        del phi, quantified, f
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()

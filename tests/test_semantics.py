@@ -456,3 +456,66 @@ def test_axiom_mask_keeps_excluded_structures_from_the_confirm_step(monkeypatch)
     contradictory = (Forall("x", P("x")), Exists("x", Not(P("x"))))
     assert countermodel_search(s, contradictory, DIFF_SIG, 2) is None
     assert seen == []
+
+
+def _block_masks(numbered):
+    """Each block with a copy of its atom table, taken as it is yielded."""
+    return [
+        (first, block.carrier, block.functions, block.full, {name: dict(m) for name, m in block.atoms.items()})
+        for pick in range(numbered.picks)
+        for first, block in numbered.blocks(pick)
+    ]
+
+
+def test_numberings_are_shared_and_never_change(monkeypatch):
+    # searches interleaved over signatures, sizes and predicate lists (among
+    # them the lists the bounded oracle passes), each equal to a search over
+    # freshly built numberings; a search that wrote into a shared numbering
+    # shows in the comparison of every cached one with a fresh build after
+    from doctrina.prefix import SIGNATURE as PREFIX_SIG, prefix_theory
+    from doctrina.syntactic import BoundedOracle
+
+    oracle = BoundedOracle(prefix_theory(), model_size=2)
+    x1, x2 = Var("x1"), Var("x2")
+    prefix_goals = [
+        Sequent(Context(("x1", "x2")), (Pred("R2", (x1, x2)),), (Pred("R1", (x2,)),)),
+        Sequent(Context(), (), (Pred("R0"),)),
+        Sequent(Context(("x1",)), (Pred("R1", (x1,)),), (Exists("x2", Pred("R2", (x1, x2))),)),
+    ]
+    rng = random.Random(7)
+    cases = []
+    for s in [random_sequent(rng, 4) for _ in range(6)]:
+        cases += [
+            (s, (), SIG, 3, None),
+            (s, (), MANY_SIG, 3, None),
+            (s, (), SIG, 2, [("Q", 2), ("P", 1)]),
+            (s, (Forall("x", P("x")),), SIG, 2, (("P", 1), ("Q", 2))),
+        ]
+    for s in prefix_goals:
+        axioms = oracle.axioms_for(s)
+        cases.append((s, axioms, PREFIX_SIG, 2, oracle.predicates_for(s, axioms)))
+    cases += [
+        (Sequent(Context(("x",)), (P("x"),), (Eq(X, C),)), (Forall("x", Eq(fx(X), X)),), DIFF_SIG, 2, None),
+        (Sequent(Context(("x",)), (), (Pred("R", (X,)),)), (), DIFF_SIG, 2, [("R", 1), ("P", 1)]),
+    ]
+    random.Random(8).shuffle(cases)
+
+    def fresh(case):
+        with monkeypatch.context() as m:
+            m.setattr(semantics, "_numbering", semantics.CarrierStructures)
+            return outcome(countermodel_search, *case)
+
+    for case in cases:
+        assert outcome(countermodel_search, *case) == fresh(case), case
+    for _, _, signature, size, predicates in cases:
+        shared = list(carrier_structures(signature, size, predicates))
+        again = carrier_structures(signature, size, None if predicates is None else list(predicates))
+        assert all(a is b for a, b in zip(shared, again, strict=True))
+        preds = signature.predicates if predicates is None else predicates
+        for numbered in shared:
+            built = semantics.CarrierStructures(len(numbered.carrier), signature.functions, preds)
+            assert vars(numbered) == vars(built)
+            assert _block_masks(numbered) == _block_masks(built)
+            if numbered.bits <= 12:
+                assert all(block.atoms is numbered.low for _, block in numbered.blocks(0))
+    assert semantics._numbering.cache_info().maxsize is not None

@@ -340,8 +340,7 @@ TABLE_DOCTRINE = sexpr.doctrine_sexpr(subset_doctrine({"E": (), "U": ("*",)}))
     ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 0 1 1)", "26:3: table has 3 entries for a fiber with 1 atoms"),
     ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 2 a)",
      "26:20: table entry 2 is not an element of a fiber with 1 atoms"),
-    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 1_0 -0)",
-     "26:20: table entry 10 is not an element of a fiber with 1 atoms"),
+    ("(reindex U->U[0] 0 1)", "(reindex U->U[0] 1_0 -0)", "26:20: expected an integer table entry, got '1_0'"),
     ("(forall U U 0 1)", "(forall U U 0 x1)", "30:17: expected an integer table entry, got 'x1'"),
     ("(forall U E 1)", "(forall U E 3)", "29:15: table entry 3 is not an element of a fiber with 1 atoms"),
     ("(delta U 1)", "(delta U 2)", "32:12: element 2 is not an element of a fiber with 1 atoms"),
@@ -477,4 +476,32 @@ def test_positions_that_only_the_parent_knows(reader, text, message):
         return
     with pytest.raises(ParseError) as e:
         parse(sexpr.parse_sexpr(text))
+    assert str(e.value) == "parse error at " + message
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    # `int` reads each of these atoms as a number; an integer is `-?[0-9]+`
+    ("doctrine", TABLE_DOCTRINE.replace("(reindex U->U[0] 0 1)", "(reindex U->U[0] 0 1\x0b)"),
+     "26:22: expected an integer table entry, got '1\\x0b'"),
+    ("doctrine", TABLE_DOCTRINE.replace("(reindex U->U[0] 0 1)", "(reindex U->U[0] ١ 1)"),
+     "26:20: expected an integer table entry, got '١'"),
+    ("doctrine", TABLE_DOCTRINE.replace("(reindex U->U[0] 0 1)", "(reindex U->U[0] +0 1)"),
+     "26:20: expected an integer table entry, got '+0'"),
+    ("doctrine", TABLE_DOCTRINE.replace("(forall U U 0 1)", "(forall U U 0 1\xa0)"),
+     "30:17: expected an integer table entry, got '1\\xa0'"),
+    ("doctrine", TABLE_DOCTRINE.replace("(delta U 1)", "(delta U 0_1)"), "32:12: expected an integer element, got '0_1'"),
+    ("doctrine", TABLE_DOCTRINE.replace("(fiber U 1)", "(fiber U ١)"),
+     "23:12: expected an integer atom count, got '١'"),
+    ("marking", "(marking (E 0)\n (U 0 ١\x0b))", "2:7: expected an integer element, got '١\\x0b'"),
+    ("marking", "(marking (E 0_0)\n (U 0 1))", "1:13: expected an integer element, got '0_0'"),
+    ("signature", "(signature (predicates (P 1_0)))", "1:27: expected an integer arity, got '1_0'"),
+])
+def test_integers_are_ascii_decimal(parse, text, message):
+    readers = {
+        "doctrine": sexpr.parse_doctrine,
+        "marking": lambda node: sexpr.parse_marking(node, subset_doctrine({"E": (), "U": ("*",)})),
+        "signature": sexpr.parse_signature,
+    }
+    with pytest.raises(ParseError) as e:
+        readers[parse](sexpr.parse_sexpr(text))
     assert str(e.value) == "parse error at " + message
