@@ -15,7 +15,10 @@ cut-free tree).
 Every rule with premises except Cut is written down once, in `premises`:
 the checker compares each node's premises with what it returns, and the
 prover builds each premise it searches through it.  `_check_node` checks the
-six leaf rules and Cut itself.
+six leaf rules and Cut itself.  A premise's formulas lie in its context
+whenever the conclusion's do (the side conditions of `premises`, the
+witness-term check among them, see to that), so premises are built without
+re-checking their free variables; a sequent built by a caller is checked.
 
 A quantifier instance (the premise formula of LForall and RExists) is built
 once and kept in a table on the quantified formula's node, as nodes keep
@@ -34,6 +37,32 @@ the atoms (a valuation that falsifies a premise falsifies the conclusion),
 so a valuation that makes the open leaf's antecedent atoms true and its
 succedent atoms false falsifies the root sequent too: the open leaf is the
 countermodel, read off the same search that would have built the proof.
+
+`decide_relational` decides a sequent and its theory in the relational
+Bernays-Schoenfinkel fragment by Herbrand expansion (Ramsey 1930; Herbrand),
+with one walk over an explicit stack of branches.  On each branch it applies
+the invertible propositional rules, delaying the branching ones until no
+other rule applies, and gives every eigen-strength quantifier (an
+existential on the left, a universal on the right) a fresh constant.  Only
+then does it instantiate every universal-strength quantifier with every
+constant of the branch, once, as no constant is added after that.  A branch
+closes on an atom on both sides, on bottom left or top right, or, at its
+end, once the equalities on its left merge (union-find) two sides of an
+equality or an atom on the right into one on the left.  A branch that stays
+open is saturated, a Hintikka set: its constants, merged by its equalities,
+with its left atoms true and every other atom false, satisfy every formula
+on its left and falsify every one on its right, which is the countermodel;
+with no constant it is the empty structure, where a universal on the left
+has no instance.  When every branch closes, each step is sound, so the
+sequent is valid.  The walk declines on a term other than a bound or context
+variable (a function symbol), on a signature with constants (the empty
+structure is then no structure, and the prover may use a constant as a
+witness), and on an eigen-strength quantifier met after the branch has
+instantiated (an existential below a universal, outside the fragment).
+The decision only skips work whose outcome it knows: the bounded search is
+sound, so it cannot prove a refuted goal, and no structure falsifies a valid
+one, so a countermodel scan of it finds nothing.  Proofs still come from the
+search, so certificates do not change.
 
 `prove_bounded` deepens iteratively and does not redo work across rounds
 (Korf, "Depth-first iterative-deepening", 1985; Reinefeld & Marsland,
@@ -199,12 +228,22 @@ def _term_in_context(t: Term, ctx: Context) -> bool:
     return t.variables() <= set(ctx.vars)
 
 
+def _premise(ctx: Context, ant: tuple[Formula, ...], suc: tuple[Formula, ...]) -> Sequent:
+    """A sequent built without `Sequent`'s free-variable check, for a premise
+    whose formulas lie in `ctx` by the rule that built it (see the module
+    docstring)."""
+    s = object.__new__(Sequent)
+    s.__dict__.update(context=ctx, antecedent=ant, succedent=suc)
+    return s
+
+
 def _on_side(c: Sequent, left: bool, formulas: tuple[Formula, ...], ctx: Optional[Context] = None) -> Sequent:
-    """`c` with its antecedent (left) or succedent replaced by `formulas`."""
+    """`c` with its antecedent (left) or succedent replaced by `formulas`,
+    which lie in the context of `c`, or in `ctx` when one is given."""
     ctx = c.context if ctx is None else ctx
     if left:
-        return Sequent(ctx, formulas, c.succedent)
-    return Sequent(ctx, c.antecedent, formulas)
+        return _premise(ctx, formulas, c.succedent)
+    return _premise(ctx, c.antecedent, formulas)
 
 
 def _instance(phi: Formula, t: Term, ctx: Context) -> Formula:
@@ -240,7 +279,7 @@ def premises(c: Sequent, r: Rule) -> tuple[Sequent, ...]:
             raise ProofError("CtxEnlarge must append exactly the rule's variable")
         if any(r.var in free_vars(phi) for phi in ant + suc):
             raise ProofError(f"CtxEnlarge variable {r.var} occurs free in the formulas")
-        return (Sequent(Context(ctx.vars[:-1]), ant, suc),)
+        return (_premise(Context(ctx.vars[:-1]), ant, suc),)
     if tag in _LEAVES or tag == "Cut":
         raise ProofError(f"{tag} has no fixed premise shape")
     if tag not in _POSITIONAL:
@@ -273,16 +312,16 @@ def premises(c: Sequent, r: Rule) -> tuple[Sequent, ...]:
             _on_side(c, left, before + (phi.right,) + after),
         )
     if tag == "LNeg":
-        return (Sequent(ctx, before + after, suc + (phi.body,)),)
+        return (_premise(ctx, before + after, suc + (phi.body,)),)
     if tag == "RNeg":
-        return (Sequent(ctx, (phi.body,) + ant, before + after),)
+        return (_premise(ctx, (phi.body,) + ant, before + after),)
     if tag == "LImp":
         return (
-            Sequent(ctx, before + after, suc + (phi.left,)),
-            Sequent(ctx, (phi.right,) + before + after, suc),
+            _premise(ctx, before + after, suc + (phi.left,)),
+            _premise(ctx, (phi.right,) + before + after, suc),
         )
     if tag == "RImp":
-        return (Sequent(ctx, (phi.left,) + ant, before + after + (phi.right,)),)
+        return (_premise(ctx, (phi.left,) + ant, before + after + (phi.right,)),)
     if tag == "LForall" or tag == "RExists":
         if r.term is None:
             raise ProofError(f"{tag} needs an instantiation term")
@@ -690,6 +729,139 @@ def _axiom_lemma(ax: Formula, ctx: Context) -> ProofTree:
     return tree
 
 
+# --- the relational Bernays-Schoenfinkel decision ----------------------------
+
+
+@dataclass(frozen=True)
+class OpenBranch:
+    """An open saturated branch of `decide_relational`, which is a
+    countermodel: the carrier, one constant per class of the branch's
+    equalities; the antecedent atoms over it as `(name, args)` pairs, which
+    a structure makes true and every other atom false; and the constant
+    that each context variable names."""
+
+    carrier: tuple[int, ...]
+    atoms: frozenset
+    assignment: dict
+
+
+def decide_relational(
+    s: Sequent, axioms: Sequence[Formula] = (), signature: Optional[Signature] = None
+) -> bool | OpenBranch | None:
+    """Decide `axioms, s.antecedent =>_ctx s.succedent` by Herbrand
+    expansion: True when it is valid, the first open branch, a countermodel,
+    when it is not, and None when the walk declines the goal (see the module
+    docstring).  The axioms are sentences; a variable of an axiom outside
+    its binders is declined, as a function term is."""
+    if signature is not None and signature.constants():
+        return None
+    names = {v: c for c, v in enumerate(s.context.vars)}
+    todo = [(True, ax, {}) for ax in axioms]
+    todo += [(True, phi, names) for phi in s.antecedent] + [(False, phi, names) for phi in s.succedent]
+    # a branch: formulas to read, delayed branching ones, universal-strength
+    # ones, atoms either side, equalities either side, constants, instantiated
+    branches = [(todo, [], [], set(), set(), [], [], len(names), False)]
+    while branches:
+        todo, delayed, universal, lefts, rights, eqs, neqs, n, frozen = branches.pop()
+        while True:
+            while todo:
+                left, phi, env = todo.pop()
+                kind = type(phi)
+                if kind is Pred:
+                    args = []
+                    for t in phi.args:
+                        c = env.get(t.name) if type(t) is Var else None
+                        if c is None:
+                            return None
+                        args.append(c)
+                    atom = (phi.name, tuple(args))
+                    if atom in (rights if left else lefts):
+                        break
+                    (lefts if left else rights).add(atom)
+                elif kind is Eq:
+                    a = env.get(phi.left.name) if type(phi.left) is Var else None
+                    b = env.get(phi.right.name) if type(phi.right) is Var else None
+                    if a is None or b is None:
+                        return None
+                    if a != b:
+                        (eqs if left else neqs).append((a, b))
+                    elif not left:
+                        break
+                elif kind is Not:
+                    todo.append((not left, phi.body, env))
+                elif kind is Top or kind is Bot:
+                    if left == (kind is Bot):
+                        break
+                elif kind is And or kind is Or:
+                    if (kind is And) == left:
+                        todo += ((left, phi.left, env), (left, phi.right, env))
+                    else:
+                        delayed.append((left, phi, env))
+                elif kind is Imp:
+                    if left:
+                        delayed.append((left, phi, env))
+                    else:
+                        todo += ((True, phi.left, env), (False, phi.right, env))
+                elif kind is Exists or kind is Forall:
+                    if (kind is Exists) != left:
+                        universal.append((left, phi, env))
+                    elif frozen:
+                        return None
+                    else:
+                        todo.append((left, phi.body, {**env, phi.var: n}))
+                        n += 1
+                else:
+                    return None
+            else:
+                if delayed:
+                    left, phi, env = delayed.pop()
+                    first = (left and type(phi) is not Imp, phi.left, env)
+                    second = (left, phi.right, env)
+                    branches.append(
+                        ([second], delayed[:], universal[:], set(lefts), set(rights), eqs[:], neqs[:], n, frozen)
+                    )
+                    todo = [first]
+                    continue
+                if universal:
+                    frozen = True
+                    todo = [(left, phi.body, {**env, phi.var: c}) for left, phi, env in universal for c in range(n)]
+                    universal = []
+                    continue
+                found = _open_leaf(s.context, lefts, rights, eqs, neqs, n)
+                if found is not None:
+                    return found
+            break
+    return True
+
+
+def _open_leaf(ctx: Context, lefts: set, rights: set, eqs: list, neqs: list, n: int) -> Optional[OpenBranch]:
+    """The countermodel of a saturated branch, or None when its equalities
+    close it: constants are merged by the equalities on the left, and the
+    branch closes when a merged atom or equality lies on both sides."""
+    rep = list(range(n))
+    if not eqs:
+        return OpenBranch(tuple(rep), frozenset(lefts), dict(zip(ctx.vars, rep)))
+
+    def find(c: int) -> int:
+        while rep[c] != c:
+            rep[c] = rep[rep[c]]
+            c = rep[c]
+        return c
+
+    for a, b in eqs:
+        rep[find(a)] = find(b)
+    rep = [find(c) for c in range(n)]
+    if any(rep[a] == rep[b] for a, b in neqs):
+        return None
+    atoms = frozenset((name, tuple(rep[c] for c in args)) for name, args in lefts)
+    if any((name, tuple(rep[c] for c in args)) in atoms for name, args in rights):
+        return None
+    return OpenBranch(tuple(sorted(set(rep))), atoms, dict(zip(ctx.vars, rep)))
+
+
+# --- bounded proof search ---------------------------------------------------
+
+
 def prove_bounded(
     s: Sequent,
     theory: Sequence[Formula] = (),
@@ -698,6 +870,24 @@ def prove_bounded(
 ) -> Optional[ProofTree]:
     """Cut-free backward-chaining proof search; None means not found within
     the budget (the search is deliberately incomplete).
+
+    The goal and the theory are decided first (`decide_relational`), and a
+    refuted goal returns None at once: the search is sound, so it could not
+    have proved it.  Every other goal goes to `deepen`.
+    """
+    axioms = tuple(theory)
+    if isinstance(decide_relational(s, axioms, signature), OpenBranch):
+        return None
+    return deepen(s, axioms, budget, signature)
+
+
+def deepen(
+    s: Sequent,
+    theory: Sequence[Formula] = (),
+    budget: Budget = Budget(),
+    signature: Optional[Signature] = None,
+) -> Optional[ProofTree]:
+    """The search of `prove_bounded`, without the decision first.
 
     Theory sentences are preloaded into the antecedent for the search and
     spliced back out with cuts against ``=>_() phi`` leaves, so the returned
@@ -722,7 +912,7 @@ def prove_bounded(
         if free_vars(ax):
             raise ProofError(f"theory axiom {ax!r} is not a sentence")
     goal = Sequent(s.context, axioms + s.antecedent, s.succedent)
-    engine = _Search(budget, signature)
+    engine, tree = _Search(budget, signature), None
     for depth in range(budget.max_depth + 1):
         engine.nodes = engine.cutoffs = engine.unclean = 0
         tree = engine.prove(goal, depth, frozenset())

@@ -100,10 +100,9 @@ def default_budget(args) -> Budget:
     depth = args.budget
     if depth is None:
         text = os.environ.get("DOCTRINA_BUDGET", "8")
-        try:
-            depth = int(text)
-        except ValueError:
-            raise InputError(f"DOCTRINA_BUDGET must be an integer, got {text!r}") from None
+        depth = sexpr.decimal(text)
+        if depth is None:
+            raise InputError(f"DOCTRINA_BUDGET must be an integer, got {text!r}")
     return Budget(max_depth=depth, max_term_depth=args.term_depth, max_nodes=args.max_nodes)
 
 
@@ -337,21 +336,41 @@ def cmd_models(args) -> tuple[int, list[str]]:
     return EXIT_UNKNOWN, ["VERDICT unknown no countermodel up to size " + str(args.size)]
 
 
+def integer(text: str) -> int:
+    """An integer option, read by the documents' rule (`sexpr.decimal`)."""
+    value = sexpr.decimal(text)
+    if value is None:
+        raise ValueError(text)  # argparse names the option and the value
+    return value
+
+
+def _usage_error(parser: argparse.ArgumentParser, message: str):
+    """A usage error is an input error: `main` answers it with exit 3 and one
+    `ERROR` line, where argparse would print the usage and exit 2."""
+    raise InputError(message)
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse reports every usage error through `self.error`; the
+    # subcommand parsers are of the same class
+    error = _usage_error
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of every `main` call: `parse_args` returns a fresh
     namespace and leaves no state on the parser, and settings such as
     `DOCTRINA_BUDGET` are read per call, in `default_budget`."""
-    p = argparse.ArgumentParser(prog="doctrina")
+    p = _Parser(prog="doctrina")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, theory=True):
         if theory:
             sp.add_argument("--theory", default=None, help="theory file, 'prefix', or 'none'")
-        sp.add_argument("--budget", type=int, default=None, help="max proof depth")
-        sp.add_argument("--term-depth", dest="term_depth", type=int, default=2)
-        sp.add_argument("--max-nodes", dest="max_nodes", type=int, default=20000)
-        sp.add_argument("--model-size", dest="model_size", type=int, default=2)
+        sp.add_argument("--budget", type=integer, default=None, help="max proof depth")
+        sp.add_argument("--term-depth", dest="term_depth", type=integer, default=2)
+        sp.add_argument("--max-nodes", dest="max_nodes", type=integer, default=20000)
+        sp.add_argument("--model-size", dest="model_size", type=integer, default=2)
 
     sp = sub.add_parser("check-proof")
     sp.add_argument("proof")
@@ -391,32 +410,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("prefix-demo")
     sp.add_argument("which", choices=("intersection", "no-least", "separations"))
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--arity", type=int, default=2)
-    sp.add_argument("--nmax", type=int, default=3)
+    sp.add_argument("--k", type=integer, default=1)
+    sp.add_argument("--arity", type=integer, default=2)
+    sp.add_argument("--nmax", type=integer, default=3)
     sp.set_defaults(func=cmd_prefix_demo)
 
     sp = sub.add_parser("complete")
     sp.add_argument("theory")
     sp.add_argument("--phi", default=None)
     sp.add_argument("--psi", default=None)
-    sp.add_argument("--body-size", dest="body_size", type=int, default=3)
-    sp.add_argument("--ctx-size", dest="ctx_size", type=int, default=2)
+    sp.add_argument("--body-size", dest="body_size", type=integer, default=3)
+    sp.add_argument("--ctx-size", dest="ctx_size", type=integer, default=2)
     common(sp, theory=False)
     sp.set_defaults(func=cmd_complete)
 
     sp = sub.add_parser("models")
     sp.add_argument("sequent")
     sp.add_argument("--theory", default=None)
-    sp.add_argument("--size", type=int, default=2)
+    sp.add_argument("--size", type=integer, default=2)
     sp.set_defaults(func=cmd_models)
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code, lines = args.func(args)
         sys.stdout.write("".join(line + "\n" for line in lines))
         return code

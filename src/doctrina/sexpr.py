@@ -209,15 +209,22 @@ def _atom_text(node: SNode, what: str) -> str:
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
+def decimal(text: str) -> Optional[int]:
+    """`text` as an integer when it is ASCII decimal (`-?[0-9]+`), else None;
+    the one reading of integers in documents, options and settings."""
+    try:
+        return int(text) if _DECIMAL.fullmatch(text) else None
+    except ValueError:  # more digits than `int` reads
+        return None
+
+
 def _int(item: SList, k: int, what: str) -> int:
     """Item `k` of `item` as an integer."""
     text = _atom_text(item.items[k], what)
-    try:
-        if _DECIMAL.fullmatch(text):
-            return int(text)
-    except ValueError:  # more digits than `int` reads
-        pass
-    _fail(_at(item, k), f"expected an integer {what}, got {text!r}")
+    value = decimal(text)
+    if value is None:
+        _fail(_at(item, k), f"expected an integer {what}, got {text!r}")
+    return value
 
 
 # --- terms and formulas -------------------------------------------------------

@@ -40,7 +40,16 @@ from .formula import (
     subformulas,
     substitute_formula,
 )
-from .calculus import Budget, ProofTree, Sequent, prove_bounded, prove_qf
+from .calculus import (
+    Budget,
+    OpenBranch,
+    ProofTree,
+    Sequent,
+    decide_relational,
+    deepen,
+    prove_bounded,
+    prove_qf,
+)
 from .doctrine import Doctrine, Violation, violation
 from .semantics import FiniteStructure, SemanticsError, countermodel_search
 
@@ -205,7 +214,9 @@ class TruthTableOracle(EntailmentOracle):
 
 class BoundedOracle(EntailmentOracle):
     """Bounded countermodel enumeration against the bounded axiom set, run
-    first, for the negative side; bounded proof search for the positive."""
+    first, for the negative side; bounded proof search for the positive.
+    `decide_relational` runs once before either and skips the one whose
+    outcome it knows."""
 
     name = "bounded"
 
@@ -250,13 +261,19 @@ class BoundedOracle(EntailmentOracle):
         # Proofs are sound, so refuting first changes no verdict.  The search
         # fails on a function symbol the signature leaves uninterpreted, but
         # the prover may still close the goal: the error waits for the prover.
-        try:
-            refuted, error = self.refute(s), None
-        except SemanticsError as e:
-            refuted, error = None, e
+        # A valid goal has no countermodel to scan for, and a refuted one no
+        # proof to search for.
+        axioms = self.axioms_for(s)
+        known = decide_relational(s, axioms, self.theory.signature)
+        refuted = error = None
+        if known is not True:
+            try:
+                refuted = self.refute(s)
+            except SemanticsError as e:
+                error = e
         if refuted is not None:
             return refuted
-        proof = prove_bounded(s, self.axioms_for(s), self.budget, self.theory.signature)
+        proof = None if isinstance(known, OpenBranch) else deepen(s, axioms, self.budget, self.theory.signature)
         if proof is not None:
             return Proved(proof, self.name)
         if error is not None:
@@ -679,72 +696,14 @@ def completion_leq(
 # --- effectively propositional decisions -----------------------------------------
 
 
-def _existential_count(phi: Formula, positive: bool) -> Optional[tuple[int, bool]]:
-    """(number of existential-strength quantifiers, whether any occurs below
-    a universal-strength one); None when function applications appear."""
-    if isinstance(phi, Pred):
-        if any(not isinstance(t, Var) for t in phi.args):
-            return None
-        return 0, False
-    if isinstance(phi, Eq):
-        if not (isinstance(phi.left, Var) and isinstance(phi.right, Var)):
-            return None
-        return 0, False
-    if isinstance(phi, (Top, Bot)):
-        return 0, False
-    if isinstance(phi, Not):
-        return _existential_count(phi.body, not positive)
-    if isinstance(phi, (And, Or)):
-        l = _existential_count(phi.left, positive)
-        r = _existential_count(phi.right, positive)
-        if l is None or r is None:
-            return None
-        return l[0] + r[0], l[1] or r[1]
-    if isinstance(phi, Imp):
-        l = _existential_count(phi.left, not positive)
-        r = _existential_count(phi.right, positive)
-        if l is None or r is None:
-            return None
-        return l[0] + r[0], l[1] or r[1]
-    if isinstance(phi, (Forall, Exists)):
-        is_exists = isinstance(phi, Exists) == positive
-        inner = _existential_count(phi.body, positive)
-        if inner is None:
-            return None
-        count, nested = inner
-        if is_exists:
-            return count + 1, nested
-        # universal-strength: any existential inside leaves the fragment
-        return count, nested or count > 0
-    return None
-
-
-def epr_bound(s: Sequent) -> Optional[int]:
-    """The small-model bound for a sequent in the relational forall-exists
-    prenexable fragment; None when the sequent falls outside it."""
-    total, nested = 0, False
-    for f in s.antecedent:
-        r = _existential_count(f, True)
-        if r is None:
-            return None
-        total, nested = total + r[0], nested or r[1]
-    for f in s.succedent:
-        r = _existential_count(f, False)
-        if r is None:
-            return None
-        total, nested = total + r[0], nested or r[1]
-    if nested:
-        return None
-    return max(1, len(s.context) + total)
-
-
 def epr_valid(signature: Signature, s: Sequent) -> Optional[bool]:
     """Exact validity for sequents in the relational Bernays-Schoenfinkel
-    fragment, by exhausting structures up to the small-model bound."""
-    bound = epr_bound(s)
-    if bound is None or signature.functions:
+    fragment, by `decide_relational`'s Herbrand expansion; None when the
+    signature has function symbols or the walk declines the sequent."""
+    if signature.functions:
         return None
-    return BoundedOracle(Theory(signature), model_size=bound).refute(s) is None
+    found = decide_relational(s, (), signature)
+    return None if found is None else found is True
 
 
 # --- the one-step layer over a quantifier-free oracle ------------------------------

@@ -189,39 +189,42 @@ def rebuilt_canonical_form(phi: Formula) -> Formula:
 # --- random sequents over a small relational signature --------------------------
 
 
-def random_formula(rng: random.Random, variables: tuple[str, ...], size: int) -> Formula:
+def random_formula(rng: random.Random, variables: tuple[str, ...], size: int, equality: bool = False) -> Formula:
+    """A formula over P/1 and Q/2, and = between variables when asked."""
     atoms = [
         Pred("P", (Var(rng.choice(variables)),)),
         Pred("Q", (Var(rng.choice(variables)), Var(rng.choice(variables)))),
         Top(),
         Bot(),
     ]
+    if equality:
+        atoms.append(Eq(Var(rng.choice(variables)), Var(rng.choice(variables))))
     if size <= 1:
         return rng.choice(atoms)
     kind = rng.randrange(6)
     if kind == 0:
-        return Not(random_formula(rng, variables, size - 1))
+        return Not(random_formula(rng, variables, size - 1, equality))
     if kind in (1, 2, 3):
         ls = rng.randint(1, size - 2) if size > 2 else 1
         ctor = (And, Or, Imp)[kind - 1]
         return ctor(
-            random_formula(rng, variables, ls),
-            random_formula(rng, variables, size - 1 - ls),
+            random_formula(rng, variables, ls, equality),
+            random_formula(rng, variables, size - 1 - ls, equality),
         )
     fresh = pool_var(rng.randint(4, 6))
     body_vars = tuple(variables) + ((fresh,) if fresh not in variables else ())
     ctor = Forall if kind == 4 else Exists
     from doctrina.formula import rectify
 
-    return rectify(ctor(fresh, random_formula(rng, body_vars, size - 1)), avoid=variables)
+    return rectify(ctor(fresh, random_formula(rng, body_vars, size - 1, equality)), avoid=variables)
 
 
-def random_sequent(rng: random.Random, max_size: int = 5) -> Sequent:
+def random_sequent(rng: random.Random, max_size: int = 5, equality: bool = False) -> Sequent:
     ctx = Context(tuple(pool_var(i) for i in range(1, rng.randint(1, 3) + 1)))
     n_ant = rng.randint(0, 2)
     n_suc = rng.randint(1, 2)
-    ants = tuple(random_formula(rng, ctx.vars, rng.randint(1, max_size)) for _ in range(n_ant))
-    sucs = tuple(random_formula(rng, ctx.vars, rng.randint(1, max_size)) for _ in range(n_suc))
+    ants = tuple(random_formula(rng, ctx.vars, rng.randint(1, max_size), equality) for _ in range(n_ant))
+    sucs = tuple(random_formula(rng, ctx.vars, rng.randint(1, max_size), equality) for _ in range(n_suc))
     return Sequent(ctx, ants, sucs)
 
 
@@ -272,6 +275,66 @@ def minterm_candidates(atoms: list[Formula]) -> list[Formula]:
         disj([mt for mt, k in zip(minterms, keep) if k])
         for keep in itertools.product((False, True), repeat=len(minterms))
     ]
+
+
+# --- the small-model exhaustion of the relational fragment (oracle for epr_valid) --
+
+
+def _existential_count(phi: Formula, positive: bool):
+    """(number of existential-strength quantifiers, whether any occurs below
+    a universal-strength one); None when function applications appear."""
+    if isinstance(phi, Pred):
+        if any(not isinstance(t, Var) for t in phi.args):
+            return None
+        return 0, False
+    if isinstance(phi, Eq):
+        if not (isinstance(phi.left, Var) and isinstance(phi.right, Var)):
+            return None
+        return 0, False
+    if isinstance(phi, (Top, Bot)):
+        return 0, False
+    if isinstance(phi, Not):
+        return _existential_count(phi.body, not positive)
+    if isinstance(phi, (And, Or, Imp)):
+        left = _existential_count(phi.left, positive != isinstance(phi, Imp))
+        right = _existential_count(phi.right, positive)
+        if left is None or right is None:
+            return None
+        return left[0] + right[0], left[1] or right[1]
+    if isinstance(phi, (Forall, Exists)):
+        inner = _existential_count(phi.body, positive)
+        if inner is None:
+            return None
+        count, nested = inner
+        if isinstance(phi, Exists) == positive:
+            return count + 1, nested
+        # universal-strength: any existential inside leaves the fragment
+        return count, nested or count > 0
+    return None
+
+
+def epr_bound(s: Sequent):
+    """The small-model bound of a sequent in the relational forall-exists
+    prenexable fragment: the context plus its existential-strength
+    quantifiers, at least 1; None outside the fragment."""
+    total = 0
+    for f, positive in [(f, True) for f in s.antecedent] + [(f, False) for f in s.succedent]:
+        r = _existential_count(f, positive)
+        if r is None or r[1]:
+            return None
+        total += r[0]
+    return max(1, len(s.context) + total)
+
+
+def exhaustive_epr_valid(signature, s: Sequent):
+    """Validity in the relational Bernays-Schoenfinkel fragment by scanning
+    every structure up to the small-model bound; None outside it."""
+    from doctrina.syntactic import BoundedOracle, Theory
+
+    bound = epr_bound(s)
+    if bound is None or signature.functions:
+        return None
+    return BoundedOracle(Theory(signature), model_size=bound).refute(s) is None
 
 
 # --- exhaustive truncated word-model search (oracle for the prefix criterion) ----

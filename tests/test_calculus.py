@@ -9,12 +9,13 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from doctrina import calculus
-from doctrina.lang import Context, LangError, Signature, Var, canonical_context
+from doctrina.lang import App, Context, LangError, Signature, Var, canonical_context
 from doctrina.formula import (
     And,
     Bot,
@@ -27,6 +28,7 @@ from doctrina.formula import (
     Pred,
     Top,
     canonical_form,
+    subformulas,
     substitute,
 )
 from doctrina.calculus import (
@@ -39,7 +41,13 @@ from doctrina.calculus import (
     prove_bounded,
     prove_qf,
 )
-from doctrina.semantics import enumerate_structures, falsifying_assignment
+from doctrina.semantics import (
+    FiniteStructure,
+    countermodel_search,
+    enumerate_structures,
+    eval_in_structure,
+    falsifying_assignment,
+)
 from doctrina.sexpr import proof_sexpr, structure_sexpr
 
 from helpers import random_qf_formula, random_sequent, rebuilt_canonical_form
@@ -368,11 +376,11 @@ class RoundSpy(Search):
         return tree
 
 
-def spied_rounds(monkeypatch, *args):
+def spied_rounds(monkeypatch, *args, search=prove_bounded):
     log = []
     monkeypatch.setattr(RoundSpy, "log", log, raising=False)
     monkeypatch.setattr(calculus, "_Search", RoundSpy)
-    return prove_bounded(*args), log
+    return search(*args), log
 
 
 CRITERION_10_AXIOMS = (
@@ -462,7 +470,7 @@ def test_every_kept_failure_fails_afresh(monkeypatch):
     checked = 0
     for s, theory, budget, sig in goals:
         engines.clear()
-        prove_bounded(s, theory, Budget(budget.max_depth, budget.max_term_depth, 200), sig)
+        calculus.deepen(s, theory, Budget(budget.max_depth, budget.max_term_depth, 200), sig)
         for engine in engines:
             for (xs, ant, suc), known in engine.failed.items():
                 fresh = Search(Budget(max_term_depth=budget.max_term_depth, max_nodes=5000), sig)
@@ -475,21 +483,122 @@ def test_every_kept_failure_fails_afresh(monkeypatch):
 
 def test_deepening_stops_after_a_saturated_round(monkeypatch):
     x = ("x",)
+    deepen = calculus.deepen  # the deepening alone, without the decision first
     # the first round reaches an open atomic leaf with no depth cut-off
     leaf = Sequent(Context(x), (Exists("y", Q("x", "y")),), (P("x"),))
-    assert spied_rounds(monkeypatch, leaf, (), Budget(), SIG) == (None, [(0, 2)])
+    assert spied_rounds(monkeypatch, leaf, (), Budget(), SIG, search=deepen) == (None, [(0, 2)])
     # round 0 cuts the conjunction off; round 1 splits it and saturates
     split = Sequent(Context(x), (), (And(P("x"), Q("x", "x")),))
-    tree, log = spied_rounds(monkeypatch, split, (), Budget(), SIG)
+    tree, log = spied_rounds(monkeypatch, split, (), Budget(), SIG, search=deepen)
     assert tree is None and [depth for depth, _ in log] == [0, 1]
     # a proof two splits deep is found in the third round
     deep = Sequent(Context(x), (P("x"), Q("x", "x")), (And(P("x"), And(Q("x", "x"), Top())),))
-    tree, log = spied_rounds(monkeypatch, deep, (), Budget(), SIG)
+    tree, log = spied_rounds(monkeypatch, deep, (), Budget(), SIG, search=deepen)
     assert check_proof(tree).ok and [depth for depth, _ in log] == [0, 1, 2]
     # a round stopped by the node cap is no reason to stop deepening
     capped = Sequent(Context(x), (), (Not(Not(P("x"))),))
-    _, log = spied_rounds(monkeypatch, capped, (), Budget(max_depth=2, max_nodes=1), SIG)
+    _, log = spied_rounds(monkeypatch, capped, (), Budget(max_depth=2, max_nodes=1), SIG, search=deepen)
     assert [depth for depth, _ in log] == [0, 1, 2]
+
+
+def sweep_goals(seed, n=1000):
+    """The first `n` goals of the benchmark's sound-sweep workload."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    sweep = workloads.SoundSweep(seed)
+    return [(sweep.next_request().sequent, (), workloads.SWEEP_BUDGET, workloads.SIG) for _ in range(n)]
+
+
+def decision_goals():
+    """The deepening goals, criterion 1's 200 goals and 1,000 sound-sweep
+    goals of each of three seeds, each with its theory, budget and signature."""
+    yield from deepening_goals()
+    rng = random.Random(20240901)
+    for _ in range(200):
+        yield random_sequent(rng), (), Budget(max_depth=8, max_term_depth=2, max_nodes=2000), None
+    for seed in (1, 2, 3):
+        yield from sweep_goals(seed)
+
+
+def predicates_in(formulas):
+    return tuple(sorted({(a.name, len(a.args)) for f in formulas for a in subformulas(f) if isinstance(a, Pred)}))
+
+
+def signature_of(formulas):
+    """The predicates and function symbols that `formulas` use."""
+    atoms = [a for f in formulas for a in subformulas(f)]
+    terms = [t for a in atoms if isinstance(a, Pred) for t in a.args]
+    terms += [t for a in atoms if isinstance(a, Eq) for t in (a.left, a.right)]
+    functions = set()
+    while terms:
+        t = terms.pop()
+        if isinstance(t, App):
+            functions.add((t.symbol, len(t.args)))
+            terms += t.args
+    return Signature(tuple(sorted(functions)), predicates_in(formulas))
+
+
+def branch_structure(branch, formulas):
+    """The structure of an open branch: its carrier, and its atoms true."""
+    tuples = {name: frozenset(args for n, args in branch.atoms if n == name) for name, _ in predicates_in(formulas)}
+    return FiniteStructure(branch.carrier, {}, tuples)
+
+
+def test_the_decision_is_exact_and_changes_no_proof():
+    # prove_bounded prints what the deepening alone prints; a refutation's
+    # branch is a countermodel of the theory and the goal, and a valid goal
+    # has no countermodel of size <= 3
+    seen = Counter()
+    for s, theory, budget, sig in decision_goals():
+        found = calculus.decide_relational(s, theory, sig)
+        tree, ref = prove_bounded(s, theory, budget, sig), calculus.deepen(s, theory, budget, sig)
+        assert (None if tree is None else proof_sexpr(tree)) == (None if ref is None else proof_sexpr(ref)), s
+        formulas = theory + s.antecedent + s.succedent
+        if isinstance(found, calculus.OpenBranch):
+            m = branch_structure(found, formulas)
+            assert all(eval_in_structure(ax, m) for ax in theory), s
+            assert all(eval_in_structure(a, m, found.assignment) for a in s.antecedent), s
+            assert not any(eval_in_structure(b, m, found.assignment) for b in s.succedent), s
+            seen["refuted"] += 1
+        elif found is True:
+            assert countermodel_search(s, theory, signature_of(formulas), 3) is None, s
+            seen["valid"] += 1
+        else:
+            seen["declined"] += 1
+    assert seen["refuted"] >= 500 and seen["valid"] >= 2000, seen
+
+
+def test_the_decision_on_edge_cases():
+    # the empty context: the empty structure refutes => exists x true, and a
+    # universal on the left has no instance there
+    found = calculus.decide_relational(Sequent(Context(), (), (Exists("x", Top()),)))
+    assert found == calculus.OpenBranch((), frozenset(), {})
+    falsum = Forall("x", Bot())
+    assert calculus.decide_relational(Sequent(Context(), (falsum,), ())) == calculus.OpenBranch((), frozenset(), {})
+    assert calculus.decide_relational(Sequent(Context(("x1",)), (falsum,), ())) is True
+    # an existential under a universal on the left leaves the fragment, but
+    # a branch that closes first is decided
+    serial = Forall("x", Exists("y", Q("x", "y")))
+    assert calculus.decide_relational(Sequent(Context(("x1",)), (serial,), (P("x1"),))) is None
+    assert calculus.decide_relational(Sequent(Context(("x1",)), (serial, Bot()), ())) is True
+    # variable equalities merge constants; a function term is declined
+    same = Sequent(Context(("x1", "x2")), (Eq(Var("x1"), Var("x2")), P("x1")), (P("x2"),))
+    assert calculus.decide_relational(same) is True
+    apart = Sequent(Context(("x1", "x2")), (Eq(Var("x1"), Var("x2")),), (Q("x1", "x2"),))
+    assert calculus.decide_relational(apart) == calculus.OpenBranch((1,), frozenset(), {"x1": 1, "x2": 1})
+    image = Pred("P", (App("f", (Var("x1"),)),))
+    assert calculus.decide_relational(Sequent(Context(("x1",)), (image,), (image,))) is None
+    # a signature with a constant has no empty structure: the prover may use
+    # the constant as a witness, so the walk declines
+    constant = Signature(functions=(("c", 0),))
+    assert calculus.decide_relational(Sequent(Context(), (), (Exists("x", Top()),)), (), constant) is None
+    # wide goals are walked without recursion, and the prover gives up at once
+    wide = Sequent(Context(), (Pred("P", ()),) * 600, (Pred("Q", ()),))
+    assert calculus.decide_relational(wide) == calculus.OpenBranch((), frozenset({("P", ())}), {})
+    assert prove_bounded(wide) is None
 
 
 def test_proofs_are_sound_in_finite_structures():

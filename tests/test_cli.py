@@ -357,6 +357,38 @@ def test_budget_env_override(capsys, monkeypatch):
     assert run_cli(["prove", goal], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, budget, message",
+    [
+        (["--budget", "\u0663"], None, "ERROR argument --budget: invalid integer value: '\u0663'"),
+        (["--budget", "abc"], None, "ERROR argument --budget: invalid integer value: 'abc'"),
+        ([], " 1_0", "ERROR DOCTRINA_BUDGET must be an integer, got ' 1_0'"),
+    ],
+    ids=["arabic-indic-digit", "letters", "underscore-and-space-in-env"],
+)
+def test_integer_options_are_ascii_decimal(argv, budget, message, capsys, monkeypatch):
+    # options and DOCTRINA_BUDGET read integers as documents do, and a
+    # value that is not one exits 3 with one ERROR line, not with a verdict
+    if budget is not None:
+        monkeypatch.setenv("DOCTRINA_BUDGET", budget)
+    assert main(["prove", "(seq (ctx x) (ants (P x)) (sucs (P x)))", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_usage_errors_exit_3_and_help_exits_0(capsys):
+    # exit 2 means unknown, so a usage error is an input error like any other
+    assert main(["frobnicate"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR argument command: invalid choice: 'frobnicate'") and err.count("\n") == 1
+    assert main(["prove"]) == 3
+    assert capsys.readouterr().err == "ERROR the following arguments are required: sequent\n"
+    with pytest.raises(SystemExit) as exited:
+        main(["prove", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: doctrina prove")
+
+
 def _run_subprocess(argv, seed="0", extra_env=None):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +31,14 @@ from doctrina.semantics import (
 )
 from doctrina.formula import substitute, substitute_formula
 from doctrina.sexpr import formula_sexpr, proof_sexpr, structure_sexpr
-from helpers import random_formula, random_qf_formula, satisfying_tuples
+from helpers import (
+    epr_bound,
+    exhaustive_epr_valid,
+    random_formula,
+    random_qf_formula,
+    random_sequent,
+    satisfying_tuples,
+)
 from doctrina.prefix import PrefixOracle, prefix_theory
 from doctrina.syntactic import (
     BoundedOracle,
@@ -46,7 +54,6 @@ from doctrina.syntactic import (
     completion_leq,
     enumerate_qf,
     atom_pool,
-    epr_bound,
     epr_valid,
     equality_axiom_instances,
     interpret,
@@ -620,7 +627,6 @@ def test_epr_bound_and_validity():
         (Exists("y", Forall("x", Q("x", "y"))),),
         (Forall("x", Exists("y", Q("x", "y"))),),
     )
-    assert epr_bound(s) is not None
     assert epr_valid(SIG, s) is True
     invalid = Sequent(
         Context(),
@@ -632,10 +638,32 @@ def test_epr_bound_and_validity():
 
 def test_epr_detects_fragment_violations():
     # a positive forall-exists hypothesis leaves the fragment: after negation
-    # the existential sits inside a universal scope
-    s = Sequent(Context(), (Forall("x", Exists("y", Q("x", "y"))),), ())
-    assert epr_bound(s) is None
-    assert epr_valid(SIG, s) is None
+    # the existential sits inside a universal scope, which the expansion
+    # meets once the context gives the universal an instance
+    hyp = Forall("x", Exists("y", Q("x", "y")))
+    assert epr_valid(SIG, Sequent(Context(("x1",)), (hyp,), ())) is None
+    # with no context variable the universal has no instance, and the empty
+    # structure satisfies the hypothesis and falsifies the empty succedent
+    assert epr_valid(SIG, Sequent(Context(), (hyp,), ())) is False
+    assert eval_in_structure(hyp, FiniteStructure((), {}, {"Q": frozenset()}))
+
+
+def test_epr_valid_agrees_with_the_exhaustion():
+    # the expansion against the small-model exhaustion it replaced, on
+    # criterion 1's goals and on goals with variable equalities, wherever
+    # the bound is at most 4
+    eq_sig = Signature(predicates=(("P", 1), ("Q", 2)), has_equality=True)
+    rng = random.Random(20240901)
+    criterion_1 = [(SIG, random_sequent(rng)) for _ in range(200)]
+    rng = random.Random(1930)
+    equalities = [(eq_sig, random_sequent(rng, 4, equality=True)) for _ in range(200)]
+    checked = Counter()
+    for sig, s in criterion_1 + equalities:
+        bound = epr_bound(s)
+        if bound is not None and bound <= 4:
+            assert epr_valid(sig, s) == exhaustive_epr_valid(sig, s), s
+            checked[sig.has_equality, epr_valid(sig, s)] += 1
+    assert min(checked.values()) >= 40 and len(checked) == 4, checked
 
 
 # --- the one-step layer -------------------------------------------------------------------
