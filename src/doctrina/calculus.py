@@ -753,85 +753,99 @@ def decide_relational(
     when it is not, and None when the walk declines the goal (see the module
     docstring).  The axioms are sentences; a variable of an axiom outside
     its binders is declined, as a function term is."""
-    if signature is not None and signature.constants():
+    if signature is not None and signature.functions and signature.constants():
         return None
-    names = {v: c for c, v in enumerate(s.context.vars)}
-    todo = [(True, ax, {}) for ax in axioms]
-    todo += [(True, phi, names) for phi in s.antecedent] + [(False, phi, names) for phi in s.succedent]
+    names = dict(zip(s.context.vars, range(len(s.context.vars))))
+    # the root closes at once on top right, bottom left or one formula on
+    # both sides, as four in ten valid goals of the sweep do
+    todo = []
+    for phi in s.succedent:
+        if type(phi) is Top:
+            return True
+        todo.append((False, phi, names))
+    for phi in s.antecedent:
+        if type(phi) is Bot or phi in s.succedent:
+            return True
+        todo.append((True, phi, names))
+    for ax in axioms:
+        todo.append((True, ax, {}))
     # a branch: formulas to read, delayed branching ones, universal-strength
     # ones, atoms either side, equalities either side, constants, instantiated
-    branches = [(todo, [], [], set(), set(), [], [], len(names), False)]
-    while branches:
-        todo, delayed, universal, lefts, rights, eqs, neqs, n, frozen = branches.pop()
-        while True:
-            while todo:
-                left, phi, env = todo.pop()
-                kind = type(phi)
-                if kind is Pred:
-                    args = []
-                    for t in phi.args:
-                        c = env.get(t.name) if type(t) is Var else None
-                        if c is None:
-                            return None
-                        args.append(c)
-                    atom = (phi.name, tuple(args))
-                    if atom in (rights if left else lefts):
-                        break
-                    (lefts if left else rights).add(atom)
-                elif kind is Eq:
-                    a = env.get(phi.left.name) if type(phi.left) is Var else None
-                    b = env.get(phi.right.name) if type(phi.right) is Var else None
-                    if a is None or b is None:
-                        return None
-                    if a != b:
-                        (eqs if left else neqs).append((a, b))
-                    elif not left:
-                        break
-                elif kind is Not:
-                    todo.append((not left, phi.body, env))
-                elif kind is Top or kind is Bot:
-                    if left == (kind is Bot):
-                        break
-                elif kind is And or kind is Or:
-                    if (kind is And) == left:
-                        todo += ((left, phi.left, env), (left, phi.right, env))
-                    else:
-                        delayed.append((left, phi, env))
-                elif kind is Imp:
-                    if left:
-                        delayed.append((left, phi, env))
-                    else:
-                        todo += ((True, phi.left, env), (False, phi.right, env))
-                elif kind is Exists or kind is Forall:
-                    if (kind is Exists) != left:
-                        universal.append((left, phi, env))
-                    elif frozen:
-                        return None
-                    else:
-                        todo.append((left, phi.body, {**env, phi.var: n}))
-                        n += 1
-                else:
+    delayed, universal, lefts, rights, eqs, neqs, n, frozen = [], [], set(), set(), [], [], len(names), False
+    branches = []  # the branches still to walk
+    while True:
+        while todo:
+            left, phi, env = todo.pop()
+            kind = type(phi)
+            if kind is Pred:
+                try:
+                    atom = (phi.name, tuple([env[t.name] for t in phi.args]))
+                except (KeyError, AttributeError):  # a variable no binder gives, a function term
                     return None
+                if left:
+                    if atom in rights:
+                        break
+                    lefts.add(atom)
+                elif atom in lefts:
+                    break
+                else:
+                    rights.add(atom)
+            elif kind is Not:
+                todo.append((not left, phi.body, env))
+            elif kind is Top or kind is Bot:
+                if left == (kind is Bot):
+                    break
+            elif kind is Eq:
+                try:
+                    a, b = env[phi.left.name], env[phi.right.name]
+                except (KeyError, AttributeError):
+                    return None
+                if a != b:
+                    (eqs if left else neqs).append((a, b))
+                elif not left:
+                    break
+            elif kind is And or kind is Or:
+                if (kind is And) == left:
+                    todo += ((left, phi.left, env), (left, phi.right, env))
+                else:
+                    delayed.append((left, phi, env))
+            elif kind is Imp:
+                if left:
+                    delayed.append((left, phi, env))
+                else:
+                    todo += ((True, phi.left, env), (False, phi.right, env))
+            elif kind is Exists or kind is Forall:
+                if (kind is Exists) != left:
+                    universal.append((left, phi, env))
+                elif frozen:
+                    return None
+                else:
+                    todo.append((left, phi.body, {**env, phi.var: n}))
+                    n += 1
             else:
-                if delayed:
-                    left, phi, env = delayed.pop()
-                    first = (left and type(phi) is not Imp, phi.left, env)
-                    second = (left, phi.right, env)
-                    branches.append(
-                        ([second], delayed[:], universal[:], set(lefts), set(rights), eqs[:], neqs[:], n, frozen)
-                    )
-                    todo = [first]
-                    continue
-                if universal:
-                    frozen = True
-                    todo = [(left, phi.body, {**env, phi.var: c}) for left, phi, env in universal for c in range(n)]
-                    universal = []
-                    continue
-                found = _open_leaf(s.context, lefts, rights, eqs, neqs, n)
-                if found is not None:
-                    return found
-            break
-    return True
+                return None
+        else:
+            if delayed:
+                left, phi, env = delayed.pop()
+                first = (left and type(phi) is not Imp, phi.left, env)
+                second = (left, phi.right, env)
+                branches.append(
+                    ([second], delayed[:], universal[:], set(lefts), set(rights), eqs[:], neqs[:], n, frozen)
+                )
+                todo = [first]
+                continue
+            if universal:
+                frozen = True
+                todo = [(left, phi.body, {**env, phi.var: c}) for left, phi, env in universal for c in range(n)]
+                universal = []
+                continue
+            found = _open_leaf(s.context, lefts, rights, eqs, neqs, n)
+            if found is not None:
+                return found
+        # the branch closed
+        if not branches:
+            return True
+        todo, delayed, universal, lefts, rights, eqs, neqs, n, frozen = branches.pop()
 
 
 def _open_leaf(ctx: Context, lefts: set, rights: set, eqs: list, neqs: list, n: int) -> Optional[OpenBranch]:
@@ -875,10 +889,18 @@ def prove_bounded(
     refuted goal returns None at once: the search is sound, so it could not
     have proved it.  Every other goal goes to `deepen`.
     """
-    axioms = tuple(theory)
+    axioms = _sentences(theory)
     if isinstance(decide_relational(s, axioms, signature), OpenBranch):
         return None
     return deepen(s, axioms, budget, signature)
+
+
+def _sentences(theory: Sequence[Formula]) -> tuple[Formula, ...]:
+    axioms = tuple(theory)
+    for ax in axioms:
+        if free_vars(ax):
+            raise ProofError(f"theory axiom {ax!r} is not a sentence")
+    return axioms
 
 
 def deepen(
@@ -907,11 +929,8 @@ def deepen(
     search without it at each point of the same search order, so it proves
     every goal that one proves, and may prove one in an earlier round.
     """
-    axioms = tuple(theory)
-    for ax in axioms:
-        if free_vars(ax):
-            raise ProofError(f"theory axiom {ax!r} is not a sentence")
-    goal = Sequent(s.context, axioms + s.antecedent, s.succedent)
+    axioms = _sentences(theory)
+    goal = _premise(s.context, axioms + s.antecedent, s.succedent)
     engine, tree = _Search(budget, signature), None
     for depth in range(budget.max_depth + 1):
         engine.nodes = engine.cutoffs = engine.unclean = 0
@@ -923,7 +942,7 @@ def deepen(
     for k in range(len(axioms)):
         remaining = axioms[k + 1:]
         lemma = _axiom_lemma(axioms[k], s.context)
-        concl = Sequent(s.context, remaining + s.antecedent, s.succedent)
+        concl = _premise(s.context, remaining + s.antecedent, s.succedent)
         tree = ProofTree(concl, Rule("Cut"), (lemma, tree))
     return tree
 

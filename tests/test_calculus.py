@@ -50,7 +50,7 @@ from doctrina.semantics import (
 )
 from doctrina.sexpr import proof_sexpr, structure_sexpr
 
-from helpers import random_qf_formula, random_sequent, rebuilt_canonical_form
+from helpers import epr_bound, random_qf_formula, random_sequent, rebuilt_canonical_form
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -66,6 +66,25 @@ def Q(a, b):
 def test_sequent_requires_context_cover():
     with pytest.raises(ProofError):
         Sequent(Context(("x",)), (Q("x", "y"),), ())
+
+
+def test_only_premises_skip_the_context_check(monkeypatch):
+    # a sequent from a caller or a document is checked; a premise that
+    # `premises` builds from a checked conclusion is not checked again
+    from doctrina.sexpr import ParseError, parse_sequent, parse_sexpr
+
+    with pytest.raises(ParseError, match="outside sequent context"):
+        parse_sequent(parse_sexpr("(seq (ctx x) (ants (P y)) (sucs))"))
+    s = Sequent(Context(("x",)), (Forall("y", Q("x", "y")),), (Exists("y", P("y")),))
+    checked = []
+    monkeypatch.setattr(Sequent, "__post_init__", lambda self: checked.append(self))
+    (premise,) = calculus.premises(s, Rule("LForall", pos=0, term=Var("x")))
+    (enlarged,) = calculus.premises(s, Rule("RExists", pos=0, term=Var("x")))
+    assert checked == []
+    assert premise == Sequent(s.context, (Q("x", "x"),), s.succedent) and len(checked) == 1
+    assert enlarged == Sequent(s.context, s.antecedent, (P("x"),))
+    with pytest.raises(ProofError, match="witness term"):
+        calculus.premises(s, Rule("LForall", pos=0, term=Var("z")))
 
 
 def test_enlarge_context():
@@ -583,18 +602,25 @@ def test_the_decision_on_edge_cases():
     # a branch that closes first is decided
     serial = Forall("x", Exists("y", Q("x", "y")))
     assert calculus.decide_relational(Sequent(Context(("x1",)), (serial,), (P("x1"),))) is None
-    assert calculus.decide_relational(Sequent(Context(("x1",)), (serial, Bot()), ())) is True
+    closed = Sequent(Context(("x1",)), (serial, Bot()), ())
+    assert epr_bound(closed) is None and calculus.decide_relational(closed) is True
     # variable equalities merge constants; a function term is declined
     same = Sequent(Context(("x1", "x2")), (Eq(Var("x1"), Var("x2")), P("x1")), (P("x2"),))
     assert calculus.decide_relational(same) is True
     apart = Sequent(Context(("x1", "x2")), (Eq(Var("x1"), Var("x2")),), (Q("x1", "x2"),))
     assert calculus.decide_relational(apart) == calculus.OpenBranch((1,), frozenset(), {"x1": 1, "x2": 1})
     image = Pred("P", (App("f", (Var("x1"),)),))
-    assert calculus.decide_relational(Sequent(Context(("x1",)), (image,), (image,))) is None
+    assert calculus.decide_relational(Sequent(Context(("x1",)), (image,), (P("x1"),))) is None
+    # one formula on both sides closes the root before any formula is read
+    assert calculus.decide_relational(Sequent(Context(("x1",)), (image,), (image,))) is True
     # a signature with a constant has no empty structure: the prover may use
     # the constant as a witness, so the walk declines
     constant = Signature(functions=(("c", 0),))
     assert calculus.decide_relational(Sequent(Context(), (), (Exists("x", Top()),)), (), constant) is None
+    # a theory axiom with a free variable is refused before any walk, also
+    # where the walk would have found an open branch without reading it
+    with pytest.raises(ProofError, match="not a sentence"):
+        prove_bounded(Sequent(Context(), (), (Pred("R", ()),)), [Or(Pred("S", ()), P("y"))])
     # wide goals are walked without recursion, and the prover gives up at once
     wide = Sequent(Context(), (Pred("P", ()),) * 600, (Pred("Q", ()),))
     assert calculus.decide_relational(wide) == calculus.OpenBranch((), frozenset({("P", ())}), {})

@@ -389,6 +389,12 @@ def test_usage_errors_exit_3_and_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: doctrina prove")
 
 
+def test_a_negative_budget_runs_no_round(capsys):
+    # `-1` is an integer; a deepening with no round finds no proof
+    code, out = run_cli(["prove", "(seq (ctx x) (ants (P x)) (sucs (P x)))", "--budget", "-1"], capsys)
+    assert (code, out) == (2, "VERDICT unknown\n")
+
+
 def _run_subprocess(argv, seed="0", extra_env=None):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
