@@ -229,9 +229,9 @@ def _term_in_context(t: Term, ctx: Context) -> bool:
 
 
 def _premise(ctx: Context, ant: tuple[Formula, ...], suc: tuple[Formula, ...]) -> Sequent:
-    """A sequent built without `Sequent`'s free-variable check, for a premise
-    whose formulas lie in `ctx` by the rule that built it (see the module
-    docstring)."""
+    """A sequent built without `Sequent`'s free-variable check, for formulas
+    known to lie in `ctx`: a premise of a rule (see the module docstring), or
+    a checked sequent with theory sentences added."""
     s = object.__new__(Sequent)
     s.__dict__.update(context=ctx, antecedent=ant, succedent=suc)
     return s
@@ -896,6 +896,7 @@ def prove_bounded(
 
 
 def _sentences(theory: Sequence[Formula]) -> tuple[Formula, ...]:
+    """The theory as a tuple, once each axiom is checked to be a sentence."""
     axioms = tuple(theory)
     for ax in axioms:
         if free_vars(ax):
