@@ -746,13 +746,17 @@ class OpenBranch:
 
 
 def decide_relational(
-    s: Sequent, axioms: Sequence[Formula] = (), signature: Optional[Signature] = None
+    s: Sequent,
+    axioms: Sequence[Formula] = (),
+    signature: Optional[Signature] = None,
+    max_branches: float = math.inf,
 ) -> bool | OpenBranch | None:
     """Decide `axioms, s.antecedent =>_ctx s.succedent` by Herbrand
     expansion: True when it is valid, the first open branch, a countermodel,
     when it is not, and None when the walk declines the goal (see the module
-    docstring).  The axioms are sentences; a variable of an axiom outside
-    its binders is declined, as a function term is."""
+    docstring) or would split a branch more than `max_branches` times.  The
+    axioms are sentences; a variable of an axiom outside its binders is
+    declined, as a function term is."""
     if signature is not None and signature.functions and signature.constants():
         return None
     names = dict(zip(s.context.vars, range(len(s.context.vars))))
@@ -773,6 +777,7 @@ def decide_relational(
     # ones, atoms either side, equalities either side, constants, instantiated
     delayed, universal, lefts, rights, eqs, neqs, n, frozen = [], [], set(), set(), [], [], len(names), False
     branches = []  # the branches still to walk
+    splits = 0
     while True:
         while todo:
             left, phi, env = todo.pop()
@@ -825,19 +830,38 @@ def decide_relational(
             else:
                 return None
         else:
-            if delayed:
-                left, phi, env = delayed.pop()
-                first = (left and type(phi) is not Imp, phi.left, env)
-                second = (left, phi.right, env)
-                branches.append(
-                    ([second], delayed[:], universal[:], set(lefts), set(rights), eqs[:], neqs[:], n, frozen)
-                )
-                todo = [first]
-                continue
-            if universal:
+            # once the walk has instantiated, no constant is added, and every
+            # instance is read before a split
+            if universal and (frozen or not delayed):
                 frozen = True
                 todo = [(left, phi.body, {**env, phi.var: c}) for left, phi, env in universal for c in range(n)]
                 universal = []
+                continue
+            if delayed:
+                # every delayed formula with a child that closes the branch at
+                # once is taken first, and only its other child is read: the
+                # branch does not split (unit propagation)
+                kept = []
+                for item in delayed:
+                    left, phi, env = item
+                    first = (left and type(phi) is not Imp, phi.left, env)
+                    second = (left, phi.right, env)
+                    if _closes(first, lefts, rights):
+                        todo.append(second)
+                    elif _closes(second, lefts, rights):
+                        todo.append(first)
+                    else:
+                        kept.append(item)
+                delayed = kept
+                if not todo:  # split on the last one, whose children are at hand
+                    splits += 1
+                    if splits > max_branches:
+                        return None
+                    delayed.pop()
+                    branches.append(
+                        ([second], delayed[:], universal[:], set(lefts), set(rights), eqs[:], neqs[:], n, frozen)
+                    )
+                    todo = [first]
                 continue
             found = _open_leaf(s.context, lefts, rights, eqs, neqs, n)
             if found is not None:
@@ -846,6 +870,22 @@ def decide_relational(
         if not branches:
             return True
         todo, delayed, universal, lefts, rights, eqs, neqs, n, frozen = branches.pop()
+
+
+def _closes(item: tuple, lefts: set, rights: set) -> bool:
+    """Whether reading the formula of a walk item, `(left, phi, env)`, closes
+    its branch at once: an atom already on the other side, or bottom left
+    or top right, under any negations."""
+    left, phi, env = item
+    while type(phi) is Not:
+        left, phi = not left, phi.body
+    kind = type(phi)
+    if kind is Pred:
+        try:
+            return (phi.name, tuple([env[t.name] for t in phi.args])) in (rights if left else lefts)
+        except (KeyError, AttributeError):  # the walk declines it when it reads it
+            return False
+    return (kind is Top or kind is Bot) and left == (kind is Bot)
 
 
 def _open_leaf(ctx: Context, lefts: set, rights: set, eqs: list, neqs: list, n: int) -> Optional[OpenBranch]:
@@ -885,14 +925,15 @@ def prove_bounded(
     """Cut-free backward-chaining proof search; None means not found within
     the budget (the search is deliberately incomplete).
 
-    The goal and the theory are decided first (`decide_relational`), and a
-    refuted goal returns None at once: the search is sound, so it could not
-    have proved it.  Every other goal goes to `deepen`.
+    The goal and the theory are decided first (`decide_relational`, with as
+    many splits as the search has nodes in a round), and a refuted goal
+    returns None at once: the search is sound, so it could not have proved
+    it.  Every other goal goes to the search of `deepen`.
     """
     axioms = _sentences(theory)
-    if isinstance(decide_relational(s, axioms, signature), OpenBranch):
+    if isinstance(decide_relational(s, axioms, signature, budget.max_nodes), OpenBranch):
         return None
-    return deepen(s, axioms, budget, signature)
+    return _deepen(s, axioms, budget, signature)
 
 
 def _sentences(theory: Sequence[Formula]) -> tuple[Formula, ...]:
@@ -930,7 +971,13 @@ def deepen(
     search without it at each point of the same search order, so it proves
     every goal that one proves, and may prove one in an earlier round.
     """
-    axioms = _sentences(theory)
+    return _deepen(s, _sentences(theory), budget, signature)
+
+
+def _deepen(
+    s: Sequent, axioms: tuple[Formula, ...], budget: Budget, signature: Optional[Signature]
+) -> Optional[ProofTree]:
+    """`deepen` on theory axioms already checked to be sentences."""
     goal = _premise(s.context, axioms + s.antecedent, s.succedent)
     engine, tree = _Search(budget, signature), None
     for depth in range(budget.max_depth + 1):

@@ -262,9 +262,10 @@ class BoundedOracle(EntailmentOracle):
         # fails on a function symbol the signature leaves uninterpreted, but
         # the prover may still close the goal: the error waits for the prover.
         # A valid goal has no countermodel to scan for, and a refuted one no
-        # proof to search for.
+        # proof to search for; a valid goal the search leaves unproved is
+        # still scanned, for the error it may raise.
         axioms = self.axioms_for(s)
-        known = decide_relational(s, axioms, self.theory.signature)
+        known = decide_relational(s, axioms, self.theory.signature, self.budget.max_nodes)
         refuted = error = None
         if known is not True:
             try:
@@ -276,6 +277,8 @@ class BoundedOracle(EntailmentOracle):
         proof = None if isinstance(known, OpenBranch) else deepen(s, axioms, self.budget, self.theory.signature)
         if proof is not None:
             return Proved(proof, self.name)
+        if known is True:
+            self.refute(s)
         if error is not None:
             raise error
         return Unknown("budget exhausted")
