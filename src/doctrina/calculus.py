@@ -45,7 +45,11 @@ the invertible propositional rules, delaying the branching ones until no
 other rule applies, and gives every eigen-strength quantifier (an
 existential on the left, a universal on the right) a fresh constant.  Only
 then does it instantiate every universal-strength quantifier with every
-constant of the branch, once, as no constant is added after that.  A branch
+constant of the branch, once, as no constant is added after that; from then
+on every instance is read before a branch splits.  A delayed formula with a
+child that closes the branch at once is taken before any split, and only its
+other child is read (unit propagation), so a goal that one instance among
+many proves does not split on the others.  A branch
 closes on an atom on both sides, on bottom left or top right, or, at its
 end, once the equalities on its left merge (union-find) two sides of an
 equality or an atom on the right into one on the left.  A branch that stays
@@ -59,6 +63,8 @@ variable (a function symbol), on a signature with constants (the empty
 structure is then no structure, and the prover may use a constant as a
 witness), and on an eigen-strength quantifier met after the branch has
 instantiated (an existential below a universal, outside the fragment).
+The splits are still exponential in the worst case, so a caller may cap
+them: past the cap the walk declines, and the searches run as without it.
 The decision only skips work whose outcome it knows: the bounded search is
 sound, so it cannot prove a refuted goal, and no structure falsifies a valid
 one, so a countermodel scan of it finds nothing.  Proofs still come from the

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -625,6 +626,44 @@ def test_the_decision_on_edge_cases():
     wide = Sequent(Context(), (Pred("P", ()),) * 600, (Pred("Q", ()),))
     assert calculus.decide_relational(wide) == calculus.OpenBranch((), frozenset({("P", ())}), {})
     assert prove_bounded(wide) is None
+
+
+def test_the_decision_propagates_and_keeps_to_the_node_budget():
+    # criterion 10's symmetry theory: an instance with a child that closes
+    # the branch at once is taken before any split, so the one instance that
+    # proves the goal is found in a context of any size
+    symmetric = (Forall("x", P("x")), Forall("x", Forall("y", Imp(Q("x", "y"), Q("y", "x")))))
+    transitive = Forall("x", Forall("y", Forall("z", Imp(And(Q("x", "y"), Q("y", "z")), Q("x", "z")))))
+    started = time.perf_counter()
+    for n in (5, 6, 8):
+        ctx = Context(tuple(f"x{i}" for i in range(1, n + 1)))
+        s = Sequent(ctx, (Q("x1", "x2"),), (Q("x2", "x1"),))
+        assert calculus.decide_relational(s, symmetric, None, max_branches=0) is True
+        assert prove_bounded(s, symmetric) is not None
+        # every instance is read before a split, so a chain closes as well
+        chain = tuple(Q(f"x{i}", f"x{i + 1}") for i in range(1, n))
+        theory = (transitive, symmetric[1])
+        assert calculus.decide_relational(Sequent(ctx, chain, (Q(f"x{n}", "x1"),)), theory, None, 0) is True
+    # a goal of the entail workload that took seconds when the splits were
+    # taken last in, first out
+    ctx = Context(("x1", "x2"))
+    left = Forall("x6", Forall("x4", Or(Q("x1", "x4"), Q("x6", "x1"))))
+    right = Forall("x6", Forall("x2", Forall("x4", Q("x2", "x1"))))
+    assert calculus.decide_relational(Sequent(ctx, (left,), (right,)), symmetric, None, 0) is True
+    assert time.perf_counter() - started < 10
+    # a refuted chain needs splits: past the budget the walk declines, and
+    # the search answers as it would alone
+    ctx = Context(("x1", "x2", "x3", "x4"))
+    s = Sequent(ctx, (Q("x1", "x2"), Q("x3", "x4")), (Q("x1", "x4"),))
+    theory = (transitive, symmetric[1])
+    found = calculus.decide_relational(s, theory)
+    m = branch_structure(found, theory + s.antecedent + s.succedent)
+    assert all(eval_in_structure(ax, m) for ax in theory)
+    assert all(eval_in_structure(a, m, found.assignment) for a in s.antecedent)
+    assert not eval_in_structure(s.succedent[0], m, found.assignment)
+    assert calculus.decide_relational(s, theory, None, 2) is None
+    budget = Budget(max_depth=3, max_nodes=2)
+    assert prove_bounded(s, theory, budget) is None and calculus.deepen(s, theory, budget) is None
 
 
 def test_proofs_are_sound_in_finite_structures():

@@ -395,6 +395,17 @@ def test_a_negative_budget_runs_no_round(capsys):
     assert (code, out) == (2, "VERDICT unknown\n")
 
 
+def test_an_unproved_valid_goal_keeps_the_scan_error(capsys):
+    # the decision closes this goal on `true` without reading `f`; the search
+    # runs out of nodes, and the scan's error for the uninterpreted `f` is
+    # the answer, as when the scan ran first
+    goal = "(seq (ctx x) (ants) (sucs (or (Q (f x)) true)))"
+    assert main(["prove", goal, "--budget", "0", "--max-nodes", "1"]) == 3
+    assert capsys.readouterr().err == "ERROR function f undefined at (0,)\n"
+    # with the nodes to find it, the proof is the answer
+    assert run_cli(["prove", goal, "--budget", "0"], capsys)[0] == 0
+
+
 def _run_subprocess(argv, seed="0", extra_env=None):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     path = [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
