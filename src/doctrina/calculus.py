@@ -517,35 +517,12 @@ class _Search:
         self.leaf: Optional[Sequent] = None
         self._witnesses: dict[tuple[str, ...], list[Term]] = {}
 
-    def spend(self) -> bool:
-        self.nodes += 1
-        return self.nodes <= self.budget.max_nodes
-
     def witnesses_for(self, ctx: Context) -> list[Term]:
         cached = self._witnesses.get(ctx.vars)
         if cached is None:
             cached = terms_over(ctx, self.signature, self.budget.max_term_depth)
             self._witnesses[ctx.vars] = cached
         return cached
-
-    def apply(self, s: Sequent, rules: Sequence[Rule], depth: int, seen) -> Optional[ProofTree]:
-        """Apply the chain of unary `rules[:-1]` upwards from `s`, then prove
-        every premise of `rules[-1]` at `depth` (none when it is a leaf);
-        the tree, or None."""
-        chain = [s]
-        for r in rules[:-1]:
-            chain += premises(chain[-1], r)
-        subs = []
-        if rules[-1].tag not in _LEAVES:
-            for p in premises(chain[-1], rules[-1]):
-                sub = self.prove(p, depth, seen)
-                if sub is None:
-                    return None
-                subs.append(sub)
-        tree = ProofTree(chain[-1], rules[-1], tuple(subs))
-        for k in range(len(rules) - 2, -1, -1):
-            tree = ProofTree(chain[k], rules[k], (tree,))
-        return tree
 
     def close(self, s: Sequent, i: int, j: int, top: Rule | ProofTree) -> ProofTree:
         """Weaken `s` down to its antecedent formula `i` (none when negative)
@@ -565,7 +542,11 @@ class _Search:
     # -- the search proper ----------------------------------------------
 
     def prove(self, s: Sequent, depth: int, seen: frozenset) -> Optional[ProofTree]:
-        if not self.spend():
+        """A proof of `s` within `depth` branching and instantiation steps, or
+        None.  The only method that recurses, one frame per proof level: a
+        helper that called `prove` would double the stack a proof needs."""
+        self.nodes += 1
+        if self.nodes > self.budget.max_nodes:
             self.unclean += 1
             return None
         ant, suc = s.antecedent, s.succedent
@@ -620,19 +601,36 @@ class _Search:
 
         cutoffs, unclean = self.cutoffs, self.unclean
         for start, rules, d, wrap in self._steps(s, cant, csuc, dup_ant or dup_suc, depth):
-            tree = self.apply(start, rules, d, seen)
-            if tree is not None:
-                return tree if wrap is None else ProofTree(s, wrap, (tree,))
+            # the chain of unary `rules[:-1]` upwards from `start`, then every
+            # premise of `rules[-1]` proved at `d` (none when it is a leaf)
+            chain = [start]
+            for r in rules[:-1]:
+                chain += premises(chain[-1], r)
+            tops = () if rules[-1].tag in _LEAVES else premises(chain[-1], rules[-1])
+            subs = []
+            for p in tops:
+                sub = self.prove(p, d, seen)
+                if sub is None:
+                    break
+                subs.append(sub)
+            if len(subs) < len(tops):
+                continue
+            tree = ProofTree(chain[-1], rules[-1], tuple(subs))
+            for c, r in zip(reversed(chain[:-1]), reversed(rules[:-1])):
+                tree = ProofTree(c, r, (tree,))
+            return tree if wrap is None else ProofTree(s, wrap, (tree,))
         if self.unclean == unclean:
             self.failed[here] = depth if self.cutoffs > cutoffs else math.inf
         return None
 
     def _steps(self, s: Sequent, cant: tuple, csuc: tuple, duplicates: bool, depth: int):
         """The rule instances to try on `s`, in order, as `(start, rules,
-        depth, wrap)`: the tree of `apply(start, rules, depth, …)` concludes
-        `start`, which is `s` when `wrap` is None and otherwise the premise
-        of the unary rule `wrap` on `s`.  Only quantifier instantiation has
-        alternatives; every other rule is the one step on `s`."""
+        depth, wrap)`: `prove` applies the chain of unary `rules[:-1]`
+        upwards from `start` and proves every premise of `rules[-1]` at
+        `depth`.  That tree concludes `start`, which is `s` when `wrap` is
+        None and otherwise the premise of the unary rule `wrap` on `s`.
+        Only quantifier instantiation has alternatives; every other rule is
+        the one step on `s`."""
         ant, suc = s.antecedent, s.succedent
         # drop duplicates (via weakening, read backwards)
         if duplicates:

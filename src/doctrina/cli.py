@@ -446,7 +446,7 @@ def main(argv=None) -> int:
         print(f"ERROR {e}", file=sys.stderr)
         return EXIT_PARSE
     except RecursionError:
-        # the recursive walkers and the prover's two frames per proof level
+        # the recursive walkers and the prover's one frame per proof level
         print("ERROR input too deep or too wide to process", file=sys.stderr)
         return EXIT_PARSE
 

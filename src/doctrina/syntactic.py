@@ -194,8 +194,8 @@ class TruthTableOracle(EntailmentOracle):
     def _refute(self, s: Sequent, leaf: Sequent) -> Verdict:
         atoms = sorted({a for f in s.antecedent + s.succedent for a in atoms_of(f)}, key=repr)
         terms = [t for a in atoms for t in a.args] + [Var(v) for v in s.context.vars]
-        carrier = tuple(map(repr, _distinct_subterms(terms))) or ("*",)
         names = {t: repr(t) for t in _distinct_subterms(terms)}
+        carrier = tuple(names.values()) or ("*",)
         functions: dict[str, dict[tuple, object]] = {}
         for t, nm in names.items():
             if isinstance(t, App):

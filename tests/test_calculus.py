@@ -501,6 +501,20 @@ def test_every_kept_failure_fails_afresh(monkeypatch):
     assert checked > 1000
 
 
+def test_only_prove_recurses_in_the_search():
+    # one Python frame per proof level: no other method of the search calls
+    # `prove`, so a proof of given height needs no deeper stack
+    (search,) = ast.parse(inspect.getsource(calculus._Search)).body
+    callers = {
+        method.name
+        for method in search.body
+        if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Attribute) and node.attr == "prove"
+    }
+    assert callers == {"prove"}
+
+
 def test_deepening_stops_after_a_saturated_round(monkeypatch):
     x = ("x",)
     deepen = calculus.deepen  # the deepening alone, without the decision first
@@ -751,7 +765,7 @@ X = Context(("x",))
 XY = Context(("x", "y"))
 F, G, H = P("x"), Q("x", "x"), Pred("R", (Var("x"),))
 T, B = Top(), Bot()
-EQ_SIG = Signature(predicates=(("P", 1),), has_equality=True)
+RULE_EQ_SIG = Signature(predicates=(("P", 1),), has_equality=True)
 AXIOM = Forall("x", P("x"))
 
 
@@ -842,7 +856,7 @@ def instance(tag, conclusion=None, rule=None, prems=None):
 
 
 def check(tree):
-    return check_proof(tree, theory=[AXIOM], signature=EQ_SIG)
+    return check_proof(tree, theory=[AXIOM], signature=RULE_EQ_SIG)
 
 
 def other_connective(phi):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from doctrina.calculus import check_proof, prove_bounded
 from doctrina.cli import build_parser, main
 from doctrina import sexpr
 from doctrina.sexpr import MAX_NESTING
@@ -483,9 +484,9 @@ def test_reports_do_not_depend_on_hash_seed():
          "--body-size", "1", "--ctx-size", "0"],
         # PrefixError: the experiment's atom space is too large
         ["prefix-demo", "intersection", "--k", "2", "--arity", "3"],
-        # RecursionError: each dropped duplicate costs the prover two frames;
+        # RecursionError: each dropped duplicate costs the prover one frame;
         # the sequent is valid, so no countermodel answers it first
-        ["prove", "(seq (ctx) (ants" + " P" * 600 + ") (sucs (or Q P)))"],
+        ["prove", "(seq (ctx) (ants" + " P" * 2000 + ") (sucs (or Q P)))"],
     ],
     ids=["semantics", "syntactic", "prefix", "wide-sequent"],
 )
@@ -494,6 +495,19 @@ def test_ill_formed_input_exits_3_without_traceback(argv):
     assert run.returncode == 3, run.stderr[-300:]
     assert run.stderr.startswith("ERROR "), run.stderr[-300:]
     assert "Traceback" not in run.stderr
+
+
+def test_wide_valid_sequent_is_proved_with_one_frame_per_level():
+    # 599 dropped duplicates stack 600 proof levels, one prover frame each,
+    # under the default recursion limit
+    goal = "(seq (ctx) (ants" + " (or P P)" * 600 + ") (sucs P))"
+    run = _run_subprocess(["prove", goal])
+    assert run.returncode == 0, run.stderr[-300:]
+    verdict, certificate = run.stdout.splitlines()
+    assert verdict == "VERDICT proved"
+    tree = prove_bounded(sexpr.parse_sequent(sexpr.parse_sexpr(goal)))
+    assert check_proof(tree)
+    assert certificate == "CERTIFICATE " + sexpr.proof_sexpr(tree)
 
 
 P1_THEORY = "(theory (signature (predicates (P 1))) (axioms))"
