@@ -20,17 +20,29 @@ Formulas are evaluated by two routes:
   the masks of its low cells once.  Every search reads the same numbering,
   and nothing changes it once built.
 
-`countermodel_search` filters each block by the masks of the axioms and of
-the falsified sequent, then confirms the candidates, lowest index first,
-with the reference: the axioms hold and `falsifying_assignment` finds an
-assignment.  The masks are taken in the order the reference runs its
-checks, and only up to the first check whose mask fails a lookup (an
-uninterpreted predicate, a function off its table, a free variable; see
-`_Block.candidates`), so a structure outside the mask is one the plain loop
-would skip without raising, and the first confirmed candidate is the plain
-loop's first countermodel with the same assignment.  When no lookup fails
-the mask is exact, and the first candidate confirmed is the first one
-checked.  tests/test_semantics.py compares each route with the reference.
+`countermodel_search` asks `calculus.decide_relational` first, whenever no
+lookup of the scan can fail (every predicate interpreted, every term a
+variable, every axiom a sentence; see `_total`).  A goal the decision
+proves valid has no countermodel: the calculus is sound in every
+structure, the empty carrier included, so the answer is None at every
+size, and a scan could raise no error on the way.  The walk may split once
+for each block the scan would evaluate, so it never costs more branches
+than the scan has blocks; past that it declines.  Every other goal, refuted
+or declined, or one whose scan may raise, is scanned, so every structure,
+assignment and error is the scan's.
+
+The scan, `_countermodel_scan`, filters each block by the masks of the
+axioms and of the falsified sequent, then confirms the candidates, lowest
+index first, with the reference: the axioms hold and
+`falsifying_assignment` finds an assignment.  The masks are taken in the
+order the reference runs its checks, and only up to the first check whose
+mask fails a lookup (an uninterpreted predicate, a function off its table,
+a free variable; see `_Block.candidates`), so a structure outside the mask
+is one the plain loop would skip without raising, and the first confirmed
+candidate is the plain loop's first countermodel with the same assignment.
+When no lookup fails the mask is exact, and the first candidate confirmed
+is the first one checked.  tests/test_semantics.py compares each route
+with the reference.
 """
 
 from __future__ import annotations
@@ -54,8 +66,10 @@ from .formula import (
     Or,
     Pred,
     Top,
+    free_vars,
+    subformulas,
 )
-from .calculus import Sequent
+from .calculus import Sequent, decide_relational
 
 
 class SemanticsError(Exception):
@@ -342,6 +356,46 @@ def countermodel_search(
 ) -> Optional[tuple[FiniteStructure, dict]]:
     """First structure (in enumeration order) satisfying the bounded axiom
     set and falsifying the sequent, with a falsifying assignment.
+
+    When no lookup of the scan can fail (`_total`), `decide_relational`
+    runs first, with one split for each block the scan would evaluate, and
+    a goal it proves valid returns None without enumerating anything: the
+    calculus is sound in every structure, the empty one included, so no
+    structure of any size falsifies it, and the scan would raise nothing.
+    Every other goal is scanned by `_countermodel_scan`."""
+    axioms = list(axioms)
+    preds = tuple(signature.predicates if predicates is None else predicates)
+    if _total(s, axioms, {name for name, _ in preds}):
+        blocks = sum(n.picks << (n.bits - n.width) for n in carrier_structures(signature, size, preds))
+        if decide_relational(s, axioms, signature, blocks) is True:
+            return None
+    return _countermodel_scan(s, axioms, signature, size, preds)
+
+
+def _total(s: Sequent, axioms: list[Formula], interpreted: set[str]) -> bool:
+    """Whether no lookup of the scan can fail on `s` and `axioms`: every
+    predicate is interpreted, every term is a variable, and the axioms are
+    sentences (a sequent's formulas lie in its context)."""
+    for phi in (*s.antecedent, *s.succedent, *axioms):
+        for f in subformulas(phi):
+            kind = type(f)
+            if kind is Pred:
+                if f.name not in interpreted or any(type(t) is not Var for t in f.args):
+                    return False
+            elif kind is Eq and (type(f.left) is not Var or type(f.right) is not Var):
+                return False
+    return not any(free_vars(ax) for ax in axioms)
+
+
+def _countermodel_scan(
+    s: Sequent,
+    axioms: Iterable[Formula],
+    signature: Signature,
+    size: int,
+    predicates: Optional[Iterable[tuple[str, int]]] = None,
+) -> Optional[tuple[FiniteStructure, dict]]:
+    """`countermodel_search` without the decision: every structure in
+    enumeration order.
 
     Each block of structures is filtered by its masks first; the candidates
     are then confirmed lowest index first by the reference checks, which

@@ -51,7 +51,7 @@ from .calculus import (
     prove_qf,
 )
 from .doctrine import Doctrine, Violation, violation
-from .semantics import FiniteStructure, SemanticsError, countermodel_search
+from .semantics import FiniteStructure, SemanticsError, _countermodel_scan, countermodel_search
 
 
 class SyntacticError(Exception):
@@ -251,10 +251,11 @@ class BoundedOracle(EntailmentOracle):
 
     def refute(self, s: Sequent) -> Optional[Refuted]:
         """The first countermodel of the bounded axiom set that falsifies `s`."""
+        return self._refute(s, countermodel_search)
+
+    def _refute(self, s: Sequent, search) -> Optional[Refuted]:
         axioms = self.axioms_for(s)
-        found = countermodel_search(
-            s, axioms, self.theory.signature, self.model_size, self.predicates_for(s, axioms)
-        )
+        found = search(s, axioms, self.theory.signature, self.model_size, self.predicates_for(s, axioms))
         return None if found is None else Refuted(found[0], found[1], self.name)
 
     def decide(self, s: Sequent) -> Verdict:
@@ -263,13 +264,14 @@ class BoundedOracle(EntailmentOracle):
         # the prover may still close the goal: the error waits for the prover.
         # A valid goal has no countermodel to scan for, and a refuted one no
         # proof to search for; a valid goal the search leaves unproved is
-        # still scanned, for the error it may raise.
+        # still scanned, for the error it may raise.  The decision is made
+        # here once, so the scans skip `countermodel_search`'s own.
         axioms = self.axioms_for(s)
         known = decide_relational(s, axioms, self.theory.signature, self.budget.max_nodes)
         refuted = error = None
         if known is not True:
             try:
-                refuted = self.refute(s)
+                refuted = self._refute(s, _countermodel_scan)
             except SemanticsError as e:
                 error = e
         if refuted is not None:
@@ -278,7 +280,7 @@ class BoundedOracle(EntailmentOracle):
         if proof is not None:
             return Proved(proof, self.name)
         if known is True:
-            self.refute(s)
+            self._refute(s, _countermodel_scan)
         if error is not None:
             raise error
         return Unknown("budget exhausted")

@@ -9,7 +9,9 @@ sweeps instead of the prefix criterion.
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
+import sys
 
 from doctrina.lang import App, Context, CtxMorphism, Term, Var, canonical_context, fresh_vars, pool_var
 from doctrina.formula import (
@@ -328,13 +330,43 @@ def epr_bound(s: Sequent):
 
 def exhaustive_epr_valid(signature, s: Sequent):
     """Validity in the relational Bernays-Schoenfinkel fragment by scanning
-    every structure up to the small-model bound; None outside it."""
+    every structure up to the small-model bound, without the decision that
+    `countermodel_search` runs first; None outside it."""
+    from doctrina.semantics import _countermodel_scan
     from doctrina.syntactic import BoundedOracle, Theory
 
     bound = epr_bound(s)
     if bound is None or signature.functions:
         return None
-    return BoundedOracle(Theory(signature), model_size=bound).refute(s) is None
+    predicates = BoundedOracle(Theory(signature)).predicates_for(s, [])
+    return _countermodel_scan(s, (), signature, bound, predicates) is None
+
+
+def record_blocks(monkeypatch) -> list[int]:
+    """Patch `CarrierStructures.blocks` to record the first index of every
+    block a countermodel scan enumerates, in the list returned."""
+    from doctrina.semantics import CarrierStructures
+
+    scanned = []
+    blocks = CarrierStructures.blocks
+
+    def recording(numbered, pick):
+        for first, block in blocks(numbered, pick):
+            scanned.append(first)
+            yield first, block
+
+    monkeypatch.setattr(CarrierStructures, "blocks", recording)
+    return scanned
+
+
+def bench_workloads():
+    """The benchmark's `workloads` module, whose generators the tests reuse."""
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
 
 
 # --- exhaustive truncated word-model search (oracle for the prefix criterion) ----

@@ -39,7 +39,7 @@ from doctrina.doctrine import (
     verify_first_order,
 )
 from doctrina.stratify import colimit, stratify, verify_one_step, verify_qa_stratified, verify_qff
-from doctrina.semantics import countermodel_search, eval_in_structure
+from doctrina.semantics import _countermodel_scan, countermodel_search, eval_in_structure
 from doctrina.sexpr import structure_sexpr
 from doctrina.syntactic import (
     BoundedOracle,
@@ -94,9 +94,10 @@ def test_criterion_1_calculus_soundness_sweep():
         proved += 1
         result = check_proof(tree)
         assert result.ok, (s, result)
-        # valid in every structure of size <= 3 (the search is compared with
-        # a loop over enumerate_structures in tests/test_semantics.py)
-        found = countermodel_search(s, (), SIG, 3)
+        # valid in every structure of size <= 3, by the scan without the
+        # decision that `countermodel_search` runs first (the scan is compared
+        # with a loop over enumerate_structures in tests/test_semantics.py)
+        found = _countermodel_scan(s, (), SIG, 3)
         assert found is None, (s, structure_sexpr(found[0]))
     assert proved >= 40
     report(1, f"calculus soundness sweep ({proved} proofs over 200 goals)", t0, 60)

@@ -44,14 +44,14 @@ from doctrina.calculus import (
 )
 from doctrina.semantics import (
     FiniteStructure,
-    countermodel_search,
+    _countermodel_scan,
     enumerate_structures,
     eval_in_structure,
     falsifying_assignment,
 )
 from doctrina.sexpr import proof_sexpr, structure_sexpr
 
-from helpers import epr_bound, random_qf_formula, random_sequent, rebuilt_canonical_form
+from helpers import bench_workloads, epr_bound, random_qf_formula, random_sequent, rebuilt_canonical_form
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -537,11 +537,7 @@ def test_deepening_stops_after_a_saturated_round(monkeypatch):
 
 def sweep_goals(seed, n=1000):
     """The first `n` goals of the benchmark's sound-sweep workload."""
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
-    try:
-        import workloads
-    finally:
-        sys.path.pop(0)
+    workloads = bench_workloads()
     sweep = workloads.SoundSweep(seed)
     return [(sweep.next_request().sequent, (), workloads.SWEEP_BUDGET, workloads.SIG) for _ in range(n)]
 
@@ -584,7 +580,8 @@ def branch_structure(branch, formulas):
 def test_the_decision_is_exact_and_changes_no_proof():
     # prove_bounded prints what the deepening alone prints; a refutation's
     # branch is a countermodel of the theory and the goal, and a valid goal
-    # has no countermodel of size <= 3
+    # has no countermodel of size <= 3 (by the scan alone:
+    # `countermodel_search` would take the decision's word for it)
     seen = Counter()
     for s, theory, budget, sig in decision_goals():
         found = calculus.decide_relational(s, theory, sig)
@@ -598,7 +595,7 @@ def test_the_decision_is_exact_and_changes_no_proof():
             assert not any(eval_in_structure(b, m, found.assignment) for b in s.succedent), s
             seen["refuted"] += 1
         elif found is True:
-            assert countermodel_search(s, theory, signature_of(formulas), 3) is None, s
+            assert _countermodel_scan(s, theory, signature_of(formulas), 3) is None, s
             seen["valid"] += 1
         else:
             seen["declined"] += 1

@@ -17,7 +17,7 @@ from doctrina.category import chain_category
 from doctrina.doctrine import full_marking, hbx_doctrine, subset_doctrine
 from doctrina.stratify import stratify
 
-from helpers import one_entry_mutant
+from helpers import one_entry_mutant, record_blocks
 from test_stratify import chain_doctrine_with_proper_fragment
 
 
@@ -112,6 +112,21 @@ def test_models_none_found(capsys):
         ["models", "(seq (ctx x) (ants (P x)) (sucs (P x)))", "--size", "2"], capsys
     )
     assert code == 2
+
+
+def test_models_of_a_valid_goal_enumerates_no_structure(capsys, monkeypatch):
+    # the decision proves the goal valid, so no size needs a scan (2**42
+    # structures at size 6); at size 5 the report is the full scan's
+    from doctrina import semantics
+
+    scanned = record_blocks(monkeypatch)
+    goal = "(seq (ctx x) (ants (Q x x)) (sucs (exists y (Q x y))))"
+    assert run_cli(["models", goal, "--size", "6"], capsys) == (2, "VERDICT unknown no countermodel up to size 6\n")
+    decided = run_cli(["models", goal, "--size", "5"], capsys)
+    assert scanned == []
+    monkeypatch.setattr(semantics, "decide_relational", lambda *args: None)
+    assert run_cli(["models", goal, "--size", "5"], capsys) == decided
+    assert len(scanned) == 1 + 1 + 1 + 1 + 2**4 + 2**13  # Q at sizes 0 to 5: 0, 1, 4, 9, 16, 25 bits
 
 
 def test_verify_doctrine_pass(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,11 +19,12 @@ from doctrina.formula import (
     Top,
     free_vars,
 )
-from doctrina.calculus import Sequent
+from doctrina.calculus import Sequent, decide_relational
 from doctrina import semantics
 from doctrina.semantics import (
     FiniteStructure,
     SemanticsError,
+    _countermodel_scan,
     carrier_structures,
     countermodel_search,
     enumerate_structures,
@@ -32,7 +34,7 @@ from doctrina.semantics import (
 )
 from doctrina.sexpr import structure_sexpr
 
-from helpers import random_sequent, satisfying_tuples
+from helpers import bench_workloads, random_sequent, record_blocks, satisfying_tuples
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -426,6 +428,7 @@ def test_countermodel_search_across_blocks(s, axioms):
     assert [n.bits for n in carrier_structures(MANY_SIG, 3)] == [2, 4, 8, 14]
     expected = reference_countermodel_search(s, axioms, MANY_SIG, 3)
     assert countermodel_search(s, axioms, MANY_SIG, 3) == expected
+    assert _countermodel_scan(s, axioms, MANY_SIG, 3) == expected
 
 
 def test_ternary_predicate_refuted_early():
@@ -454,7 +457,7 @@ def test_axiom_mask_keeps_excluded_structures_from_the_confirm_step(monkeypatch)
     assert found == reference_countermodel_search(s, axioms, DIFF_SIG, 2)
     seen.clear()
     contradictory = (Forall("x", P("x")), Exists("x", Not(P("x"))))
-    assert countermodel_search(s, contradictory, DIFF_SIG, 2) is None
+    assert _countermodel_scan(s, contradictory, DIFF_SIG, 2) is None
     assert seen == []
 
 
@@ -519,3 +522,66 @@ def test_numberings_are_shared_and_never_change(monkeypatch):
             if numbered.bits <= 12:
                 assert all(block.atoms is numbered.low for _, block in numbered.blocks(0))
     assert semantics._numbering.cache_info().maxsize is not None
+
+
+# --- the decision before the scan -----------------------------------------------
+
+
+def shortcut_goals():
+    """Goals with their axioms, signature and interpreted predicates: the
+    first 1,000 sound-sweep goals of seeds 1-3, 1,000 entail goals of seed 1
+    modulo criterion 10's theory, and 200 goals with variable equalities."""
+    from doctrina.syntactic import BoundedOracle
+
+    workloads = bench_workloads()
+    for seed in (1, 2, 3):
+        sweep = workloads.SoundSweep(seed)
+        for _ in range(1000):
+            yield sweep.next_request().sequent, (), workloads.SIG, None
+    oracle = BoundedOracle(workloads.UNIVERSAL_THEORY)
+    entail = workloads.Entail(1)
+    for _ in range(1000):
+        goal = entail.next_request()
+        s = Sequent(workloads.inferred_context(goal.phi, goal.psi), (goal.phi,), (goal.psi,))
+        axioms = oracle.axioms_for(s)
+        yield s, axioms, workloads.SIG, oracle.predicates_for(s, axioms)
+    eq_sig = Signature(predicates=SIG.predicates, has_equality=True)
+    rng = random.Random(1930)
+    for _ in range(200):
+        yield random_sequent(rng, 4, equality=True), (), eq_sig, None
+
+
+def test_a_goal_the_decision_proves_valid_is_not_scanned(monkeypatch):
+    # the search equals the brute loop on every goal; a goal the decision
+    # proves valid enumerates no block, and refuted and declined goals,
+    # among them declined ones with a countermodel, are scanned
+    scanned = record_blocks(monkeypatch)
+    seen = Counter()
+    for s, axioms, signature, predicates in shortcut_goals():
+        known = decide_relational(s, axioms, signature)
+        del scanned[:]
+        found = countermodel_search(s, axioms, signature, 2, predicates)
+        assert found == reference_countermodel_search(s, axioms, signature, 2, predicates), s
+        if known is True:
+            assert scanned == [], s
+        seen["valid" if known is True else "declined" if known is None else "refuted", found is not None] += 1
+    assert seen.keys() == {("valid", False), ("refuted", True), ("declined", False), ("declined", True)}, seen
+    assert seen["valid", False] >= 3000 and seen["refuted", True] >= 900 and seen["declined", True] >= 10, seen
+
+
+@pytest.mark.parametrize(
+    "s, axioms, signature, error",
+    [
+        # the decision closes each goal at once, before it reads the lookup
+        # that fails: a function with no table, an uninterpreted predicate,
+        # an axiom that is not a sentence
+        (Sequent(Context(("x",)), (), (Or(Pred("Q", (fx(X),)), Top()),)), (), SIG, "function f undefined"),
+        (Sequent(Context(("x",)), (), (Or(Eq(fx(X), X), Top()),)), (), SIG, "function f undefined"),
+        (Sequent(Context(("x",)), (P("x"),), (P("x"),)), (), Signature(predicates=(("Q", 2),)), "predicate P has"),
+        (Sequent(Context(), (), (Top(),)), (P("y"),), SIG, "variable y unassigned"),
+    ],
+)
+def test_a_valid_goal_the_scan_cannot_evaluate_still_raises(s, axioms, signature, error):
+    assert decide_relational(s, axioms, signature) is True
+    with pytest.raises(SemanticsError, match=error):
+        countermodel_search(s, axioms, signature, 2)

@@ -25,6 +25,7 @@ from doctrina.doctrine import product_doctrine, subset_doctrine
 from doctrina.semantics import (
     FiniteStructure,
     SemanticsError,
+    _countermodel_scan,
     countermodel_search,
     eval_in_structure,
     eval_term,
@@ -206,12 +207,13 @@ def test_bounded_oracle_three_values():
 
 def prove_first(oracle, s):
     """The bounded oracle's decision with the prover run before the
-    countermodel search, as it was made before the oracle refuted first."""
+    countermodel search, as it was made before the oracle refuted first and
+    before the search took the relational decision's word for a goal."""
     axioms = oracle.axioms_for(s)
     proof = prove_bounded(s, axioms, oracle.budget, oracle.theory.signature)
     if proof is not None:
         return Proved(proof, oracle.name)
-    found = countermodel_search(
+    found = _countermodel_scan(
         s, axioms, oracle.theory.signature, oracle.model_size, oracle.predicates_for(s, axioms)
     )
     if found is not None:
@@ -273,6 +275,31 @@ def test_refuting_first_keeps_every_decision(with_f):
                 fallbacks += 1
     assert seen == {"proved", "refuted", "unknown"} | ({"error"} if with_f else set())
     assert (fallbacks > 0) == with_f
+
+
+def test_the_bounded_oracle_decides_each_goal_once(monkeypatch):
+    # the oracle has made the relational decision before it scans, so its
+    # scans skip the one `countermodel_search` makes
+    from doctrina import semantics, syntactic
+
+    calls = []
+    decide = syntactic.decide_relational
+
+    def counting(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(syntactic, "decide_relational", counting)
+    monkeypatch.setattr(semantics, "decide_relational", counting)
+    oracle = BoundedOracle(CRITERION_10_THEORY, Budget(4, 2, 100), model_size=2)
+    rng = random.Random(92)
+    verdicts = Counter()
+    for _ in range(300):
+        s = random_sequent(rng, 4)
+        del calls[:]
+        verdicts[type(oracle.decide(s)).__name__] += 1
+        assert len(calls) == 1, s
+    assert verdicts["Proved"] >= 50 and verdicts["Refuted"] >= 50, verdicts
 
 
 def test_lt_leq_examples():
