@@ -68,7 +68,9 @@ them: past the cap the walk declines, and the searches run as without it.
 The decision only skips work whose outcome it knows: the bounded search is
 sound, so it cannot prove a refuted goal, and no structure falsifies a valid
 one, so a countermodel scan of it finds nothing.  Proofs still come from the
-search, so certificates do not change.
+search, so certificates do not change.  The answer is kept on the sequent,
+so `prove_bounded` and `semantics.countermodel_search`, each of which
+decides first, walk a goal given to both once.
 
 `prove_bounded` deepens iteratively and does not redo work across rounds
 (Korf, "Depth-first iterative-deepening", 1985; Reinefeld & Marsland,
@@ -760,20 +762,43 @@ def decide_relational(
     when it is not, and None when the walk declines the goal (see the module
     docstring) or would split a branch more than `max_branches` times.  The
     axioms are sentences; a variable of an axiom outside its binders is
-    declined, as a function term is."""
+    declined, as a function term is.
+
+    The answer is kept on the sequent, as formula nodes keep their canonical
+    form: one slot holds the key `(axioms, signature)`, the answer and the
+    splits the walk took.  A later call with that key reuses it when its
+    `max_branches` is at least those splits, and returns None otherwise,
+    which is what a fresh walk returns: the walk splits in the same order
+    under any cap.  A walk stopped by its cap is not kept."""
+    key = (tuple(axioms), signature)
+    kept = getattr(s, "_decided", None)
+    if kept is None or kept[0] != key:
+        answer, splits = _herbrand(s, key[0], signature, max_branches)
+        if splits > max_branches:
+            return None
+        kept = (key, answer, splits)
+        object.__setattr__(s, "_decided", kept)
+    return kept[1] if kept[2] <= max_branches else None
+
+
+def _herbrand(
+    s: Sequent, axioms: tuple[Formula, ...], signature: Optional[Signature], max_branches: float
+) -> tuple[bool | OpenBranch | None, int]:
+    """The walk of `decide_relational`: its answer, and the splits it took
+    (one past `max_branches` when the cap stopped it)."""
     if signature is not None and signature.functions and signature.constants():
-        return None
+        return None, 0
     names = dict(zip(s.context.vars, range(len(s.context.vars))))
     # the root closes at once on top right, bottom left or one formula on
     # both sides, as four in ten valid goals of the sweep do
     todo = []
     for phi in s.succedent:
         if type(phi) is Top:
-            return True
+            return True, 0
         todo.append((False, phi, names))
     for phi in s.antecedent:
         if type(phi) is Bot or phi in s.succedent:
-            return True
+            return True, 0
         todo.append((True, phi, names))
     for ax in axioms:
         todo.append((True, ax, {}))
@@ -790,7 +815,7 @@ def decide_relational(
                 try:
                     atom = (phi.name, tuple([env[t.name] for t in phi.args]))
                 except (KeyError, AttributeError):  # a variable no binder gives, a function term
-                    return None
+                    return None, splits
                 if left:
                     if atom in rights:
                         break
@@ -808,7 +833,7 @@ def decide_relational(
                 try:
                     a, b = env[phi.left.name], env[phi.right.name]
                 except (KeyError, AttributeError):
-                    return None
+                    return None, splits
                 if a != b:
                     (eqs if left else neqs).append((a, b))
                 elif not left:
@@ -827,12 +852,12 @@ def decide_relational(
                 if (kind is Exists) != left:
                     universal.append((left, phi, env))
                 elif frozen:
-                    return None
+                    return None, splits
                 else:
                     todo.append((left, phi.body, {**env, phi.var: n}))
                     n += 1
             else:
-                return None
+                return None, splits
         else:
             # once the walk has instantiated, no constant is added, and every
             # instance is read before a split
@@ -860,7 +885,7 @@ def decide_relational(
                 if not todo:  # split on the last one, whose children are at hand
                     splits += 1
                     if splits > max_branches:
-                        return None
+                        return None, splits
                     delayed.pop()
                     branches.append(
                         ([second], delayed[:], universal[:], set(lefts), set(rights), eqs[:], neqs[:], n, frozen)
@@ -869,10 +894,10 @@ def decide_relational(
                 continue
             found = _open_leaf(s.context, lefts, rights, eqs, neqs, n)
             if found is not None:
-                return found
+                return found, splits
         # the branch closed
         if not branches:
-            return True
+            return True, splits
         todo, delayed, universal, lefts, rights, eqs, neqs, n, frozen = branches.pop()
 
 
@@ -932,30 +957,22 @@ def prove_bounded(
     The goal and the theory are decided first (`decide_relational`, with as
     many splits as the search has nodes in a round), and a refuted goal
     returns None at once: the search is sound, so it could not have proved
-    it.  Every other goal goes to the search of `deepen`.
+    it.  Every other goal goes to the search of `_deepen`.
     """
-    axioms = _sentences(theory)
+    axioms = tuple(theory)
+    for ax in axioms:
+        if free_vars(ax):
+            raise ProofError(f"theory axiom {ax!r} is not a sentence")
     if isinstance(decide_relational(s, axioms, signature, budget.max_nodes), OpenBranch):
         return None
     return _deepen(s, axioms, budget, signature)
 
 
-def _sentences(theory: Sequence[Formula]) -> tuple[Formula, ...]:
-    """The theory as a tuple, once each axiom is checked to be a sentence."""
-    axioms = tuple(theory)
-    for ax in axioms:
-        if free_vars(ax):
-            raise ProofError(f"theory axiom {ax!r} is not a sentence")
-    return axioms
-
-
-def deepen(
-    s: Sequent,
-    theory: Sequence[Formula] = (),
-    budget: Budget = Budget(),
-    signature: Optional[Signature] = None,
+def _deepen(
+    s: Sequent, axioms: tuple[Formula, ...], budget: Budget, signature: Optional[Signature]
 ) -> Optional[ProofTree]:
-    """The search of `prove_bounded`, without the decision first.
+    """The search of `prove_bounded`, without the decision first, on theory
+    axioms already checked to be sentences.
 
     Theory sentences are preloaded into the antecedent for the search and
     spliced back out with cuts against ``=>_() phi`` leaves, so the returned
@@ -975,13 +992,6 @@ def deepen(
     search without it at each point of the same search order, so it proves
     every goal that one proves, and may prove one in an earlier round.
     """
-    return _deepen(s, _sentences(theory), budget, signature)
-
-
-def _deepen(
-    s: Sequent, axioms: tuple[Formula, ...], budget: Budget, signature: Optional[Signature]
-) -> Optional[ProofTree]:
-    """`deepen` on theory axioms already checked to be sentences."""
     goal = _premise(s.context, axioms + s.antecedent, s.succedent)
     engine, tree = _Search(budget, signature), None
     for depth in range(budget.max_depth + 1):

@@ -20,16 +20,16 @@ Formulas are evaluated by two routes:
   the masks of its low cells once.  Every search reads the same numbering,
   and nothing changes it once built.
 
-`countermodel_search` asks `calculus.decide_relational` first, whenever no
+`countermodel_search` asks `calculus.decide_relational` first, which keeps
+its answer on the goal.  A goal the decision proves valid, and on which no
 lookup of the scan can fail (every predicate interpreted, every term a
-variable, every axiom a sentence; see `_total`).  A goal the decision
-proves valid has no countermodel: the calculus is sound in every
-structure, the empty carrier included, so the answer is None at every
-size, and a scan could raise no error on the way.  The walk may split once
-for each block the scan would evaluate, so it never costs more branches
-than the scan has blocks; past that it declines.  Every other goal, refuted
-or declined, or one whose scan may raise, is scanned, so every structure,
-assignment and error is the scan's.
+variable, every axiom a sentence; see `_total`), has no countermodel: the
+calculus is sound in every structure, the empty carrier included, so the
+answer is None at every size, and a scan could raise no error on the way.
+The walk may split once for each block the scan would evaluate, so it never
+costs more branches than the scan has blocks; past that it declines.  Every
+other goal, refuted or declined, or one whose scan may raise, is scanned,
+so every structure, assignment and error is the scan's.
 
 The scan, `_countermodel_scan`, filters each block by the masks of the
 axioms and of the falsified sequent, then confirms the candidates, lowest
@@ -357,18 +357,17 @@ def countermodel_search(
     """First structure (in enumeration order) satisfying the bounded axiom
     set and falsifying the sequent, with a falsifying assignment.
 
-    When no lookup of the scan can fail (`_total`), `decide_relational`
-    runs first, with one split for each block the scan would evaluate, and
-    a goal it proves valid returns None without enumerating anything: the
+    `decide_relational` runs first, with one split for each block the scan
+    would evaluate.  A goal it proves valid, on which no lookup of the scan
+    can fail (`_total`), returns None without enumerating anything: the
     calculus is sound in every structure, the empty one included, so no
     structure of any size falsifies it, and the scan would raise nothing.
     Every other goal is scanned by `_countermodel_scan`."""
     axioms = list(axioms)
     preds = tuple(signature.predicates if predicates is None else predicates)
-    if _total(s, axioms, {name for name, _ in preds}):
-        blocks = sum(n.picks << (n.bits - n.width) for n in carrier_structures(signature, size, preds))
-        if decide_relational(s, axioms, signature, blocks) is True:
-            return None
+    blocks = sum(n.picks << (n.bits - n.width) for n in carrier_structures(signature, size, preds))
+    if decide_relational(s, axioms, signature, blocks) is True and _total(s, axioms, {name for name, _ in preds}):
+        return None
     return _countermodel_scan(s, axioms, signature, size, preds)
 
 

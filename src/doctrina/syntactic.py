@@ -40,18 +40,9 @@ from .formula import (
     subformulas,
     substitute_formula,
 )
-from .calculus import (
-    Budget,
-    OpenBranch,
-    ProofTree,
-    Sequent,
-    decide_relational,
-    deepen,
-    prove_bounded,
-    prove_qf,
-)
+from .calculus import Budget, ProofTree, Sequent, prove_bounded, prove_qf
 from .doctrine import Doctrine, Violation, violation
-from .semantics import FiniteStructure, SemanticsError, _countermodel_scan, countermodel_search
+from .semantics import FiniteStructure, SemanticsError, countermodel_search
 
 
 class SyntacticError(Exception):
@@ -215,8 +206,8 @@ class TruthTableOracle(EntailmentOracle):
 class BoundedOracle(EntailmentOracle):
     """Bounded countermodel enumeration against the bounded axiom set, run
     first, for the negative side; bounded proof search for the positive.
-    `decide_relational` runs once before either and skips the one whose
-    outcome it knows."""
+    Each decides first and skips its work when the relational decision
+    knows the outcome; the decision is kept on the goal, so it is made once."""
 
     name = "bounded"
 
@@ -251,36 +242,23 @@ class BoundedOracle(EntailmentOracle):
 
     def refute(self, s: Sequent) -> Optional[Refuted]:
         """The first countermodel of the bounded axiom set that falsifies `s`."""
-        return self._refute(s, countermodel_search)
-
-    def _refute(self, s: Sequent, search) -> Optional[Refuted]:
         axioms = self.axioms_for(s)
-        found = search(s, axioms, self.theory.signature, self.model_size, self.predicates_for(s, axioms))
+        found = countermodel_search(s, axioms, self.theory.signature, self.model_size, self.predicates_for(s, axioms))
         return None if found is None else Refuted(found[0], found[1], self.name)
 
     def decide(self, s: Sequent) -> Verdict:
-        # Proofs are sound, so refuting first changes no verdict.  The search
+        # Proofs are sound, so refuting first changes no verdict.  The scan
         # fails on a function symbol the signature leaves uninterpreted, but
         # the prover may still close the goal: the error waits for the prover.
-        # A valid goal has no countermodel to scan for, and a refuted one no
-        # proof to search for; a valid goal the search leaves unproved is
-        # still scanned, for the error it may raise.  The decision is made
-        # here once, so the scans skip `countermodel_search`'s own.
-        axioms = self.axioms_for(s)
-        known = decide_relational(s, axioms, self.theory.signature, self.budget.max_nodes)
-        refuted = error = None
-        if known is not True:
-            try:
-                refuted = self._refute(s, _countermodel_scan)
-            except SemanticsError as e:
-                error = e
+        try:
+            refuted, error = self.refute(s), None
+        except SemanticsError as e:
+            refuted, error = None, e
         if refuted is not None:
             return refuted
-        proof = None if isinstance(known, OpenBranch) else deepen(s, axioms, self.budget, self.theory.signature)
+        proof = prove_bounded(s, self.axioms_for(s), self.budget, self.theory.signature)
         if proof is not None:
             return Proved(proof, self.name)
-        if known is True:
-            self._refute(s, _countermodel_scan)
         if error is not None:
             raise error
         return Unknown("budget exhausted")
@@ -696,19 +674,6 @@ def completion_leq(
     if proof is not None:
         return Proved(proof, "completion")
     return Unknown("completion order undecided at this budget")
-
-
-# --- effectively propositional decisions -----------------------------------------
-
-
-def epr_valid(signature: Signature, s: Sequent) -> Optional[bool]:
-    """Exact validity for sequents in the relational Bernays-Schoenfinkel
-    fragment, by `decide_relational`'s Herbrand expansion; None when the
-    signature has function symbols or the walk declines the sequent."""
-    if signature.functions:
-        return None
-    found = decide_relational(s, (), signature)
-    return None if found is None else found is True
 
 
 # --- the one-step layer over a quantifier-free oracle ------------------------------

@@ -279,7 +279,7 @@ def minterm_candidates(atoms: list[Formula]) -> list[Formula]:
     ]
 
 
-# --- the small-model exhaustion of the relational fragment (oracle for epr_valid) --
+# --- the small-model exhaustion of the relational fragment (checks decide_relational)
 
 
 def _existential_count(phi: Formula, positive: bool):

@@ -490,7 +490,7 @@ def test_every_kept_failure_fails_afresh(monkeypatch):
     checked = 0
     for s, theory, budget, sig in goals:
         engines.clear()
-        calculus.deepen(s, theory, Budget(budget.max_depth, budget.max_term_depth, 200), sig)
+        calculus._deepen(s, theory, Budget(budget.max_depth, budget.max_term_depth, 200), sig)
         for engine in engines:
             for (xs, ant, suc), known in engine.failed.items():
                 fresh = Search(Budget(max_term_depth=budget.max_term_depth, max_nodes=5000), sig)
@@ -517,7 +517,7 @@ def test_only_prove_recurses_in_the_search():
 
 def test_deepening_stops_after_a_saturated_round(monkeypatch):
     x = ("x",)
-    deepen = calculus.deepen  # the deepening alone, without the decision first
+    deepen = calculus._deepen  # the deepening alone, without the decision first
     # the first round reaches an open atomic leaf with no depth cut-off
     leaf = Sequent(Context(x), (Exists("y", Q("x", "y")),), (P("x"),))
     assert spied_rounds(monkeypatch, leaf, (), Budget(), SIG, search=deepen) == (None, [(0, 2)])
@@ -585,7 +585,7 @@ def test_the_decision_is_exact_and_changes_no_proof():
     seen = Counter()
     for s, theory, budget, sig in decision_goals():
         found = calculus.decide_relational(s, theory, sig)
-        tree, ref = prove_bounded(s, theory, budget, sig), calculus.deepen(s, theory, budget, sig)
+        tree, ref = prove_bounded(s, theory, budget, sig), calculus._deepen(s, theory, budget, sig)
         assert (None if tree is None else proof_sexpr(tree)) == (None if ref is None else proof_sexpr(ref)), s
         formulas = theory + s.antecedent + s.succedent
         if isinstance(found, calculus.OpenBranch):
@@ -674,7 +674,7 @@ def test_the_decision_propagates_and_keeps_to_the_node_budget():
     assert not eval_in_structure(s.succedent[0], m, found.assignment)
     assert calculus.decide_relational(s, theory, None, 2) is None
     budget = Budget(max_depth=3, max_nodes=2)
-    assert prove_bounded(s, theory, budget) is None and calculus.deepen(s, theory, budget) is None
+    assert prove_bounded(s, theory, budget) is None and calculus._deepen(s, theory, budget, None) is None
 
 
 def test_proofs_are_sound_in_finite_structures():

@@ -20,7 +20,16 @@ from doctrina.formula import (
     Top,
     free_vars,
 )
-from doctrina.calculus import Budget, ProofTree, Sequent, check_proof, prove_bounded, prove_qf
+from doctrina.calculus import (
+    Budget,
+    OpenBranch,
+    ProofTree,
+    Sequent,
+    check_proof,
+    decide_relational,
+    prove_bounded,
+    prove_qf,
+)
 from doctrina.doctrine import product_doctrine, subset_doctrine
 from doctrina.semantics import (
     FiniteStructure,
@@ -33,6 +42,7 @@ from doctrina.semantics import (
 from doctrina.formula import substitute, substitute_formula
 from doctrina.sexpr import formula_sexpr, proof_sexpr, structure_sexpr
 from helpers import (
+    bench_workloads,
     epr_bound,
     exhaustive_epr_valid,
     random_formula,
@@ -55,7 +65,6 @@ from doctrina.syntactic import (
     completion_leq,
     enumerate_qf,
     atom_pool,
-    epr_valid,
     equality_axiom_instances,
     interpret,
     is_quantifier_free_modulo,
@@ -277,29 +286,67 @@ def test_refuting_first_keeps_every_decision(with_f):
     assert (fallbacks > 0) == with_f
 
 
+def count_walks(monkeypatch) -> list:
+    """The walks of the relational decision from now on: each one's
+    sequent, and whether its cap stopped it."""
+    from doctrina import calculus
+
+    walks = []
+    walk = calculus._herbrand
+
+    def counting(s, axioms, signature, max_branches):
+        answer, splits = walk(s, axioms, signature, max_branches)
+        walks.append((s, splits > max_branches))
+        return answer, splits
+
+    monkeypatch.setattr(calculus, "_herbrand", counting)
+    return walks
+
+
 def test_the_bounded_oracle_decides_each_goal_once(monkeypatch):
-    # the oracle has made the relational decision before it scans, so its
-    # scans skip the one `countermodel_search` makes
-    from doctrina import semantics, syntactic
-
-    calls = []
-    decide = syntactic.decide_relational
-
-    def counting(*args):
-        calls.append(args)
-        return decide(*args)
-
-    monkeypatch.setattr(syntactic, "decide_relational", counting)
-    monkeypatch.setattr(semantics, "decide_relational", counting)
+    # the decision is kept on the goal, so the oracle's scan and its search
+    # walk it once between them, as the sound sweep's search and scan do;
+    # only a walk that the scan's cap (one split per block) stops is walked
+    # again, under the search's larger cap
+    walks = count_walks(monkeypatch)
     oracle = BoundedOracle(CRITERION_10_THEORY, Budget(4, 2, 100), model_size=2)
     rng = random.Random(92)
-    verdicts = Counter()
+    verdicts, again = Counter(), 0
     for _ in range(300):
         s = random_sequent(rng, 4)
-        del calls[:]
+        del walks[:]
         verdicts[type(oracle.decide(s)).__name__] += 1
-        assert len(calls) == 1, s
+        assert walks in ([(s, False)], [(s, True)], [(s, True), (s, False)]), s
+        again += len(walks) - 1
     assert verdicts["Proved"] >= 50 and verdicts["Refuted"] >= 50, verdicts
+    assert 0 < again < 30, again
+    workloads = bench_workloads()
+    sweep = workloads.SoundSweep(5)
+    proved = 0
+    for _ in range(300):
+        s = sweep.next_request().sequent
+        del walks[:]
+        proved += prove_bounded(s, (), workloads.SWEEP_BUDGET, workloads.SIG) is not None
+        countermodel_search(s, (), workloads.SIG, workloads.SWEEP_MODEL_SIZE)
+        assert walks == [(s, False)], s
+    assert proved >= 100, proved
+
+
+def test_the_kept_decision_is_walked_afresh_under_other_axioms_or_signature(monkeypatch):
+    walks = count_walks(monkeypatch)
+    symmetric = (Forall("x", Forall("y", Imp(Q("x", "y"), Q("y", "x")))),)
+    s = Sequent(Context(("x1", "x2")), (Q("x1", "x2"),), (Q("x2", "x1"),))
+    assert decide_relational(s, symmetric, SIG) is True
+    assert decide_relational(s, list(symmetric), SIG) is True
+    assert isinstance(decide_relational(s, (), SIG), OpenBranch)
+    assert decide_relational(s, symmetric, SIG) is True
+    # a constant declines the walk: the prover may use it as a witness
+    assert decide_relational(s, symmetric, Signature((("c", 0),), SIG.predicates)) is None
+    assert walks == [(s, False)] * 4
+    # the oracle proves the goal under symmetry and refutes it without
+    assert isinstance(BoundedOracle(Theory(SIG, symmetric)).decide(s), Proved)
+    assert isinstance(BoundedOracle(Theory(SIG)).decide(s), Refuted)
+    assert isinstance(BoundedOracle(Theory(SIG, symmetric)).decide(s), Proved)
 
 
 def test_lt_leq_examples():
@@ -654,13 +701,13 @@ def test_epr_bound_and_validity():
         (Exists("y", Forall("x", Q("x", "y"))),),
         (Forall("x", Exists("y", Q("x", "y"))),),
     )
-    assert epr_valid(SIG, s) is True
+    assert decide_relational(s, (), SIG) is True
     invalid = Sequent(
         Context(),
         (Exists("x", P("x")),),
         (Forall("y", P("y")),),
     )
-    assert epr_valid(SIG, invalid) is False
+    assert isinstance(decide_relational(invalid, (), SIG), OpenBranch)
 
 
 def test_epr_detects_fragment_violations():
@@ -668,10 +715,10 @@ def test_epr_detects_fragment_violations():
     # the existential sits inside a universal scope, which the expansion
     # meets once the context gives the universal an instance
     hyp = Forall("x", Exists("y", Q("x", "y")))
-    assert epr_valid(SIG, Sequent(Context(("x1",)), (hyp,), ())) is None
+    assert decide_relational(Sequent(Context(("x1",)), (hyp,), ()), (), SIG) is None
     # with no context variable the universal has no instance, and the empty
     # structure satisfies the hypothesis and falsifies the empty succedent
-    assert epr_valid(SIG, Sequent(Context(), (hyp,), ())) is False
+    assert isinstance(decide_relational(Sequent(Context(), (hyp,), ()), (), SIG), OpenBranch)
     assert eval_in_structure(hyp, FiniteStructure((), {}, {"Q": frozenset()}))
 
 
@@ -688,18 +735,25 @@ def test_epr_valid_agrees_with_the_exhaustion():
     for sig, s in criterion_1 + equalities:
         bound = epr_bound(s)
         if bound is not None and bound <= 4:
-            assert epr_valid(sig, s) == exhaustive_epr_valid(sig, s), s
-            checked[sig.has_equality, epr_valid(sig, s)] += 1
+            found = decide_relational(s, (), sig)
+            assert found is not None and (found is True) == exhaustive_epr_valid(sig, s), s
+            checked[sig.has_equality, found is True] += 1
     assert min(checked.values()) >= 40 and len(checked) == 4, checked
 
 
 # --- the one-step layer -------------------------------------------------------------------
 
 
+def _epr(sig, a, b, ctx):
+    """`a =>_ctx b` by the relational decision: True, False, or None when it declines."""
+    found = decide_relational(Sequent(ctx, (a,), (b,)), (), sig)
+    return None if found is None else found is True
+
+
 def _epr_decider(sig):
     def decide(a, b, ctx):
         try:
-            return epr_valid(sig, Sequent(ctx, (a,), (b,)))
+            return _epr(sig, a, b, ctx)
         except Exception:
             return None
 
@@ -716,7 +770,7 @@ def test_one_step_layer_empty_theory_fully_resolved():
     decider = _epr_decider(SIG)
 
     def qf_entails(a, b, c):
-        return epr_valid(SIG, Sequent(c, (a,), (b,)))
+        return _epr(SIG, a, b, c)
 
     layer = one_step_layer(ctx, [P("x1"), Top(), Bot()], gens, qf_entails, decider)
     assert layer.unresolved == []
@@ -763,7 +817,7 @@ def test_one_step_beck_chevalley_instances():
     ctx = canonical_context(1)
     gens = [LayerGenerator(("y",), Q("x1", "y"))]
     decider = _epr_decider(SIG)
-    layer = one_step_layer(ctx, [Top()], gens, lambda a, b, c: epr_valid(SIG, Sequent(c, (a,), (b,))), decider)
+    layer = one_step_layer(ctx, [Top()], gens, lambda a, b, c: _epr(SIG, a, b, c), decider)
     subs = [CtxMorphism(canonical_context(2), ctx, (Var("x2"),))]
     violations = one_step_beck_chevalley(layer, subs, decider)
     assert violations == []

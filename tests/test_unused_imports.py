@@ -80,7 +80,6 @@ TESTS_ONLY_CONSTRUCTIONS = {
     "lang.py": {"compose_ctx", "identity_morphism", "pairing"},
     "stratify.py": {"colimit", "verify_qa_stratified"},
     "syntactic.py": {
-        "epr_valid",
         "is_quantifier_free_modulo",
         "morphism_from_family",
         "naturality_of_interpretation",
