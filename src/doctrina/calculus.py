@@ -765,40 +765,45 @@ def decide_relational(
     declined, as a function term is.
 
     The answer is kept on the sequent, as formula nodes keep their canonical
-    form: one slot holds the key `(axioms, signature)`, the answer and the
-    splits the walk took.  A later call with that key reuses it when its
-    `max_branches` is at least those splits, and returns None otherwise,
-    which is what a fresh walk returns: the walk splits in the same order
-    under any cap.  A walk stopped by its cap is not kept."""
+    form: one slot holds the key `(axioms, signature)` and the walk.  The
+    walk splits in the same order under any cap, so one that its cap stops
+    waits in the slot before its next split, and a later call with a larger
+    cap goes on from there: a sequent is walked once for each key in turn.
+    A later call gets the answer when its `max_branches` is at least the
+    splits the walk took, and None otherwise, as from a fresh walk."""
     key = (tuple(axioms), signature)
     kept = getattr(s, "_decided", None)
     if kept is None or kept[0] != key:
-        answer, splits = _herbrand(s, key[0], signature, max_branches)
-        if splits > max_branches:
-            return None
-        kept = (key, answer, splits)
+        # the key, the walk while it waits, the split it waits for or the
+        # splits it took, and its answer
+        kept = [key, _herbrand(s, key[0], signature), 0, None]
         object.__setattr__(s, "_decided", kept)
-    return kept[1] if kept[2] <= max_branches else None
+    walk, splits = kept[1], kept[2]
+    while walk is not None and splits <= max_branches:
+        try:
+            splits = next(walk)
+        except StopIteration as end:
+            walk, kept[3] = None, end.value
+    kept[1], kept[2] = walk, splits
+    return kept[3] if walk is None and splits <= max_branches else None
 
 
-def _herbrand(
-    s: Sequent, axioms: tuple[Formula, ...], signature: Optional[Signature], max_branches: float
-) -> tuple[bool | OpenBranch | None, int]:
-    """The walk of `decide_relational`: its answer, and the splits it took
-    (one past `max_branches` when the cap stopped it)."""
+def _herbrand(s: Sequent, axioms: tuple[Formula, ...], signature: Optional[Signature]):
+    """The walk of `decide_relational`, a generator: before each split it
+    yields the split's number, and it returns the answer."""
     if signature is not None and signature.functions and signature.constants():
-        return None, 0
+        return None
     names = dict(zip(s.context.vars, range(len(s.context.vars))))
     # the root closes at once on top right, bottom left or one formula on
     # both sides, as four in ten valid goals of the sweep do
     todo = []
     for phi in s.succedent:
         if type(phi) is Top:
-            return True, 0
+            return True
         todo.append((False, phi, names))
     for phi in s.antecedent:
         if type(phi) is Bot or phi in s.succedent:
-            return True, 0
+            return True
         todo.append((True, phi, names))
     for ax in axioms:
         todo.append((True, ax, {}))
@@ -815,7 +820,7 @@ def _herbrand(
                 try:
                     atom = (phi.name, tuple([env[t.name] for t in phi.args]))
                 except (KeyError, AttributeError):  # a variable no binder gives, a function term
-                    return None, splits
+                    return None
                 if left:
                     if atom in rights:
                         break
@@ -833,7 +838,7 @@ def _herbrand(
                 try:
                     a, b = env[phi.left.name], env[phi.right.name]
                 except (KeyError, AttributeError):
-                    return None, splits
+                    return None
                 if a != b:
                     (eqs if left else neqs).append((a, b))
                 elif not left:
@@ -852,12 +857,12 @@ def _herbrand(
                 if (kind is Exists) != left:
                     universal.append((left, phi, env))
                 elif frozen:
-                    return None, splits
+                    return None
                 else:
                     todo.append((left, phi.body, {**env, phi.var: n}))
                     n += 1
             else:
-                return None, splits
+                return None
         else:
             # once the walk has instantiated, no constant is added, and every
             # instance is read before a split
@@ -884,8 +889,7 @@ def _herbrand(
                 delayed = kept
                 if not todo:  # split on the last one, whose children are at hand
                     splits += 1
-                    if splits > max_branches:
-                        return None, splits
+                    yield splits
                     delayed.pop()
                     branches.append(
                         ([second], delayed[:], universal[:], set(lefts), set(rights), eqs[:], neqs[:], n, frozen)
@@ -894,10 +898,10 @@ def _herbrand(
                 continue
             found = _open_leaf(s.context, lefts, rights, eqs, neqs, n)
             if found is not None:
-                return found, splits
+                return found
         # the branch closed
         if not branches:
-            return True, splits
+            return True
         todo, delayed, universal, lefts, rights, eqs, neqs, n, frozen = branches.pop()
 
 

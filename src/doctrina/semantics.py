@@ -27,9 +27,10 @@ variable, every axiom a sentence; see `_total`), has no countermodel: the
 calculus is sound in every structure, the empty carrier included, so the
 answer is None at every size, and a scan could raise no error on the way.
 The walk may split once for each block the scan would evaluate, so it never
-costs more branches than the scan has blocks; past that it declines.  Every
-other goal, refuted or declined, or one whose scan may raise, is scanned,
-so every structure, assignment and error is the scan's.
+costs more branches than the scan has blocks; past that it waits on the
+goal, where a caller with a larger cap (`prove_bounded`) goes on with it.
+Every other goal, refuted, declined or waiting, or one whose scan may
+raise, is scanned, so every structure, assignment and error is the scan's.
 
 The scan, `_countermodel_scan`, filters each block by the masks of the
 axioms and of the falsified sequent, then confirms the candidates, lowest

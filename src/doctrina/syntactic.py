@@ -88,8 +88,13 @@ def max_pred_arity(phi: Formula) -> int:
     return max((2 if isinstance(f, Eq) else len(f.args) for f in atoms), default=0)
 
 
-def predicates_of(phi: Formula) -> set[tuple[str, int]]:
-    return {(f.name, len(f.args)) for f in subformulas(phi) if isinstance(f, Pred)}
+def predicates_of(phi: Formula) -> frozenset[tuple[str, int]]:
+    """The predicates of `phi` with their arities, kept on the node."""
+    cached = getattr(phi, "_predicates", None)
+    if cached is None:
+        cached = frozenset((f.name, len(f.args)) for f in subformulas(phi) if isinstance(f, Pred))
+        object.__setattr__(phi, "_predicates", cached)
+    return cached
 
 
 def check_arities(theory: Theory, formulas: Iterable[Formula]) -> None:

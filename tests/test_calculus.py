@@ -677,6 +677,23 @@ def test_the_decision_propagates_and_keeps_to_the_node_budget():
     assert prove_bounded(s, theory, budget) is None and calculus._deepen(s, theory, budget, None) is None
 
 
+def test_a_walk_its_cap_stopped_goes_on_as_a_fresh_walk_would():
+    # the kept walk waits before the split its cap refused; each larger cap
+    # answers as a fresh walk under that cap does, and a smaller cap after
+    # the walk ended answers as before
+    caps = (0, 1, 2, 4, 8, math.inf)
+    went_on = 0
+    for s, theory, budget, sig in decision_goals():
+        kept = Sequent(s.context, s.antecedent, s.succedent)
+        answers = [calculus.decide_relational(kept, theory, sig, cap) for cap in caps]
+        for cap, found in zip(caps, answers):
+            fresh = Sequent(s.context, s.antecedent, s.succedent)
+            assert found == calculus.decide_relational(fresh, theory, sig, cap), (s, cap)
+        assert calculus.decide_relational(kept, theory, sig, 0) == answers[0]
+        went_on += answers[0] is None and answers[-1] is not None
+    assert went_on >= 200, went_on
+
+
 def test_proofs_are_sound_in_finite_structures():
     rng = random.Random(11)
     structures = list(enumerate_structures(SIG, 2))
