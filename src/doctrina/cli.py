@@ -303,10 +303,9 @@ def cmd_complete(args) -> tuple[int, list[str]]:
             theory,
             FormulaInContext(phi, ctx),
             FormulaInContext(psi, ctx),
+            [s for s, _ in universal_consequences(theory, contexts, bodies, budget)],
             budget=budget,
             model_size=args.model_size,
-            consequence_contexts=contexts,
-            consequence_bodies=bodies,
         )
         if isinstance(verdict, Proved):
             return EXIT_POSITIVE, ["VERDICT proved", "CERTIFICATE " + sexpr.proof_sexpr(verdict.proof)]

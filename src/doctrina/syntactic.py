@@ -32,6 +32,7 @@ from .formula import (
     alpha_eq,
     atoms_of,
     canonical_form,
+    dnf_formula,
     free_vars,
     is_quantifier_free,
     qa_depth,
@@ -39,6 +40,7 @@ from .formula import (
     size,
     subformulas,
     substitute_formula,
+    to_dnf,
 )
 from .calculus import Budget, ProofTree, Sequent, prove_bounded, prove_qf
 from .doctrine import Doctrine, Violation, violation
@@ -562,8 +564,6 @@ def universal_consequences(
     implicant form); the bounded oracle refutes a survivor in a model of size
     2 of the listed axioms, with no sentence of the axiom family, before any
     proof search, and every returned sentence carries its tree."""
-    from .formula import dnf_formula, to_dnf
-
     oracle = BoundedOracle(theory, budget, 2, family_up_to=-1)
     out: list[tuple[Formula, ProofTree]] = []
     seen: set = set()
@@ -581,93 +581,41 @@ def universal_consequences(
     return out
 
 
-def equality_axiom_instances(
-    signature: Signature,
-    contexts: Sequence[Context],
-    bodies: Callable[[Context], Sequence[Formula]],
-) -> list[Formula]:
-    """Bounded instances of the universal equality schemes: reflexivity of
-    variables and substitutivity for quantifier-free bodies in one extra
-    variable (enough for the variable-only desk-scale fragment)."""
-    out: list[Formula] = []
-    for ctx in contexts:
-        if len(ctx) == 0:
-            continue
-        for v in ctx.vars:
-            out.append(universal_closure(Eq(Var(v), Var(v)), ctx))
-        for t in ctx.vars:
-            for u in ctx.vars:
-                if t == u:
-                    continue
-                for body in bodies(ctx):
-                    prem = And(Eq(Var(t), Var(u)), body)
-                    from .formula import substitute
-
-                    swapped = substitute(body, {t: Var(u)})
-                    out.append(universal_closure(Imp(prem, swapped), ctx))
-    dedup: list[Formula] = []
-    seen = set()
-    for f in out:
-        key = canonical_form(f)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(f)
-    return dedup
-
-
 def completion_leq(
     theory: Theory,
     phi: FormulaInContext,
     psi: FormulaInContext,
-    universal_theory: Optional[Sequence[Formula]] = None,
+    universal_theory: Sequence[Formula],
     budget: Budget = Budget(),
     model_size: int = 2,
-    consequence_contexts: Sequence[Context] = (),
-    consequence_bodies: Optional[Callable[[Context], Sequence[Formula]]] = None,
 ) -> Verdict:
     """The order of the quantifier completion of the quantifier-free
-    fragment: provability from the enumerated universal-consequence theory,
-    refutation by countermodels of that theory.  For a signature with
-    equality, the universal equality schemes are included."""
-    if universal_theory is None:
-        if consequence_bodies is None:
-            raise SyntacticError("need either a universal theory or an enumeration recipe")
-        universal_theory = [
-            s for s, _ in universal_consequences(theory, consequence_contexts, consequence_bodies, budget)
-        ]
-        if theory.signature.has_equality:
-            universal_theory = list(universal_theory) + equality_axiom_instances(
-                theory.signature, consequence_contexts, consequence_bodies
-            )
+    fragment, modulo `universal_theory`, the universal consequences of T
+    that the caller enumerated (`universal_consequences`).
+
+    phi <= psi is proved from those sentences, or refuted by a structure of size
+    at most `model_size` that satisfies T's listed axioms and them, with an
+    assignment that falsifies phi |- psi.  A model of T is a model of its
+    universal consequences, so every refutation is sound, and it is a model
+    of T unless T is given by an axiom family."""
     goal = Sequent(phi.context, (phi.formula,), (psi.formula,))
-    # cheap refutation first: a countermodel of the universal theory settles it
-    preds = sorted(
-        {(n, a) for f in list(universal_theory) + [phi.formula, psi.formula] for n, a in predicates_of(f)}
-    )
-    found = countermodel_search(goal, universal_theory, theory.signature, model_size, preds)
+    # cheap refutation first: a countermodel of both axiom lists settles it
+    axioms = [*theory.axioms, *universal_theory]
+    preds = sorted({(n, a) for f in [*axioms, phi.formula, psi.formula] for n, a in predicates_of(f)})
+    found = countermodel_search(goal, axioms, theory.signature, model_size, preds)
     if found is not None:
         return Refuted(found[0], found[1], "completion")
-    # preload only informative sentences about the predicates at hand,
-    # smallest first, so the cut-free search stays tractable; a sentence
-    # whose body under its leading universal block is a tautology, with
-    # equality atoms read as propositional letters, informs nothing
-    def informative(sentence: Formula) -> bool:
-        body = sentence
-        while isinstance(body, Forall):
-            body = body.body
-        ctx = Context(tuple(sorted(free_vars(body))))
-        return isinstance(prove_qf(Sequent(ctx, (), (body,))), Sequent)
-
+    # preload only sentences about the predicates at hand, smallest first, so
+    # the cut-free search stays tractable
     goal_preds = {n for n, _ in predicates_of(phi.formula) | predicates_of(psi.formula)}
     relevant = [
         s for s in universal_theory
-        if {n for n, _ in predicates_of(s)} <= goal_preds
-        and predicates_of(s)
-        and informative(s)
+        if {n for n, _ in predicates_of(s)} <= goal_preds and predicates_of(s)
     ]
     relevant.sort(key=size)
     # greedily drop sentences already true in every small model of the kept
-    # ones: redundant preloads only blow up the search
+    # ones (every valid sentence among them): redundant preloads only blow
+    # up the search
     kept: list[Formula] = []
     for s in relevant:
         if len(kept) >= 8:

@@ -8,14 +8,17 @@ import sys
 
 import pytest
 
-from doctrina.calculus import check_proof, prove_bounded
-from doctrina.cli import build_parser, main
+from doctrina.calculus import Sequent, check_proof, prove_bounded
+from doctrina.cli import build_parser, infer_context, main
 from doctrina import sexpr
 from doctrina.sexpr import MAX_NESTING
 from doctrina.boolalg import BoolAlg
 from doctrina.category import chain_category
 from doctrina.doctrine import full_marking, hbx_doctrine, subset_doctrine
+from doctrina.lang import canonical_context
+from doctrina.semantics import eval_in_structure, falsifying_assignment
 from doctrina.stratify import stratify
+from doctrina.syntactic import atom_pool, enumerate_qf
 
 from helpers import one_entry_mutant, record_blocks
 from test_stratify import chain_doctrine_with_proper_fragment
@@ -341,6 +344,66 @@ def test_complete_order_query(capsys):
     )
     assert code == 0
     assert "VERDICT proved" in out
+
+
+SYMMETRIC_Q_THEORY = (
+    "(theory (signature (predicates (P 1) (Q 2)))"
+    " (axioms (forall x (forall y (imp (Q x y) (Q y x))))))"
+)
+
+
+def test_complete_refutes_only_with_models_of_the_theory(capsys):
+    # symmetry (a body of size 4) is not among the enumerated consequences,
+    # and Q(x1,x2) |- Q(x2,x1) holds in every model of it
+    code, out = run_cli(
+        ["complete", SYMMETRIC_Q_THEORY, "--phi", "(Q x1 x2)", "--psi", "(Q x2 x1)"], capsys
+    )
+    assert (code, out) == (2, "VERDICT unknown\n")
+
+
+@pytest.mark.parametrize(
+    "theory",
+    [
+        SYMMETRIC_Q_THEORY,
+        "(theory (signature (predicates (P 1)) equality) (axioms))",
+        "(theory (signature (predicates (P 1) (Q 2)) equality)"
+        " (axioms (forall x (forall y (imp (Q x y) (= x y))))))",
+    ],
+    ids=["symmetric", "equality", "equality-functional"],
+)
+def test_complete_certificates_check(theory, capsys):
+    # a refutation is a model of T that falsifies the goal; a proof checks
+    # against the universal consequences the same options enumerate
+    options = ["--body-size", "3", "--ctx-size", "2", "--budget", "5"]
+    t = sexpr.parse_theory(sexpr.parse_sexpr(theory))
+    code, out = run_cli(["complete", theory] + options, capsys)
+    assert code == 0
+    universal = [
+        sexpr.parse_formula(sexpr.parse_sexpr(line[len("CONSEQUENCE "):]))
+        for line in out.splitlines() if line.startswith("CONSEQUENCE ")
+    ]
+    rng = random.Random(25)
+    pool = enumerate_qf(atom_pool(t.signature, canonical_context(2)), 3)
+    verdicts = set()
+    for _ in range(25):
+        phi, psi = rng.choice(pool), rng.choice(pool)
+        argv = ["complete", theory, "--phi", sexpr.formula_sexpr(phi),
+                "--psi", sexpr.formula_sexpr(psi)] + options
+        code, out = run_cli(argv, capsys)
+        lines = out.splitlines()
+        verdicts.add(lines[0])
+        goal = Sequent(infer_context(phi, psi), (phi,), (psi,))
+        if code == 1:
+            m = sexpr.parse_structure(sexpr.parse_sexpr(lines[1][len("CERTIFICATE "):]))
+            assert all(eval_in_structure(ax, m, {}) for ax in t.axioms), argv
+            assert falsifying_assignment(goal, m) is not None, argv
+        elif code == 0:
+            proof = sexpr.parse_proof(sexpr.parse_sexpr(lines[1][len("CERTIFICATE "):]))
+            assert proof.conclusion == goal, argv
+            assert check_proof(proof, universal).ok, argv
+        else:
+            assert (code, lines) == (2, ["VERDICT unknown"]), argv
+    assert {"VERDICT proved", "VERDICT refuted"} <= verdicts
 
 
 def test_parse_error_exit_code(capsys):

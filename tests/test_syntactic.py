@@ -65,7 +65,6 @@ from doctrina.syntactic import (
     completion_leq,
     enumerate_qf,
     atom_pool,
-    equality_axiom_instances,
     interpret,
     is_quantifier_free_modulo,
     lt_leq,
@@ -683,20 +682,6 @@ def test_completion_reflexive():
     phi = FormulaInContext(Q("x1", "x1"), ctx)
     v = completion_leq(theory, phi, phi, universal_theory=[])
     assert isinstance(v, Proved)
-
-
-def test_equality_axiom_instances_are_universal_sentences():
-    sig = Signature(predicates=(("P", 1),), has_equality=True)
-    contexts = [canonical_context(2)]
-
-    def bodies(ctx):
-        return [P("x1")]
-
-    out = equality_axiom_instances(sig, contexts, bodies)
-    from doctrina.formula import free_vars
-
-    assert out
-    assert all(not free_vars(f) for f in out)
 
 
 # --- effectively propositional decisions ------------------------------------------------
