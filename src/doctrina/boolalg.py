@@ -182,33 +182,6 @@ def right_adjoint_of(src: BoolAlg, dst: BoolAlg, f: Callable[[int], int]) -> tup
     return tuple(src.join_all(a for a, v in enumerate(values) if dst.leq(v, b)) for b in dst.elements())
 
 
-def monotone_maps(src: BoolAlg, dst: BoolAlg) -> Iterator[tuple[int, ...]]:
-    """All monotone maps src -> dst, as element tables.  Exponential; meant
-    for adjoint-uniqueness sweeps on small fibers."""
-    elems = list(src.elements())
-
-    def extend(par: list[int]) -> Iterator[tuple[int, ...]]:
-        i = len(par)
-        if i == len(elems):
-            yield tuple(par)
-            return
-        for v in dst.elements():
-            ok = True
-            for j in range(i):
-                if src.leq(elems[j], elems[i]) and not dst.leq(par[j], v):
-                    ok = False
-                    break
-                if src.leq(elems[i], elems[j]) and not dst.leq(v, par[j]):
-                    ok = False
-                    break
-            if ok:
-                par.append(v)
-                yield from extend(par)
-                par.pop()
-
-    yield from extend([])
-
-
 def subalgebra_atoms(alg: BoolAlg, gens: Iterable[int]) -> list[int]:
     """The atoms of the Boolean subalgebra of alg generated by `gens`, sorted:
     the nonempty cells into which the generators cut the top, each generator

@@ -30,9 +30,9 @@ checker's comparison all read one object, whose canonical form is computed
 once, and the table goes with its node.
 
 `prove_qf` runs the same search, uncapped, on a quantifier-free sequent,
-closing atomic leaves by Id or by a caller's lemma for a pair of atoms.  It
-decides the sequent: it returns the proof, or the first atomic leaf that
-stays open.  Every rule it applies is invertible at each single valuation of
+closing atomic leaves by Id, by EqRefl or by a caller's lemma for a pair of
+atoms.  It decides the sequent: it returns the proof, or the first atomic
+leaf that stays open.  Every rule it applies is invertible at each single valuation of
 the atoms (a valuation that falsifies a premise falsifies the conclusion),
 so a valuation that makes the open leaf's antecedent atoms true and its
 succedent atoms false falsifies the root sequent too: the open leaf is the
@@ -236,6 +236,27 @@ def _term_in_context(t: Term, ctx: Context) -> bool:
     return t.variables() <= set(ctx.vars)
 
 
+def _functions_of(terms) -> set[tuple[str, int]]:
+    """The function symbols, with their arities, of the terms."""
+    out, stack = set(), list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            out.add((t.symbol, len(t.args)))
+            stack.extend(t.args)
+    return out
+
+
+def _terms_of(s: Sequent):
+    """The argument terms of the atoms of `s`."""
+    for f in s.antecedent + s.succedent:
+        for a in subformulas(f):
+            if isinstance(a, Pred):
+                yield from a.args
+            elif isinstance(a, Eq):
+                yield from (a.left, a.right)
+
+
 def _premise(ctx: Context, ant: tuple[Formula, ...], suc: tuple[Formula, ...]) -> Sequent:
     """A sequent built without `Sequent`'s free-variable check, for formulas
     known to lie in `ctx`: a premise of a rule (see the module docstring), or
@@ -342,8 +363,10 @@ def premises(c: Sequent, r: Rule) -> tuple[Sequent, ...]:
     return (_on_side(c, left, before + (phi.body,) + after, ctx.extended(phi.var)),)
 
 
-def _check_node(node: ProofTree, theory, signature: Optional[Signature]) -> Optional[str]:
-    """None if the node is a correct rule instance, else the violation."""
+def _check_node(node: ProofTree, theory, functions: Optional[set], root: Sequent) -> Optional[str]:
+    """None if the node is a correct rule instance, else the violation.  When
+    `functions` are given, a term the rule names may use only those and the
+    function symbols of the `root` sequent."""
     c = node.conclusion
     r = node.rule
     ps = node.premises
@@ -351,6 +374,14 @@ def _check_node(node: ProofTree, theory, signature: Optional[Signature]) -> Opti
 
     if r.tag in _LEAVES and ps:
         return f"{r.tag} expects 0 premises, got {len(ps)}"
+
+    if functions is not None:
+        for t in (r.term, r.term2):
+            if t is None:
+                continue
+            undeclared = _functions_of((t,)) - functions
+            if undeclared and not undeclared <= _functions_of(_terms_of(root)):
+                return f"{r.tag} term {t!r} uses a function symbol outside the signature and the goal"
 
     if r.tag == "Id":
         if len(ant) == 1 == len(suc) and alpha_eq(ant[0], suc[0]):
@@ -379,8 +410,6 @@ def _check_node(node: ProofTree, theory, signature: Optional[Signature]) -> Opti
         return None
 
     if r.tag == "EqRefl":
-        if signature is not None and not signature.has_equality:
-            return "equality rule in a signature without equality"
         if ant or len(suc) != 1:
             return "EqRefl concludes =>_y t = t"
         t = r.term
@@ -391,8 +420,6 @@ def _check_node(node: ProofTree, theory, signature: Optional[Signature]) -> Opti
         return None
 
     if r.tag == "EqSubst":
-        if signature is not None and not signature.has_equality:
-            return "equality rule in a signature without equality"
         t, u, zeta, x = r.term, r.term2, r.formula, r.var
         if t is None or u is None or zeta is None or x is None:
             return "EqSubst needs terms t, u, a formula, and a variable"
@@ -451,11 +478,17 @@ def _check_node(node: ProofTree, theory, signature: Optional[Signature]) -> Opti
 
 def check_proof(tree: ProofTree, theory=(), signature: Optional[Signature] = None) -> ProofCheck:
     """Check every node; on failure report the path (premise indices) of the
-    first failing node and the violated side condition."""
+    first failing node and the violated side condition.
+
+    Under a signature, a term that a rule names may use only the function
+    symbols of the signature and of the root sequent, which every structure
+    that evaluates the root interprets: a witness constant outside both
+    would prove `=> exists x true`, which the empty structure refutes."""
+    functions = None if signature is None else set(signature.functions)
     stack: list[tuple[ProofTree, tuple[int, ...]]] = [(tree, ())]
     while stack:
         node, path = stack.pop()
-        err = _check_node(node, theory, signature)
+        err = _check_node(node, theory, functions, tree.conclusion)
         if err is not None:
             return ProofCheck(False, path, err)
         for i, p in enumerate(reversed(node.premises)):
@@ -572,10 +605,9 @@ class _Search:
                     lemma = self.closer(a, b, s.context)
                     if lemma is not None:
                         return self.close(s, i, j, lemma)
-        if self.signature is not None and self.signature.has_equality:
-            for j, phi in enumerate(suc):
-                if isinstance(phi, Eq) and phi.left == phi.right:
-                    return self.close(s, -1, j, Rule("EqRefl", term=phi.left))
+        for j, phi in enumerate(suc):
+            if isinstance(phi, Eq) and phi.left == phi.right:
+                return self.close(s, -1, j, Rule("EqRefl", term=phi.left))
 
         # a failure is kept by the sequent in order, for the order of its
         # formulas decides which rule the search applies first
@@ -1013,9 +1045,7 @@ def _deepen(
     return tree
 
 
-def prove_qf(
-    s: Sequent, signature: Optional[Signature] = None, closer: Optional[Closer] = None
-) -> ProofTree | Sequent:
+def prove_qf(s: Sequent, closer: Optional[Closer] = None) -> ProofTree | Sequent:
     """The proof of the quantifier-free sequent `s` by the prover's
     invertible rules, or else the first atomic leaf that stays open.
 
@@ -1034,6 +1064,6 @@ def prove_qf(
     if not all(is_quantifier_free(f) for f in formulas):
         raise ProofError("prove_qf needs a quantifier-free sequent")
     depth = sum(isinstance(g, (And, Or, Imp)) for f in formulas for g in subformulas(f))
-    engine = _Search(Budget(max_nodes=math.inf), signature, closer)
+    engine = _Search(Budget(max_nodes=math.inf), None, closer)
     proof = engine.prove(s, depth, frozenset())
     return engine.leaf if proof is None else proof

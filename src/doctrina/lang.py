@@ -65,12 +65,12 @@ class Signature:
     """Function and predicate symbols with arities.
 
     `families` lets a signature carry infinitely many predicate symbols by
-    rule (one symbol of every arity, named deterministically).
+    rule (one symbol of every arity, named deterministically).  `=` is not a
+    symbol of the signature: it is identity in every signature.
     """
 
     functions: tuple[tuple[str, int], ...] = ()
     predicates: tuple[tuple[str, int], ...] = ()
-    has_equality: bool = False
     families: tuple[PredicateFamily, ...] = ()
 
     def __post_init__(self):

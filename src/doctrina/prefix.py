@@ -227,7 +227,7 @@ class PrefixOracle(EntailmentOracle):
                        for f in formulas for a in atoms_of(f)]
         except PrefixError as e:
             return Unknown(str(e))
-        found = prove_qf(s, SIGNATURE, _chain_lemma)
+        found = prove_qf(s, _chain_lemma)
         if isinstance(found, ProofTree):
             return Proved(found, self.name)
         # truncated above every atom of the sequent, so that each predicate

@@ -369,7 +369,6 @@ def parse_signature(node: SNode) -> Signature:
     functions: list[tuple[str, int]] = []
     predicates: list[tuple[str, int]] = []
     families: list[PredicateFamily] = []
-    has_eq = False
     for k, item in enumerate(node.items[1:], 1):
         h = _head(item)
         if h in ("functions", "predicates"):
@@ -382,11 +381,12 @@ def parse_signature(node: SNode) -> Signature:
             for fam in item.items[1:]:
                 families.append(PredicateFamily(_atom_text(fam, "family prefix")))
         elif item == "equality" or h == "equality":
-            has_eq = True
+            # `=` is identity in every signature: the item is read and means nothing
+            continue
         else:
             _fail(_at(node, k), "unknown signature section")
     try:
-        return Signature(tuple(functions), tuple(predicates), has_eq, tuple(families))
+        return Signature(tuple(functions), tuple(predicates), tuple(families))
     except LangError as e:
         _fail(node, str(e))
 
@@ -399,8 +399,6 @@ def signature_sexpr(sig: Signature) -> str:
         parts.append("(predicates " + " ".join(f"({n} {a})" for n, a in sig.predicates) + ")")
     if sig.families:
         parts.append("(families " + " ".join(f.prefix for f in sig.families) + ")")
-    if sig.has_equality:
-        parts.append("equality")
     return "(" + " ".join(parts) + ")"
 
 

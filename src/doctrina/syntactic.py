@@ -171,7 +171,9 @@ class TruthTableOracle(EntailmentOracle):
     invertible rules closing on Id, and otherwise the first open atomic leaf
     gives the falsifying valuation (its antecedent atoms true, every other
     atom false).  Atoms with distinct argument tuples are independent, so
-    that valuation lifts to a term-generated countermodel."""
+    that valuation lifts to a term-generated countermodel: its elements are
+    the numbered subterms of the sequent, and each function table is total
+    over them."""
 
     name = "truthtable"
 
@@ -184,7 +186,7 @@ class TruthTableOracle(EntailmentOracle):
             return Unknown("not quantifier-free")
         if any(isinstance(a, Eq) for f in formulas for a in atoms_of(f)):
             return Unknown("equality atoms need the bounded oracle")
-        found = prove_qf(s, self.signature)
+        found = prove_qf(s)
         if isinstance(found, ProofTree):
             return Proved(found, self.name)
         return self._refute(s, found)
@@ -192,21 +194,19 @@ class TruthTableOracle(EntailmentOracle):
     def _refute(self, s: Sequent, leaf: Sequent) -> Verdict:
         atoms = sorted({a for f in s.antecedent + s.succedent for a in atoms_of(f)}, key=repr)
         terms = [t for a in atoms for t in a.args] + [Var(v) for v in s.context.vars]
-        names = {t: repr(t) for t in _distinct_subterms(terms)}
-        carrier = tuple(names.values()) or ("*",)
-        functions: dict[str, dict[tuple, object]] = {}
-        for t, nm in names.items():
+        element = {t: i for i, t in enumerate(_distinct_subterms(terms))}
+        carrier = tuple(range(len(element))) or (0,)
+        arities = dict(self.signature.functions)
+        arities.update((t.symbol, len(t.args)) for t in element if isinstance(t, App))
+        functions = {f: dict.fromkeys(itertools.product(carrier, repeat=n), 0) for f, n in arities.items()}
+        for t, i in element.items():
             if isinstance(t, App):
-                functions.setdefault(t.symbol, {})[tuple(names[a] for a in t.args)] = nm
-        for fname, arity in self.signature.functions:
-            table = functions.setdefault(fname, {})
-            for args in itertools.product(carrier, repeat=arity):
-                table.setdefault(args, carrier[0])
+                functions[t.symbol][tuple(element[a] for a in t.args)] = i
         predicates: dict[str, set] = {a.name: set() for a in atoms}
         for a in leaf.antecedent:
-            predicates[a.name].add(tuple(names[t] for t in a.args))
+            predicates[a.name].add(tuple(element[t] for t in a.args))
         m = FiniteStructure(carrier, functions, {k: frozenset(v) for k, v in predicates.items()})
-        assignment = {v: names[Var(v)] if Var(v) in names else carrier[0] for v in s.context.vars}
+        assignment = {v: element.get(Var(v), 0) for v in s.context.vars}
         return Refuted(m, assignment, self.name)
 
 
@@ -396,20 +396,6 @@ def interpret(
     return go(phi, fic.context)
 
 
-def naturality_of_interpretation(
-    fic: FormulaInContext,
-    f: CtxMorphism,
-    target: DoctrineTarget,
-    family: InterpretationFamily,
-) -> bool:
-    """Substituting then interpreting agrees with interpreting then
-    reindexing along the induced base morphism."""
-    lhs = interpret(substitute_formula(fic, f), target, family)
-    mor = target.tuple_morphism(f.components, f.source)
-    rhs = target.doctrine.re(mor, interpret(fic, target, family))
-    return lhs == rhs
-
-
 def sequent_valid(s: Sequent, target: DoctrineTarget, family: InterpretationFamily) -> bool:
     """Interpreted conjunction of the antecedent below the interpreted
     disjunction of the succedent, in the fiber over the context object."""
@@ -421,38 +407,6 @@ def sequent_valid(s: Sequent, target: DoctrineTarget, family: InterpretationFami
     for b in s.succedent:
         rhs |= interpret(FormulaInContext(b, s.context), target, family)
     return alg.leq(lhs, rhs)
-
-
-def morphism_from_family(
-    theory: Theory,
-    target: DoctrineTarget,
-    family: InterpretationFamily,
-    family_up_to: int = 3,
-    samples: Sequence[tuple[FormulaInContext, FormulaInContext]] = (),
-    oracle: Optional[EntailmentOracle] = None,
-) -> tuple[Callable[[FormulaInContext], int], list[Violation]]:
-    """The evaluation morphism induced by an interpretation family: checks
-    every bounded axiom interprets to top, exposes the evaluation map, and
-    cross-checks well-definedness on sampled provable inequalities."""
-    out: list[Violation] = []
-    top = target.doctrine.fiber(target.ctx_object(0)).top
-    for ax in theory.relevant_axioms(family_up_to):
-        if interpret(FormulaInContext(ax, Context()), target, family) != top:
-            out.append(violation("axiom-violated", axiom=repr(ax)))
-
-    def evaluate(fic: FormulaInContext) -> int:
-        return interpret(fic, target, family)
-
-    if oracle is not None:
-        for phi, psi in samples:
-            v = lt_leq(oracle, phi, psi)
-            if isinstance(v, Proved):
-                alg = target.doctrine.fiber(target.ctx_object(len(phi.context)))
-                if not alg.leq(evaluate(phi), evaluate(psi)):
-                    out.append(
-                        violation("well-definedness", left=repr(phi), right=repr(psi))
-                    )
-    return evaluate, out
 
 
 # --- candidate spaces ----------------------------------------------------------

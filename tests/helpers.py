@@ -12,7 +12,9 @@ import itertools
 import pathlib
 import random
 import sys
+from typing import Callable, Iterator, Optional, Sequence
 
+from doctrina.boolalg import BoolAlg
 from doctrina.lang import App, Context, CtxMorphism, Term, Var, canonical_context, fresh_vars, pool_var
 from doctrina.formula import (
     And,
@@ -28,12 +30,24 @@ from doctrina.formula import (
     Top,
     conj,
     disj,
+    FormulaInContext,
     free_vars,
     is_quantifier_free,
     size,
+    substitute_formula,
 )
 from doctrina.calculus import Sequent
+from doctrina.doctrine import Violation, violation
 from doctrina.prefix import PrefixAtom
+from doctrina.syntactic import (
+    DoctrineTarget,
+    EntailmentOracle,
+    InterpretationFamily,
+    Proved,
+    Theory,
+    interpret,
+    lt_leq,
+)
 
 
 # --- naive textual term substitution (oracle for compose_ctx) -----------------
@@ -428,3 +442,80 @@ def one_entry_mutant(rng, d, table_kind):
     table = list(tables[key])
     table[rng.randrange(len(table))] ^= rng.randint(1, top_of(key))
     return d.with_tables(**{table_kind: {**tables, key: tuple(table)}})
+
+
+# --- constructions that only the tests call ---------------------------------
+
+
+def monotone_maps(src: BoolAlg, dst: BoolAlg) -> Iterator[tuple[int, ...]]:
+    """All monotone maps src -> dst, as element tables.  Exponential; meant
+    for adjoint-uniqueness sweeps on small fibers."""
+    elems = list(src.elements())
+
+    def extend(par: list[int]) -> Iterator[tuple[int, ...]]:
+        i = len(par)
+        if i == len(elems):
+            yield tuple(par)
+            return
+        for v in dst.elements():
+            ok = True
+            for j in range(i):
+                if src.leq(elems[j], elems[i]) and not dst.leq(par[j], v):
+                    ok = False
+                    break
+                if src.leq(elems[i], elems[j]) and not dst.leq(v, par[j]):
+                    ok = False
+                    break
+            if ok:
+                par.append(v)
+                yield from extend(par)
+                par.pop()
+
+    yield from extend([])
+
+
+def naturality_of_interpretation(
+    fic: FormulaInContext,
+    f: CtxMorphism,
+    target: DoctrineTarget,
+    family: InterpretationFamily,
+) -> bool:
+    """Substituting then interpreting agrees with interpreting then
+    reindexing along the induced base morphism."""
+    lhs = interpret(substitute_formula(fic, f), target, family)
+    mor = target.tuple_morphism(f.components, f.source)
+    rhs = target.doctrine.re(mor, interpret(fic, target, family))
+    return lhs == rhs
+
+
+
+def morphism_from_family(
+    theory: Theory,
+    target: DoctrineTarget,
+    family: InterpretationFamily,
+    family_up_to: int = 3,
+    samples: Sequence[tuple[FormulaInContext, FormulaInContext]] = (),
+    oracle: Optional[EntailmentOracle] = None,
+) -> tuple[Callable[[FormulaInContext], int], list[Violation]]:
+    """The evaluation morphism induced by an interpretation family: checks
+    every bounded axiom interprets to top, exposes the evaluation map, and
+    cross-checks well-definedness on sampled provable inequalities."""
+    out: list[Violation] = []
+    top = target.doctrine.fiber(target.ctx_object(0)).top
+    for ax in theory.relevant_axioms(family_up_to):
+        if interpret(FormulaInContext(ax, Context()), target, family) != top:
+            out.append(violation("axiom-violated", axiom=repr(ax)))
+
+    def evaluate(fic: FormulaInContext) -> int:
+        return interpret(fic, target, family)
+
+    if oracle is not None:
+        for phi, psi in samples:
+            v = lt_leq(oracle, phi, psi)
+            if isinstance(v, Proved):
+                alg = target.doctrine.fiber(target.ctx_object(len(phi.context)))
+                if not alg.leq(evaluate(phi), evaluate(psi)):
+                    out.append(
+                        violation("well-definedness", left=repr(phi), right=repr(psi))
+                    )
+    return evaluate, out

@@ -166,13 +166,16 @@ def test_theory_axiom_leaf_requires_empty_context():
 
 
 def test_equality_rules():
-    sig = Signature(functions=(("f", 1),), has_equality=True)
+    # `=` is identity in every signature, so the equality rules check under
+    # any signature, with or without the goal's function symbols
+    sig = Signature(functions=(("f", 1),))
     ctx = Context(("x",))
-    fx = Var("x")
-    refl = ProofTree(Sequent(ctx, (), (Eq(fx, fx),)), Rule("EqRefl", term=fx))
-    assert check_proof(refl, signature=sig).ok
-    nosig = Signature(functions=(("f", 1),), has_equality=False)
-    assert not check_proof(refl, signature=nosig).ok
+    x, fx = Var("x"), App("f", (Var("x"),))
+    for t in (x, fx):
+        refl = ProofTree(Sequent(ctx, (), (Eq(t, t),)), Rule("EqRefl", term=t))
+        assert check_proof(refl).ok
+        assert check_proof(refl, signature=sig).ok
+        assert check_proof(refl, signature=Signature()).ok
     zeta = Pred("P", (Var("z"),))
     subst = ProofTree(
         Sequent(
@@ -183,6 +186,53 @@ def test_equality_rules():
         Rule("EqSubst", term=Var("x"), term2=Var("y"), formula=zeta, var="z"),
     )
     assert check_proof(subst, signature=sig).ok
+
+
+def test_a_rule_term_outside_the_signature_is_refused():
+    # a witness constant that neither the signature nor the goal has would
+    # prove => exists x true, which the empty structure refutes
+    top = ProofTree(Sequent(Context(), (), (Top(),)), Rule("RTop", pos=0))
+    witness = ProofTree(Sequent(Context(), (), (Exists("x", Top()),)), Rule("RExists", pos=0, term=App("c")), (top,))
+    reason = "RExists term c uses a function symbol outside the signature and the goal"
+    assert check_proof(witness, signature=Signature()).reason == reason
+    assert check_proof(witness, signature=SIG).reason == reason
+    assert check_proof(witness, signature=Signature(functions=(("c", 1),))).reason == reason
+    assert check_proof(witness, signature=Signature(functions=(("c", 0),))).ok
+    # a structure that evaluates P(c) interprets c
+    pc = Pred("P", (App("c"),))
+    top = ProofTree(Sequent(Context(), (), (Top(), pc)), Rule("RTop", pos=0))
+    witness = ProofTree(Sequent(Context(), (), (Exists("x", Top()), pc)), Rule("RExists", pos=0, term=App("c")), (top,))
+    assert check_proof(witness, signature=Signature()).ok
+    # the second term of EqSubst is read too, below a cut on x = f(x)
+    x, fx = Var("x"), App("f", (Var("x"),))
+    ctx = Context(("x",))
+    cut = ProofTree(Sequent(ctx, (Bot(), P("x")), (P("x"),)), Rule("Cut"), (
+        ProofTree(Sequent(ctx, (Bot(),), (Eq(x, fx),)), Rule("LBot", pos=0)),
+        ProofTree(
+            Sequent(ctx, (Eq(x, fx), P("x")), (P("x"),)),
+            Rule("EqSubst", term=x, term2=fx, formula=P("x"), var="z"),
+        ),
+    ))
+    assert check_proof(cut, signature=Signature(functions=(("f", 1),))).ok
+    refused = check_proof(cut, signature=SIG)
+    assert refused.path == (1,)
+    assert refused.reason == "EqSubst term f(x) uses a function symbol outside the signature and the goal"
+
+
+def test_equality_goals_are_proved_without_a_signature():
+    # `=` is identity with no signature too: of the 813 goals the decision
+    # calls valid, 806 are proved; the other 7 need substitution
+    rng = random.Random(20240901)
+    valid = proved = 0
+    for _ in range(1500):
+        s = random_sequent(rng, 5, equality=True)
+        tree = prove_bounded(s, (), Budget(6, 2, 500))
+        if tree is not None:
+            assert tree.conclusion == s and check_proof(tree).ok, s
+        if calculus.decide_relational(s) is True:
+            valid += 1
+            proved += tree is not None
+    assert (valid, proved) == (813, 806)
 
 
 def test_prove_identity():
@@ -407,7 +457,7 @@ CRITERION_10_AXIOMS = (
     Forall("x", P("x")),
     Forall("x", Forall("y", Imp(Q("x", "y"), Q("y", "x")))),
 )
-EQ_SIG = Signature(functions=(("f", 1),), predicates=(("P", 1), ("Q", 2)), has_equality=True)
+EQ_SIG = Signature(functions=(("f", 1),), predicates=(("P", 1), ("Q", 2)))
 
 
 def f_eq_sequent(rng):
@@ -723,8 +773,8 @@ def test_prove_qf_open_leaf_is_a_countermodel(seed, k, n_ant, n_suc):
         tuple(random_qf_formula(rng, xs, rng.randint(1, 7), True) for _ in range(n_ant)),
         tuple(random_qf_formula(rng, xs, rng.randint(1, 7), True) for _ in range(n_suc)),
     )
-    sig = Signature(functions=(("f", 1),), predicates=(("P", 1), ("Q", 2)), has_equality=True)
-    found = prove_qf(s, sig)
+    sig = Signature(functions=(("f", 1),), predicates=(("P", 1), ("Q", 2)))
+    found = prove_qf(s)
     if isinstance(found, ProofTree):
         assert found.conclusion == s and check_proof(found, (), sig).ok
         return
@@ -779,7 +829,7 @@ X = Context(("x",))
 XY = Context(("x", "y"))
 F, G, H = P("x"), Q("x", "x"), Pred("R", (Var("x"),))
 T, B = Top(), Bot()
-RULE_EQ_SIG = Signature(predicates=(("P", 1),), has_equality=True)
+RULE_SIG = Signature(predicates=(("P", 1),))
 AXIOM = Forall("x", P("x"))
 
 
@@ -870,7 +920,7 @@ def instance(tag, conclusion=None, rule=None, prems=None):
 
 
 def check(tree):
-    return check_proof(tree, theory=[AXIOM], signature=RULE_EQ_SIG)
+    return check_proof(tree, theory=[AXIOM], signature=RULE_SIG)
 
 
 def other_connective(phi):

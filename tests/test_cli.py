@@ -101,6 +101,68 @@ def test_check_proof_failure_reports_path(capsys):
     assert "VERDICT fail" in out
 
 
+REFLEXIVITY = "(seq (ctx x1) (ants) (sucs (= x1 x1)))"
+P_THEORY = "(theory (signature (predicates (P 1))) (axioms))"
+
+
+def test_equality_is_identity_in_every_signature(capsys):
+    # no signature declares `=`: EqRefl proves x1 = x1 and checks with no
+    # theory, under a theory that names no equality and under one that
+    # still does; no structure falsifies the goal
+    code, out = run_cli(["prove", REFLEXIVITY], capsys)
+    certificate = f"(proof (rule EqRefl (term x1)) (concl {REFLEXIVITY}) (premises))"
+    assert (code, out) == (0, f"VERDICT proved\nCERTIFICATE {certificate}\n")
+    equality_theory = "(theory (signature (predicates (P 1)) equality) (axioms))"
+    for theory in ([], ["--theory", P_THEORY], ["--theory", equality_theory]):
+        assert run_cli(["prove", REFLEXIVITY] + theory, capsys) == (code, out)
+        assert run_cli(["check-proof", certificate] + theory, capsys) == (0, "VERDICT pass\n")
+    code, out = run_cli(["models", REFLEXIVITY, "--size", "3"], capsys)
+    assert (code, out) == (2, "VERDICT unknown no countermodel up to size 3\n")
+    # a rule term may use the goal's own function symbols
+    code, out = run_cli(["prove", "(seq (ctx x1) (ants) (sucs (= (f x1) (f x1))))"], capsys)
+    assert code == 0 and "(rule EqRefl (term (f x1)))" in out
+    certificate = out.splitlines()[1][len("CERTIFICATE "):]
+    assert run_cli(["check-proof", certificate], capsys) == (0, "VERDICT pass\n")
+
+
+def test_check_proof_refuses_a_witness_outside_the_signature(capsys):
+    # the constant c would make the empty structure, which refutes the goal,
+    # no structure; a theory that declares c makes the proof check
+    goal = "(seq (ctx) (ants) (sucs (exists x true)))"
+    witness = (
+        f"(proof (rule RExists (pos 0) (term (c))) (concl {goal}) (premises"
+        " (proof (rule RTop (pos 0)) (concl (seq (ctx) (ants) (sucs true))) (premises))))"
+    )
+    refused = (
+        "VIOLATION rule-check path=root reason=RExists term c uses a function symbol"
+        " outside the signature and the goal\nVERDICT fail\n"
+    )
+    for theory in ([], ["--theory", P_THEORY]):
+        assert run_cli(["check-proof", witness] + theory, capsys) == (1, refused)
+    code, out = run_cli(["models", goal, "--size", "0"], capsys)
+    assert code == 1 and "empty structure" in out
+    with_c = ["--theory", "(theory (signature (functions (c 0))) (axioms))"]
+    code, out = run_cli(["prove", goal] + with_c, capsys)
+    assert code == 0
+    certificate = out.splitlines()[1][len("CERTIFICATE "):]
+    assert run_cli(["check-proof", certificate] + with_c, capsys) == (0, "VERDICT pass\n")
+
+
+def test_truthtable_countermodel_reads_back(capsys):
+    # the carrier is numbered and f's table is total over it, so the printed
+    # certificate parses and still falsifies the entailment
+    code, out = run_cli(["entail", "(P (f x))", "(P x)", "--oracle", "truthtable"], capsys)
+    assert (code, out) == (1, (
+        "VERDICT refuted method=truthtable\n"
+        "CERTIFICATE (structure (carrier 0 1) (fun f ((0) 0) ((1) 0)) (pred P (0)))\n"
+        "NOTE assignment [x=1]\n"
+    ))
+    m = sexpr.parse_structure(sexpr.parse_sexpr(out.splitlines()[1][len("CERTIFICATE "):]))
+    assignment = {"x": "1"}
+    phi, psi = (sexpr.parse_formula(sexpr.parse_sexpr(t)) for t in ("(P (f x))", "(P x)"))
+    assert eval_in_structure(phi, m, assignment) and not eval_in_structure(psi, m, assignment)
+
+
 def test_models_empty_structure(capsys):
     code, out = run_cli(
         ["models", "(seq (ctx) (ants) (sucs (exists x true)))", "--size", "0"], capsys

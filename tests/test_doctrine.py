@@ -11,7 +11,6 @@ from doctrina.boolalg import (
     boolean_closure,
     hom_violations,
     is_monotone,
-    monotone_maps,
     right_adjoint_of,
     subalgebra_atoms,
 )
@@ -45,7 +44,7 @@ from doctrina.doctrine import (
 )
 from doctrina.category import Functor, identity_functor
 
-from helpers import one_entry_mutant
+from helpers import monotone_maps, one_entry_mutant
 
 
 def subset01():

@@ -545,10 +545,9 @@ def shortcut_goals():
         s = Sequent(workloads.inferred_context(goal.phi, goal.psi), (goal.phi,), (goal.psi,))
         axioms = oracle.axioms_for(s)
         yield s, axioms, workloads.SIG, oracle.predicates_for(s, axioms)
-    eq_sig = Signature(predicates=SIG.predicates, has_equality=True)
     rng = random.Random(1930)
     for _ in range(200):
-        yield random_sequent(rng, 4, equality=True), (), eq_sig, None
+        yield random_sequent(rng, 4, equality=True), (), SIG, None
 
 
 def test_a_goal_the_decision_proves_valid_is_not_scanned(monkeypatch):

@@ -64,7 +64,6 @@ def test_the_check_sees_unused_names():
 # reproduces, so they stay although no caller in the package or the bench
 # needs them.
 TESTS_ONLY_CONSTRUCTIONS = {
-    "boolalg.py": {"monotone_maps"},
     "category.py": {"terminal_category"},
     "doctrine.py": {
         "change_of_base",
@@ -81,8 +80,6 @@ TESTS_ONLY_CONSTRUCTIONS = {
     "stratify.py": {"colimit", "verify_qa_stratified"},
     "syntactic.py": {
         "is_quantifier_free_modulo",
-        "morphism_from_family",
-        "naturality_of_interpretation",
         "one_step_beck_chevalley",
         "one_step_layer",
         "qa_depth_modulo",
