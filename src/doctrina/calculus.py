@@ -95,7 +95,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .lang import App, Context, Signature, Term, Var
+from .lang import App, Context, Signature, Term, Var, functions_of
 from .formula import (
     And,
     Bot,
@@ -236,17 +236,6 @@ def _term_in_context(t: Term, ctx: Context) -> bool:
     return t.variables() <= set(ctx.vars)
 
 
-def _functions_of(terms) -> set[tuple[str, int]]:
-    """The function symbols, with their arities, of the terms."""
-    out, stack = set(), list(terms)
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            out.add((t.symbol, len(t.args)))
-            stack.extend(t.args)
-    return out
-
-
 def _terms_of(s: Sequent):
     """The argument terms of the atoms of `s`."""
     for f in s.antecedent + s.succedent:
@@ -379,8 +368,8 @@ def _check_node(node: ProofTree, theory, functions: Optional[set], root: Sequent
         for t in (r.term, r.term2):
             if t is None:
                 continue
-            undeclared = _functions_of((t,)) - functions
-            if undeclared and not undeclared <= _functions_of(_terms_of(root)):
+            undeclared = functions_of((t,)) - functions
+            if undeclared and not undeclared <= functions_of(_terms_of(root)):
                 return f"{r.tag} term {t!r} uses a function symbol outside the signature and the goal"
 
     if r.tag == "Id":

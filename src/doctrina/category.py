@@ -92,7 +92,20 @@ class FPCategory:
         leaving: dict[str, list[str]] = {}
         for f, (s, _) in self.morphisms.items():
             leaving.setdefault(s, []).append(f)
-        for f, (_, t) in self.morphisms.items():
+        # with every entry composable at the right endpoints, associativity
+        # is decided on the table; the triples are walked through `compose`
+        # only to report a failure or to raise on a missing composite
+        comp = self.comp
+        try:
+            associative = not out and all(
+                comp[h, comp[g, f]] == comp[comp[h, g], f]
+                for f, (_, t) in self.morphisms.items()
+                for g in leaving.get(t, ())
+                for h in leaving.get(self.morphisms[g][1], ())
+            )
+        except KeyError:
+            associative = False
+        for f, (_, t) in self.morphisms.items() if not associative else ():
             for g in leaving.get(t, ()):
                 for h in leaving.get(self.dst(g), ()):
                     if self.compose(h, self.compose(g, f)) != self.compose(self.compose(h, g), f):

@@ -11,11 +11,15 @@ exhaustively, reporting every failing instance rather than stopping at the
 first.
 
 The laws stated over pairs of fiber elements (homomorphism, monotonicity,
-the right adjoint) are decided on atoms, in O(n 2^n) for n atoms, and the
-4^n pairs are enumerated only to report a law that fails.  This is exact
-because a finite Boolean algebra is the powerset of its atoms (finite Stone
-duality): a join-preserving map is fixed by its atom images, and every
-b <= b2 is a chain of covers b <= b | atom.
+the right adjoint) are decided on atoms, in O(n 2^n) for n atoms.  This is
+exact because a finite Boolean algebra is the powerset of its atoms (finite
+Stone duality): a join-preserving map is fixed by its atom images, and every
+b <= b2 is a chain of covers b <= b | atom.  To report a broken
+homomorphism, only the pairs that touch an entry where the table differs
+from the join of its atom images are enumerated (`boolalg.hom_violations`);
+to report a broken monotonicity law, every pair b <= b2.  A marked fiber is
+a Boolean subalgebra iff it is its own Boolean closure, and its pairs are
+enumerated only when it is not.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .boolalg import (
     BAHom,
     boolean_closure,
     hom_violations,
-    is_monotone,
+    monotone_violations,
     right_adjoint_of,
     subalgebra_atoms,
 )
@@ -46,17 +50,17 @@ class DoctrineError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     kind: str
     data: tuple[tuple[str, str], ...] = ()
 
     def line(self) -> str:
-        return "VIOLATION " + self.kind + "".join(f" {k}={v}" for k, v in self.data)
+        return "VIOLATION " + self.kind + "".join([f" {k}={v}" for k, v in self.data])
 
 
 def violation(kind: str, **data) -> Violation:
-    return Violation(kind, tuple((k, str(v)) for k, v in data.items()))
+    return Violation(kind, tuple([(k, str(v)) for k, v in data.items()]))
 
 
 def report_lines(violations: Iterable[Violation]) -> list[str]:
@@ -190,11 +194,8 @@ def verify_first_order(d: Doctrine) -> list[Violation]:
                 out.append(violation("forall-table", X=x, Y=y))
                 continue
             before = len(out)
-            if not is_monotone(ap, table):
-                for b in ap.elements():
-                    for b2 in ap.elements():
-                        if ap.leq(b, b2) and not ax.leq(table[b], table[b2]):
-                            out.append(violation("forall-monotone", X=x, Y=y, left=b, right=b2))
+            for b, b2 in monotone_violations(ap, table):
+                out.append(violation("forall-monotone", X=x, Y=y, left=b, right=b2))
             # the unit a <= table[pr1*(a)] and the counit pr1*(table[b]) <= b,
             # each over a whole table: u <= v iff u & ~v == 0
             t_pr1 = d.reindex[pr1]

@@ -156,6 +156,17 @@ class App(Term):
         return f"{self.symbol}({', '.join(map(repr, self.args))})"
 
 
+def functions_of(terms: Iterable[Term]) -> set[tuple[str, int]]:
+    """The function symbols, with their arities, of the terms."""
+    out, stack = set(), list(terms)
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            out.add((t.symbol, len(t.args)))
+            stack.extend(t.args)
+    return out
+
+
 @dataclass(frozen=True)
 class CtxMorphism:
     """A tuple of terms over `source`, one per variable of `target`."""

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lang import App, Context, CtxMorphism, Signature, Term, Var
+from .lang import App, Context, CtxMorphism, Signature, Term, Var, functions_of
 from .formula import (
     And,
     Bot,
@@ -90,31 +90,50 @@ def max_pred_arity(phi: Formula) -> int:
     return max((2 if isinstance(f, Eq) else len(f.args) for f in atoms), default=0)
 
 
-def predicates_of(phi: Formula) -> frozenset[tuple[str, int]]:
-    """The predicates of `phi` with their arities, kept on the node."""
-    cached = getattr(phi, "_predicates", None)
+def _symbols_of(phi: Formula) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]]]:
+    """The predicates and the function symbols of `phi`, each with its
+    arity, from one walk kept on the node."""
+    cached = getattr(phi, "_symbols", None)
     if cached is None:
-        cached = frozenset((f.name, len(f.args)) for f in subformulas(phi) if isinstance(f, Pred))
-        object.__setattr__(phi, "_predicates", cached)
+        preds, terms = set(), []
+        for f in subformulas(phi):
+            if isinstance(f, Pred):
+                preds.add((f.name, len(f.args)))
+                terms += f.args
+            elif isinstance(f, Eq):
+                terms += (f.left, f.right)
+        cached = (frozenset(preds), frozenset(functions_of(terms)))
+        object.__setattr__(phi, "_symbols", cached)
     return cached
 
 
+def predicates_of(phi: Formula) -> frozenset[tuple[str, int]]:
+    """The predicates of `phi` with their arities, kept on the node."""
+    return _symbols_of(phi)[0]
+
+
 def check_arities(theory: Theory, formulas: Iterable[Formula]) -> None:
-    """Refuse a predicate used at two arities, or at one other than the
-    signature declares, in the formulas and the theory's axioms: a structure
-    interprets each predicate name at one arity.  A name that only a
-    predicate family covers keeps the family's own handling."""
-    declared = dict(theory.signature.predicates)
-    arities = dict(declared)
-    used = set().union(*map(predicates_of, [*formulas, *theory.axioms]))
-    for name, n in sorted(used):
-        if name not in arities and any(f.arity_of(name) is not None for f in theory.signature.families):
-            continue
-        first = arities.setdefault(name, n)
-        if first != n:
-            if name in declared:
-                raise SyntacticError(f"predicate {name} is used at arity {n} but declared at arity {first}")
-            raise SyntacticError(f"predicate {name} is used at arities {first} and {n}")
+    """Refuse a predicate or function symbol used at two arities, or at one
+    other than the signature declares, in the formulas and the theory's
+    axioms: a structure interprets each name at one arity.  A predicate
+    name that only a predicate family covers keeps the family's own
+    handling."""
+    sig = theory.signature
+    symbols = [_symbols_of(f) for f in [*formulas, *theory.axioms]]
+    for kind, declared, used in (
+        ("predicate", dict(sig.predicates), set().union(*(p for p, _ in symbols))),
+        ("function", dict(sig.functions), set().union(*(f for _, f in symbols))),
+    ):
+        arities = dict(declared)
+        for name, n in sorted(used):
+            if kind == "predicate" and name not in arities and any(
+                    f.arity_of(name) is not None for f in sig.families):
+                continue
+            first = arities.setdefault(name, n)
+            if first != n:
+                if name in declared:
+                    raise SyntacticError(f"{kind} {name} is used at arity {n} but declared at arity {first}")
+                raise SyntacticError(f"{kind} {name} is used at arities {first} and {n}")
 
 
 # --- oracle verdicts ---------------------------------------------------------

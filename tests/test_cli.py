@@ -687,6 +687,29 @@ def test_predicate_used_at_two_arities_exits_3(argv, message, capsys):
     assert captured.err == f"ERROR predicate P is {message}\n"
 
 
+F1_THEORY = "(theory (signature (functions (f 1)) (predicates (P 1))) (axioms))"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["prove", "(seq (ctx x1) (ants (P (f x1))) (sucs (P (f x1 x1))))"], "used at arities 1 and 2"),
+        (["prove", "(seq (ctx x1) (ants) (sucs (P (f x1 x1))))", "--theory", F1_THEORY],
+         "used at arity 2 but declared at arity 1"),
+        (["entail", "(P (f x))", "(= x (f x x))"], "used at arities 1 and 2"),
+        (["models", "(seq (ctx x) (ants (= (f x) (f x x))) (sucs))"], "used at arities 1 and 2"),
+        (["entail", "(P (f (f x x)))", "(P x)", "--theory", F1_THEORY], "used at arity 2 but declared at arity 1"),
+    ],
+    ids=["prove", "prove-declared", "entail-equality", "models", "entail-nested-declared"],
+)
+def test_function_used_at_two_arities_exits_3(argv, message, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"ERROR function f is {message}\n"
+
+
 def test_predicate_family_names_keep_their_handling(capsys):
     # the prefix oracle answers a family atom at the wrong arity with Unknown
     code, out = run_cli(["entail", "(R1 x)", "(R1 x x)", "--oracle", "prefix"], capsys)

@@ -11,10 +11,12 @@ from doctrina.boolalg import (
     boolean_closure,
     hom_violations,
     is_monotone,
+    monotone_violations,
     right_adjoint_of,
     subalgebra_atoms,
 )
 from doctrina.category import (
+    CategoryError,
     FPCategory,
     chain_category,
     finset_category,
@@ -207,11 +209,54 @@ def test_hom_violations_agree_with_the_pair_enumeration(case):
     assert list(hom_violations(src, dst, table)) == list(hom_violations_by_pairs(src, dst, table))
 
 
+def larger_mutant_tables():
+    """(src, dst, table, defects) on 5 to 8 atoms: a homomorphism with one
+    entry changed at the bottom, an atom, the top or an inner element, with
+    several entries changed, or with two atom images overlapping."""
+    rng = random.Random(27)
+    for n in range(5, 9):
+        src, dst = BoolAlg(n), BoolAlg(rng.randint(n - 1, n))
+        hom = list(BAHom(src, dst, tuple(rng.randrange(n) for _ in range(dst.atoms))).table())
+        inner = [a for a in src.elements() if a.bit_count() >= 2 and a != src.top]
+        for where in ([src.bot], [1 << rng.randrange(n)], [src.top], [rng.choice(inner)],
+                      rng.sample(inner, 3), [src.bot, src.top, *rng.sample(inner, 2)]):
+            table = list(hom)
+            for a in where:
+                table[a] ^= rng.randint(1, dst.top)
+            yield src, dst, tuple(table), where
+        # an entry out of the target fiber
+        table = list(hom)
+        table[rng.choice(inner)] = -1 - dst.top
+        yield src, dst, tuple(table), None
+        # two atom images overlap, and the joins are kept
+        images = [hom[1 << i] for i in range(n)]
+        images[0] |= images[1] or 1
+        table = [src.join_all(v for i, v in enumerate(images) if (a >> i) & 1) for a in src.elements()]
+        yield src, dst, tuple(table), None
+        table[rng.choice(inner)] ^= 1
+        yield src, dst, tuple(table), None
+
+
+def test_hom_violations_on_larger_tables_agree_with_the_pair_enumeration():
+    for src, dst, table, where in larger_mutant_tables():
+        counted = CountingTable(table)
+        got = list(hom_violations(src, dst, counted))
+        assert got == list(hom_violations_by_pairs(src, dst, table)), (src, table)
+        assert any(law in ("meet", "join") for law, _ in got)
+        if where is not None and len(where) == 1 and where[0].bit_count() >= 2 and where[0] != src.top:
+            # one inner defect: its pairs are read, not all 4^n / 2
+            assert counted.reads < src.size * src.size, (where, counted.reads)
+
+
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(element_tables())
 def test_is_monotone_agrees_with_the_pair_enumeration(case):
     src, _, table = case
     assert is_monotone(src, table) == is_monotone_by_pairs(src, table)
+    assert list(monotone_violations(src, table)) == [
+        (b, b2) for b in src.elements() for b2 in src.elements()
+        if src.leq(b, b2) and not src.leq(table[b], table[b2])
+    ]
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
@@ -285,6 +330,17 @@ def test_category_check_reports_associativity_as_the_triple_loop(seed):
     expected = associativity_by_triples(cat)
     assert expected
     assert [line for line in cat.check() if line.startswith("associativity")] == expected
+    # with lawful identities the table is read first, and the triples only
+    # to report; a missing composite still raises as `compose` does
+    for f, (a, b) in morphisms.items():
+        comp[(f, ident[a])] = comp[(ident[b], f)] = f
+    expected = associativity_by_triples(cat)
+    assert not any(line.startswith(("right", "left")) for line in cat.check())
+    assert [line for line in cat.check() if line.startswith("associativity")] == expected
+    g, f = rng.choice([k for k in comp if not set(k) & set(ident.values())])
+    del comp[(g, f)]
+    with pytest.raises(CategoryError, match=f"^no composite of {g} after {f}$"):
+        cat.check()
 
 
 def products_by_hom_scans(cat):

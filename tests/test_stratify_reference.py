@@ -1,6 +1,7 @@
 """Differential tests of the stratification verifiers against their earlier
 forms, kept here as references: `generated_markings` as its own union loop,
-and `verify_one_step` with each universal table restricted to P0."""
+`verify_one_step` with each universal table restricted to P0, and
+`check_submarking` as a pair loop over every fiber."""
 
 import random
 from collections import Counter
@@ -40,6 +41,32 @@ def reference_generated_markings(d, seed):
             return cur, rounds
         cur = nxt
         rounds += 1
+
+
+def reference_check_submarking(d, marking, label="P0"):
+    out = [violation("marking-unknown", level=label, X=x)
+           for x in sorted(marking) if x not in d.base.objects]
+    for x in d.base.objects:
+        alg = d.fiber(x)
+        members = marking.get(x)
+        if members is None:
+            out.append(violation("marking-missing", level=label, X=x))
+            continue
+        if alg.top not in members or alg.bot not in members:
+            out.append(violation("marking-bounds", level=label, X=x))
+        for a in sorted(members):
+            if alg.neg(a) not in members:
+                out.append(violation("marking-neg", level=label, X=x, elem=a))
+            for b in sorted(members):
+                if a & b not in members:
+                    out.append(violation("marking-meet", level=label, X=x, left=a, right=b))
+                if a | b not in members:
+                    out.append(violation("marking-join", level=label, X=x, left=a, right=b))
+    for f, (x, y) in sorted(d.base.morphisms.items()):
+        for a in sorted(marking.get(y, ())):
+            if d.re(f, a) not in marking.get(x, ()):
+                out.append(violation("marking-reindex", level=label, f=f, elem=a))
+    return out
 
 
 def reference_verify_one_step(d, p0, p1):
@@ -145,3 +172,38 @@ def test_verify_one_step_matches_the_restricted_tables():
         passed += got == []
         failed += got != []
     assert passed > 5 and failed > 5, (passed, failed)
+
+
+def test_check_submarking_matches_the_pair_loop():
+    d = hbx_doctrine(chain_category(3), "c1", BoolAlg(2))
+    full = full_marking(d)
+    # reindexing tables padded past the fiber, so the reindexing condition
+    # can read the out-of-fiber members below
+    d = d.with_tables(reindex={f: t + (0,) * (8 - len(t)) for f, t in d.reindex.items()})
+    x = next(x for x in d.base.objects if d.fiber(x).atoms == 2)
+    markings = [
+        full,
+        # as many members as a subalgebra over two atoms, but 5 and 6 lie
+        # outside the fiber
+        {**full, x: frozenset({0, 3, 5, 6})},
+        # not closed: the join 1 | 2 is missing
+        {**full, x: frozenset({0, 1, 2})},
+        # closed, without the top
+        {**full, x: frozenset({0})},
+        # a proper subalgebra, which reindexing may leave
+        {**full, x: frozenset({0, 3})},
+        {y: v for y, v in full.items() if y != x},
+        {**full, "nowhere": frozenset({0})},
+    ]
+    rng = random.Random(27)
+    for _ in range(40):
+        d2 = random_doctrine(rng, max_objects=3, max_atoms=4)
+        y = rng.choice(d2.base.objects)
+        marking = full_marking(d2)
+        markings_d2 = [marking, {**marking, y: frozenset(rng.sample(sorted(marking[y]), len(marking[y]) // 2))}]
+        for m in markings_d2:
+            assert check_submarking(d2, m) == reference_check_submarking(d2, m)
+    for m in markings:
+        assert check_submarking(d, m, "P1") == reference_check_submarking(d, m, "P1"), m
+    assert check_submarking(d, full) == []
+    assert check_submarking(d, markings[1]) != []
