@@ -115,6 +115,7 @@ from .formula import (
     rectify,
     subformulas,
     substitute,
+    symbols_of,
 )
 
 
@@ -234,16 +235,6 @@ def _theory_contains(theory, phi: Formula) -> bool:
 
 def _term_in_context(t: Term, ctx: Context) -> bool:
     return t.variables() <= set(ctx.vars)
-
-
-def _terms_of(s: Sequent):
-    """The argument terms of the atoms of `s`."""
-    for f in s.antecedent + s.succedent:
-        for a in subformulas(f):
-            if isinstance(a, Pred):
-                yield from a.args
-            elif isinstance(a, Eq):
-                yield from (a.left, a.right)
 
 
 def _premise(ctx: Context, ant: tuple[Formula, ...], suc: tuple[Formula, ...]) -> Sequent:
@@ -369,7 +360,8 @@ def _check_node(node: ProofTree, theory, functions: Optional[set], root: Sequent
             if t is None:
                 continue
             undeclared = functions_of((t,)) - functions
-            if undeclared and not undeclared <= functions_of(_terms_of(root)):
+            goal = (symbols_of(f)[1] for f in root.antecedent + root.succedent)
+            if undeclared and not undeclared <= set().union(*goal):
                 return f"{r.tag} term {t!r} uses a function symbol outside the signature and the goal"
 
     if r.tag == "Id":

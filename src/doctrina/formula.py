@@ -9,14 +9,15 @@ with structural equality used only after canonical renaming.
 Two mechanisms carry the module.  `_rebind` is the one walk that renames
 binders: `canonical_form`, `rectify` and `substitute` each pass it only
 their naming rule.  `subformulas` is an iterative pre-order iterator, and
-the folds (`size`, `all_vars`, `is_quantifier_free`, `atoms_of`) loop over
-it, so they work on formulas of any depth.
+the folds (`size`, `all_vars`, `is_quantifier_free`, `atoms_of`,
+`symbols_of`) loop over it, so they work on formulas of any depth.
 
-Nodes keep what is derived from them: their hash, free variables and
-canonical form.  A formula without binders is its own canonical form, so
-`canonical_form` returns it unbuilt and marks it with the sentinel `_SELF`
-instead of a reference to itself, which would leave every atom as cyclic
-garbage.  A formula with binders draws one pool name per binder.
+Nodes keep what is derived from them: their hash, free variables, canonical
+form and, once asked for, the symbols they use (`symbols_of`).  A formula
+without binders is its own canonical form, so `canonical_form` returns it
+unbuilt and marks it with the sentinel `_SELF` instead of a reference to
+itself, which would leave every atom as cyclic garbage.  A formula with
+binders draws one pool name per binder.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .lang import (
     Term,
     Var,
     fresh_vars,
+    functions_of,
     subst_term,
 )
 
@@ -220,6 +222,24 @@ def free_vars(phi: Formula) -> frozenset[str]:
         raise FormulaError(f"not a formula: {phi!r}")
     object.__setattr__(phi, "_free_vars", out)
     return out
+
+
+def symbols_of(phi: Formula) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]], bool]:
+    """The predicates and the function symbols of `phi`, each with its
+    arity, and whether `=` occurs, from one walk kept on the node."""
+    cached = getattr(phi, "_symbols", None)
+    if cached is None:
+        preds, terms, eq = set(), [], False
+        for f in subformulas(phi):
+            if isinstance(f, Pred):
+                preds.add((f.name, len(f.args)))
+                terms += f.args
+            elif isinstance(f, Eq):
+                terms += (f.left, f.right)
+                eq = True
+        cached = (frozenset(preds), frozenset(functions_of(terms)), eq)
+        object.__setattr__(phi, "_symbols", cached)
+    return cached
 
 
 def all_vars(phi: Formula) -> frozenset[str]:

@@ -22,15 +22,16 @@ Formulas are evaluated by two routes:
 
 `countermodel_search` asks `calculus.decide_relational` first, which keeps
 its answer on the goal.  A goal the decision proves valid, and on which no
-lookup of the scan can fail (every predicate interpreted, every term a
-variable, every axiom a sentence; see `_total`), has no countermodel: the
-calculus is sound in every structure, the empty carrier included, so the
-answer is None at every size, and a scan could raise no error on the way.
-The walk may split once for each block the scan would evaluate, so it never
-costs more branches than the scan has blocks; past that it waits on the
-goal, where a caller with a larger cap (`prove_bounded`) goes on with it.
-Every other goal, refuted, declined or waiting, or one whose scan may
-raise, is scanned, so every structure, assignment and error is the scan's.
+lookup of the scan can fail (every predicate interpreted, no function
+symbol, every axiom a sentence; `_total` reads `formula.symbols_of`), has
+no countermodel: the calculus is sound in every structure, the empty
+carrier included, so the answer is None at every size, and a scan could
+raise no error on the way.  The walk may split once for each block the scan
+would evaluate, so it never costs more branches than the scan has blocks;
+past that it waits on the goal, where a caller with a larger cap
+(`prove_bounded`) goes on with it.  Every other goal, refuted, declined or
+waiting, or one whose scan may raise, is scanned, so every structure,
+assignment and error is the scan's.
 
 The scan, `_countermodel_scan`, filters each block by the masks of the
 axioms and of the falsified sequent, then confirms the candidates, lowest
@@ -68,7 +69,7 @@ from .formula import (
     Pred,
     Top,
     free_vars,
-    subformulas,
+    symbols_of,
 )
 from .calculus import Sequent, decide_relational
 
@@ -373,17 +374,14 @@ def countermodel_search(
 
 
 def _total(s: Sequent, axioms: list[Formula], interpreted: set[str]) -> bool:
-    """Whether no lookup of the scan can fail on `s` and `axioms`: every
-    predicate is interpreted, every term is a variable, and the axioms are
-    sentences (a sequent's formulas lie in its context)."""
+    """Whether no lookup of the scan can fail on `s` and `axioms`, read off
+    the symbols kept on each formula: every predicate is interpreted, no
+    function symbol occurs (a term is a `Var` or an `App`), and the axioms
+    are sentences (a sequent's formulas lie in its context)."""
     for phi in (*s.antecedent, *s.succedent, *axioms):
-        for f in subformulas(phi):
-            kind = type(f)
-            if kind is Pred:
-                if f.name not in interpreted or any(type(t) is not Var for t in f.args):
-                    return False
-            elif kind is Eq and (type(f.left) is not Var or type(f.right) is not Var):
-                return False
+        preds, functions, _ = symbols_of(phi)
+        if functions or any(name not in interpreted for name, _ in preds):
+            return False
     return not any(free_vars(ax) for ax in axioms)
 
 

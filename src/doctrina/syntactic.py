@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .lang import App, Context, CtxMorphism, Signature, Term, Var, functions_of
+from .lang import App, Context, CtxMorphism, Signature, Term, Var
 from .formula import (
     And,
     Bot,
@@ -38,8 +38,8 @@ from .formula import (
     qa_depth,
     rectify,
     size,
-    subformulas,
     substitute_formula,
+    symbols_of,
     to_dnf,
 )
 from .calculus import Budget, ProofTree, Sequent, prove_bounded, prove_qf
@@ -70,9 +70,10 @@ class Theory:
             return True
         if self.axiom_family is not None:
             # family sentences grow with the index; no match past the size
-            for n in range(size(phi) + 1):
+            phi_size = size(phi)
+            for n in range(phi_size + 1):
                 fam = self.axiom_family(n)
-                if size(fam) > 4 * size(phi) + 8:
+                if size(fam) > 4 * phi_size + 8:
                     break
                 if alpha_eq(phi, fam):
                     return True
@@ -86,30 +87,14 @@ class Theory:
 
 
 def max_pred_arity(phi: Formula) -> int:
-    atoms = (f for f in subformulas(phi) if isinstance(f, (Pred, Eq)))
-    return max((2 if isinstance(f, Eq) else len(f.args) for f in atoms), default=0)
-
-
-def _symbols_of(phi: Formula) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]]]:
-    """The predicates and the function symbols of `phi`, each with its
-    arity, from one walk kept on the node."""
-    cached = getattr(phi, "_symbols", None)
-    if cached is None:
-        preds, terms = set(), []
-        for f in subformulas(phi):
-            if isinstance(f, Pred):
-                preds.add((f.name, len(f.args)))
-                terms += f.args
-            elif isinstance(f, Eq):
-                terms += (f.left, f.right)
-        cached = (frozenset(preds), frozenset(functions_of(terms)))
-        object.__setattr__(phi, "_symbols", cached)
-    return cached
+    """The largest arity of an atom of `phi`, `=` counting 2; 0 without atoms."""
+    preds, _, eq = symbols_of(phi)
+    return max([2 * eq, *(n for _, n in preds)])
 
 
 def predicates_of(phi: Formula) -> frozenset[tuple[str, int]]:
     """The predicates of `phi` with their arities, kept on the node."""
-    return _symbols_of(phi)[0]
+    return symbols_of(phi)[0]
 
 
 def check_arities(theory: Theory, formulas: Iterable[Formula]) -> None:
@@ -119,10 +104,10 @@ def check_arities(theory: Theory, formulas: Iterable[Formula]) -> None:
     name that only a predicate family covers keeps the family's own
     handling."""
     sig = theory.signature
-    symbols = [_symbols_of(f) for f in [*formulas, *theory.axioms]]
+    symbols = [symbols_of(f) for f in [*formulas, *theory.axioms]]
     for kind, declared, used in (
-        ("predicate", dict(sig.predicates), set().union(*(p for p, _ in symbols))),
-        ("function", dict(sig.functions), set().union(*(f for _, f in symbols))),
+        ("predicate", dict(sig.predicates), set().union(*(p for p, _, _ in symbols))),
+        ("function", dict(sig.functions), set().union(*(f for _, f, _ in symbols))),
     ):
         arities = dict(declared)
         for name, n in sorted(used):
@@ -203,7 +188,7 @@ class TruthTableOracle(EntailmentOracle):
         formulas = list(s.antecedent) + list(s.succedent)
         if not all(is_quantifier_free(f) for f in formulas):
             return Unknown("not quantifier-free")
-        if any(isinstance(a, Eq) for f in formulas for a in atoms_of(f)):
+        if any(symbols_of(f)[2] for f in formulas):
             return Unknown("equality atoms need the bounded oracle")
         found = prove_qf(s)
         if isinstance(found, ProofTree):

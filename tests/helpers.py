@@ -34,6 +34,7 @@ from doctrina.formula import (
     free_vars,
     is_quantifier_free,
     size,
+    subformulas,
     substitute_formula,
 )
 from doctrina.calculus import Sequent
@@ -354,6 +355,20 @@ def exhaustive_epr_valid(signature, s: Sequent):
         return None
     predicates = BoundedOracle(Theory(signature)).predicates_for(s, [])
     return _countermodel_scan(s, (), signature, bound, predicates) is None
+
+
+def reference_total(s: Sequent, axioms, interpreted: set[str]) -> bool:
+    """`semantics._total` by a walk over every atom of `s` and `axioms`, not
+    by the symbols kept on the formulas: every predicate interpreted, every
+    argument of every atom a variable, every axiom a sentence."""
+    for phi in (*s.antecedent, *s.succedent, *axioms):
+        for f in subformulas(phi):
+            if isinstance(f, Pred):
+                if f.name not in interpreted or any(not isinstance(t, Var) for t in f.args):
+                    return False
+            elif isinstance(f, Eq) and not (isinstance(f.left, Var) and isinstance(f.right, Var)):
+                return False
+    return not any(free_vars(ax) for ax in axioms)
 
 
 def record_blocks(monkeypatch) -> list[int]:

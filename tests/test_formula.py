@@ -6,7 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doctrina.lang import Context, CtxMorphism, Var, canonical_context
+from doctrina.lang import App, Context, CtxMorphism, Var, canonical_context
 from doctrina.formula import (
     And,
     Bot,
@@ -34,6 +34,7 @@ from doctrina.formula import (
     subformulas,
     substitute,
     substitute_formula,
+    symbols_of,
     to_dnf,
 )
 
@@ -290,6 +291,21 @@ def test_folds_do_not_recurse_on_deep_formulas():
     assert atoms_of(deep) == [R("x", "y")]
     assert predicates_of(deep) == {("R", 2)}
     assert max_pred_arity(deep) == 2
+
+
+def test_symbols_of_keeps_predicates_functions_and_equality():
+    x, y = Var("x"), Var("y")
+    eq = Eq(x, y)
+    assert symbols_of(eq) == (frozenset(), frozenset(), True)
+    assert symbols_of(eq) is symbols_of(eq)
+    assert max_pred_arity(eq) == 2
+    assert max_pred_arity(And(eq, Pred("R3", (x, y, Var("z"))))) == 3
+    assert max_pred_arity(Or(Pred("P", (x,)), Not(eq))) == 2
+    assert max_pred_arity(Imp(Top(), Bot())) == 0
+    fx = App("f", (x,))
+    phi = Forall("x", And(Pred("P", (fx,)), Eq(App("c", ()), App("g", (fx, y)))))
+    assert symbols_of(phi) == ({("P", 1)}, {("f", 1), ("c", 0), ("g", 2)}, True)
+    assert predicates_of(phi) == {("P", 1)}
 
 
 def test_qa_depth_is_alpha_invariant():

@@ -34,7 +34,7 @@ from doctrina.semantics import (
 )
 from doctrina.sexpr import structure_sexpr
 
-from helpers import bench_workloads, random_sequent, record_blocks, satisfying_tuples
+from helpers import bench_workloads, random_sequent, record_blocks, reference_total, satisfying_tuples
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -568,19 +568,64 @@ def test_a_goal_the_decision_proves_valid_is_not_scanned(monkeypatch):
     assert seen["valid", False] >= 3000 and seen["refuted", True] >= 900 and seen["declined", True] >= 10, seen
 
 
-@pytest.mark.parametrize(
-    "s, axioms, signature, error",
-    [
-        # the decision closes each goal at once, before it reads the lookup
-        # that fails: a function with no table, an uninterpreted predicate,
-        # an axiom that is not a sentence
-        (Sequent(Context(("x",)), (), (Or(Pred("Q", (fx(X),)), Top()),)), (), SIG, "function f undefined"),
-        (Sequent(Context(("x",)), (), (Or(Eq(fx(X), X), Top()),)), (), SIG, "function f undefined"),
-        (Sequent(Context(("x",)), (P("x"),), (P("x"),)), (), Signature(predicates=(("Q", 2),)), "predicate P has"),
-        (Sequent(Context(), (), (Top(),)), (P("y"),), SIG, "variable y unassigned"),
-    ],
-)
+# the decision closes each goal at once, before it reads the lookup that
+# fails: a function with no table, an uninterpreted predicate, an axiom that
+# is not a sentence
+UNEVALUABLE_VALID_GOALS = [
+    (Sequent(Context(("x",)), (), (Or(Pred("Q", (fx(X),)), Top()),)), (), SIG, "function f undefined"),
+    (Sequent(Context(("x",)), (), (Or(Eq(fx(X), X), Top()),)), (), SIG, "function f undefined"),
+    (Sequent(Context(("x",)), (P("x"),), (P("x"),)), (), Signature(predicates=(("Q", 2),)), "predicate P has"),
+    (Sequent(Context(), (), (Top(),)), (P("y"),), SIG, "variable y unassigned"),
+]
+
+
+@pytest.mark.parametrize("s, axioms, signature, error", UNEVALUABLE_VALID_GOALS)
 def test_a_valid_goal_the_scan_cannot_evaluate_still_raises(s, axioms, signature, error):
     assert decide_relational(s, axioms, signature) is True
     with pytest.raises(SemanticsError, match=error):
         countermodel_search(s, axioms, signature, 2)
+
+
+def test_the_scan_guard_agrees_with_the_atom_walk():
+    # the guard reads the kept symbols; the reference walks every atom.  Each
+    # goal is also guarded with Q left uninterpreted
+    seen = Counter()
+    goals = [(s, axioms, signature, None) for s, axioms, signature, _ in UNEVALUABLE_VALID_GOALS]
+    for s, axioms, signature, predicates in [*shortcut_goals(), *goals]:
+        interpreted = {name for name, _ in (signature.predicates if predicates is None else predicates)}
+        for names in (interpreted, interpreted - {"Q"}):
+            total = semantics._total(s, list(axioms), names)
+            assert total == reference_total(s, axioms, names), (s, names)
+            seen[names == interpreted, total] += 1
+    assert seen[True, False] == 4 and seen[True, True] >= 4000 and seen[False, False] >= 1000, seen
+
+
+def test_the_symbols_are_walked_once_per_formula(monkeypatch):
+    # `check_arities` walks each goal and axiom formula once; the oracle's
+    # predicate list, the scan guard and the rest of the decision read the
+    # symbols kept on the formulas
+    from doctrina import formula, sexpr
+    from doctrina.syntactic import BoundedOracle, check_arities
+
+    walks = []
+    functions_of = formula.functions_of
+    monkeypatch.setattr(formula, "functions_of", lambda terms: walks.append(1) or functions_of(terms))
+    workloads = bench_workloads()
+    theory = sexpr.parse_theory(sexpr.parse_sexpr(sexpr.theory_sexpr(workloads.UNIVERSAL_THEORY)))
+    oracle = BoundedOracle(theory)
+    entail = workloads.Entail(1)
+    valid = 0
+    for i in range(100):
+        goal = entail.next_request()
+        phi, psi = (sexpr.parse_formula(sexpr.parse_sexpr(sexpr.formula_sexpr(f))) for f in (goal.phi, goal.psi))
+        del walks[:]
+        check_arities(theory, (phi, psi))
+        once = 2 + (len(theory.axioms) if i == 0 else 0)
+        assert len(walks) == once
+        s = Sequent(workloads.inferred_context(phi, psi), (phi,), (psi,))
+        axioms = oracle.axioms_for(s)
+        countermodel_search(s, axioms, theory.signature, 2, oracle.predicates_for(s, axioms))
+        oracle.decide(s)
+        assert len(walks) == once
+        valid += decide_relational(s, axioms, theory.signature) is True
+    assert valid >= 50, valid
