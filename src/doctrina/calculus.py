@@ -58,11 +58,16 @@ with its left atoms true and every other atom false, satisfy every formula
 on its left and falsify every one on its right, which is the countermodel;
 with no constant it is the empty structure, where a universal on the left
 has no instance.  When every branch closes, each step is sound, so the
-sequent is valid.  The walk declines on a term other than a bound or context
-variable (a function symbol), on a signature with constants (the empty
-structure is then no structure, and the prover may use a constant as a
-witness), and on an eigen-strength quantifier met after the branch has
-instantiated (an existential below a universal, outside the fragment).
+sequent is valid.  A binder whose body does not use its variable is read
+as its body once the branch has a constant: the branch's models and an
+open branch's carrier are then nonempty, where the binder adds no
+alternation; with no constant the empty structure tells them apart
+(`forall x false` holds there).  The walk declines on a term other than a
+bound or context variable (a function symbol), on a signature with
+constants (the empty structure is then no structure, and the prover may use
+a constant as a witness), and on an eigen-strength quantifier met after the
+branch has instantiated (an existential below a universal, outside the
+fragment, as `exists y forall z Q(y, z)` on the right).
 The splits are still exponential in the worst case, so a caller may cap
 them: past the cap the walk declines, and the searches run as without it.
 The decision only skips work whose outcome it knows: the bounded search is
@@ -772,10 +777,12 @@ def decide_relational(
 ) -> bool | OpenBranch | None:
     """Decide `axioms, s.antecedent =>_ctx s.succedent` by Herbrand
     expansion: True when it is valid, the first open branch, a countermodel,
-    when it is not, and None when the walk declines the goal (see the module
-    docstring) or would split a branch more than `max_branches` times.  The
-    axioms are sentences; a variable of an axiom outside its binders is
-    declined, as a function term is.
+    when it is not, and None when the walk declines the goal (a function
+    term, a signature with constants, or an eigen-strength binder whose
+    body uses its variable below a universal-strength one; see the
+    module docstring) or would split a branch more than `max_branches`
+    times.  The axioms are sentences; a variable of an axiom outside its
+    binders is declined, as a function term is.
 
     The answer is kept on the sequent, as formula nodes keep their canonical
     form: one slot holds the key `(axioms, signature)` and the walk.  The
@@ -867,7 +874,10 @@ def _herbrand(s: Sequent, axioms: tuple[Formula, ...], signature: Optional[Signa
                 else:
                     todo += ((True, phi.left, env), (False, phi.right, env))
             elif kind is Exists or kind is Forall:
-                if (kind is Exists) != left:
+                # a vacuous binder is its body over a carrier with a constant
+                if n and phi.var not in free_vars(phi.body):
+                    todo.append((left, phi.body, env))
+                elif (kind is Exists) != left:
                     universal.append((left, phi, env))
                 elif frozen:
                     return None

@@ -10,6 +10,7 @@ decidable and drives the no-least-fragment experiments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -51,9 +52,14 @@ FAMILY = PredicateFamily("R")
 SIGNATURE = Signature(families=(FAMILY,))
 
 
+@functools.lru_cache(maxsize=128)
 def axiom_alpha(n: int) -> Formula:
     """The n-th axiom: the n-ary predicate holds of a tuple iff some
-    extension by one more variable satisfies the next predicate."""
+    extension by one more variable satisfies the next predicate.  The last
+    128 built are kept, so `Theory.contains_axiom`, which reads every index
+    up to a formula's size, builds each once and canonicalises it at most
+    once; the bound keeps a large formula from keeping a sentence for each
+    of its nodes."""
     if n < 0:
         raise PrefixError("axiom index must be >= 0")
     head = [Var(pool_var(i)) for i in range(1, n + 1)]

@@ -69,13 +69,15 @@ class Theory:
         if any(alpha_eq(phi, ax) for ax in self.axioms):
             return True
         if self.axiom_family is not None:
-            # family sentences grow with the index; no match past the size
+            # family sentences grow with the index; no match past the size,
+            # and alpha-variants have one size, so only that one is compared
             phi_size = size(phi)
             for n in range(phi_size + 1):
                 fam = self.axiom_family(n)
-                if size(fam) > 4 * phi_size + 8:
+                fam_size = size(fam)
+                if fam_size > 4 * phi_size + 8:
                     break
-                if alpha_eq(phi, fam):
+                if fam_size == phi_size and alpha_eq(phi, fam):
                     return True
         return False
 

@@ -220,8 +220,8 @@ def test_a_rule_term_outside_the_signature_is_refused():
 
 
 def test_equality_goals_are_proved_without_a_signature():
-    # `=` is identity with no signature too: of the 813 goals the decision
-    # calls valid, 806 are proved; the other 7 need substitution
+    # `=` is identity with no signature too: of the 841 goals the decision
+    # calls valid, 834 are proved; the other 7 need substitution
     rng = random.Random(20240901)
     valid = proved = 0
     for _ in range(1500):
@@ -232,7 +232,7 @@ def test_equality_goals_are_proved_without_a_signature():
         if calculus.decide_relational(s) is True:
             valid += 1
             proved += tree is not None
-    assert (valid, proved) == (813, 806)
+    assert (valid, proved) == (841, 834)
 
 
 def test_prove_identity():
@@ -355,6 +355,8 @@ def test_every_instance_taken_is_a_fresh_substitution(monkeypatch):
     # quantified node, keyed by the term and the context's variables: each
     # equals a substitution built afresh, and a key read again gets the
     # object it got before, whose canonical form is the rebuilding walk's
+    # (the search runs without the decision first, which refutes most of
+    # these goals before they take an instance)
     taken = []
     instance = calculus._instance
 
@@ -367,7 +369,7 @@ def test_every_instance_taken_is_a_fresh_substitution(monkeypatch):
     rng = random.Random(20240901)
     proved = 0
     for _ in range(60):
-        tree = prove_bounded(random_sequent(rng, 5), (), Budget(6, 2, 2000), SIG)
+        tree = calculus._deepen(random_sequent(rng, 5), (), Budget(6, 2, 2000), SIG)
         if tree is not None:
             assert check_proof(tree, (), SIG).ok
             proved += 1
@@ -660,6 +662,15 @@ def test_the_decision_on_edge_cases():
     falsum = Forall("x", Bot())
     assert calculus.decide_relational(Sequent(Context(), (falsum,), ())) == calculus.OpenBranch((), frozenset(), {})
     assert calculus.decide_relational(Sequent(Context(("x1",)), (falsum,), ())) is True
+    # a binder whose variable its body does not use is read as its body once
+    # the branch has a constant, from the context or from an eigen-strength
+    # binder; with none, the empty structure tells them apart
+    assert calculus.decide_relational(Sequent(Context(("x1",)), (), (Exists("x", Top()),))) is True
+    assert calculus.decide_relational(Sequent(Context(), (), (falsum,))) == calculus.OpenBranch((0,), frozenset(), {})
+    blank = Exists("y", Forall("z", P("y")))
+    assert calculus.decide_relational(Sequent(Context(("x1",)), (P("x1"),), (blank,))) is True
+    assert calculus.decide_relational(Sequent(Context(), (Exists("x", P("x")),), (blank,))) is True
+    assert calculus.decide_relational(Sequent(Context(), (), (blank,))) == calculus.OpenBranch((), frozenset(), {})
     # an existential under a universal on the left leaves the fragment, but
     # a branch that closes first is decided
     serial = Forall("x", Exists("y", Q("x", "y")))
@@ -712,6 +723,16 @@ def test_the_decision_propagates_and_keeps_to_the_node_budget():
     right = Forall("x6", Forall("x2", Forall("x4", Q("x2", "x1"))))
     assert calculus.decide_relational(Sequent(ctx, (left,), (right,)), symmetric, None, 0) is True
     assert time.perf_counter() - started < 10
+    # another one, with binders its bodies do not use on both sides: read
+    # as their bodies they add no constant, and the refutation takes 5 splits
+    left = Exists("x6", Exists("x4", Exists("x3", Q("x1", "x3"))))
+    s = Sequent(ctx, (left,), (Forall("x6", Imp(P("x2"), Bot())),))
+    assert calculus.decide_relational(s, symmetric, None, 4) is None
+    found = calculus.decide_relational(s, symmetric, None, 5)
+    assert found.carrier == (0, 1, 2)
+    m = branch_structure(found, symmetric + s.antecedent + s.succedent)
+    assert all(eval_in_structure(ax, m) for ax in symmetric)
+    assert eval_in_structure(left, m, found.assignment) and not eval_in_structure(s.succedent[0], m, found.assignment)
     # a refuted chain needs splits: past the budget the walk declines, and
     # the search answers as it would alone
     ctx = Context(("x1", "x2", "x3", "x4"))

@@ -3,20 +3,24 @@ import random
 
 import pytest
 
-from doctrina.lang import Context, Var, canonical_context
+from doctrina.lang import Context, Var, canonical_context, pool_var
 from doctrina.formula import (
     And,
     Bot,
     Eq,
+    Exists,
+    Forall,
     Not,
     Or,
     Pred,
     Top,
+    alpha_eq,
     free_vars,
+    rectify,
 )
 from doctrina.calculus import Sequent, check_proof
 from doctrina.semantics import eval_in_structure
-from doctrina.syntactic import Proved, Refuted, Unknown
+from doctrina.syntactic import Proved, Refuted, Theory, Unknown
 from doctrina.cli import infer_context, main
 from doctrina.sexpr import parse_formula, parse_sexpr, parse_structure
 from doctrina.prefix import (
@@ -58,6 +62,29 @@ def test_axiom_alpha_shapes():
     theory = prefix_theory()
     assert theory.contains_axiom(axiom_alpha(2))
     assert not theory.contains_axiom(Pred("R0"))
+
+
+def test_contains_axiom_answers_alike_with_the_family_kept():
+    # each family sentence is built once and kept; the theory answers as one
+    # whose family is rebuilt at every read, on the sentences, on
+    # alpha-variants of them and on sentences that are not axioms
+    assert axiom_alpha(6) is axiom_alpha(6)
+    kept, rebuilt = prefix_theory(), Theory(SIGNATURE, (), axiom_alpha.__wrapped__)
+    negated = Pred("R0")
+    for _ in range(8):
+        negated = Not(negated)
+    cases = [(Pred("R0"), False), (negated, False)]
+    for n in range(9):
+        a = axiom_alpha(n)
+        variant = rectify(a, avoid=[pool_var(i) for i in range(1, n + 2)])
+        assert variant != a and alpha_eq(variant, a)
+        cases += [(a, True), (variant, True), (Not(a), False), (And(a, a), False)]
+        if n:
+            cases.append((Exists(a.var, a.body), False))
+        if n > 1:
+            cases.append((Forall(a.body.var, Forall(a.var, a.body.body)), False))
+    for phi, expected in cases:
+        assert kept.contains_axiom(phi) is rebuilt.contains_axiom(phi) is expected, phi
 
 
 def test_prefix_entails_examples():

@@ -34,7 +34,15 @@ from doctrina.semantics import (
 )
 from doctrina.sexpr import structure_sexpr
 
-from helpers import bench_workloads, random_sequent, record_blocks, reference_total, satisfying_tuples
+from helpers import (
+    bench_workloads,
+    epr_bound,
+    exhaustive_epr_valid,
+    random_sequent,
+    record_blocks,
+    reference_total,
+    satisfying_tuples,
+)
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
 
@@ -530,7 +538,9 @@ def test_numberings_are_shared_and_never_change(monkeypatch):
 def shortcut_goals():
     """Goals with their axioms, signature and interpreted predicates: the
     first 1,000 sound-sweep goals of seeds 1-3, 1,000 entail goals of seed 1
-    modulo criterion 10's theory, and 200 goals with variable equalities."""
+    modulo criterion 10's theory, 200 goals with variable equalities, and 21
+    goals with an existential over a universal on the right, both binders
+    used, which the walk declines."""
     from doctrina.syntactic import BoundedOracle
 
     workloads = bench_workloads()
@@ -548,6 +558,18 @@ def shortcut_goals():
     rng = random.Random(1930)
     for _ in range(200):
         yield random_sequent(rng, 4, equality=True), (), SIG, None
+    bodies = (
+        Q("y", "z"),
+        Q("z", "y"),
+        Not(Q("y", "z")),
+        Imp(Q("y", "z"), P("z")),
+        And(Q("y", "z"), P("y")),
+        Or(Q("y", "z"), P("x1")),
+        Or(Q("x1", "z"), Q("y", "y")),
+    )
+    for antecedent in ((), (P("x1"),), (Q("x1", "x1"),)):
+        for body in bodies:
+            yield Sequent(Context(("x1",)), antecedent, (Exists("y", Forall("z", body)),)), (), SIG, None
 
 
 def test_a_goal_the_decision_proves_valid_is_not_scanned(monkeypatch):
@@ -566,6 +588,65 @@ def test_a_goal_the_decision_proves_valid_is_not_scanned(monkeypatch):
         seen["valid" if known is True else "declined" if known is None else "refuted", found is not None] += 1
     assert seen.keys() == {("valid", False), ("refuted", True), ("declined", False), ("declined", True)}, seen
     assert seen["valid", False] >= 3000 and seen["refuted", True] >= 900 and seen["declined", True] >= 10, seen
+
+
+def without_vacuous_binders(s):
+    """`s` with every binder whose variable its body does not use dropped."""
+
+    def drop(phi):
+        if isinstance(phi, (Forall, Exists)):
+            body = drop(phi.body)
+            return body if phi.var not in free_vars(phi.body) else type(phi)(phi.var, body)
+        if isinstance(phi, Not):
+            return Not(drop(phi.body))
+        if isinstance(phi, (And, Or, Imp)):
+            return type(phi)(drop(phi.left), drop(phi.right))
+        return phi
+
+    return Sequent(s.context, tuple(map(drop, s.antecedent)), tuple(map(drop, s.succedent)))
+
+
+def test_a_vacuous_binder_is_read_as_its_body():
+    # criterion 1's goals, whose contexts are never empty, each also with
+    # every formula under two binders of random kinds that it does not use:
+    # the walk answers both alike, declines only goals that keep an
+    # existential-strength binder below a universal-strength one once such
+    # binders are dropped, and agrees with the small-model exhaustion of
+    # that reduced goal and with the brute loop over the wrapped goal
+    rng, kinds = random.Random(20240901), random.Random(29)
+
+    def wrap(f):
+        return kinds.choice((Forall, Exists))("v", kinds.choice((Forall, Exists))("w", f))
+
+    seen = Counter()
+    for _ in range(600):
+        s = random_sequent(rng)
+        wrapped = Sequent(s.context, tuple(map(wrap, s.antecedent)), tuple(map(wrap, s.succedent)))
+        found = decide_relational(wrapped, (), SIG)
+        assert found == decide_relational(s, (), SIG), s
+        reduced = without_vacuous_binders(s)
+        bound = epr_bound(reduced)
+        if bound is None:
+            continue
+        assert found is not None, s
+        if bound <= 3:
+            assert (found is True) == exhaustive_epr_valid(SIG, reduced), s
+        if bound <= 2:
+            assert (found is True) == (reference_countermodel_search(wrapped, (), SIG, bound) is None), s
+        seen[found is True, bound <= 2, epr_bound(s) is None] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 5, seen
+
+
+def test_the_sweep_declines_only_a_real_alternation():
+    # of 3,000 sound-sweep goals at seed 1 the walk declines three, each with
+    # an existential-strength binder below a universal-strength one that
+    # stays once the binders the bodies do not use are dropped
+    workloads = bench_workloads()
+    sweep = workloads.SoundSweep(1)
+    goals = [sweep.next_request().sequent for _ in range(3000)]
+    declined = [s for s in goals if decide_relational(s, (), workloads.SIG) is None]
+    assert len(declined) == 3
+    assert all(epr_bound(without_vacuous_binders(s)) is None for s in declined), declined
 
 
 # the decision closes each goal at once, before it reads the lookup that
