@@ -88,12 +88,26 @@ def load_text(arg: str) -> str:
     return arg
 
 
+# how many theory texts `load_theory` keeps parsed, the most recent ones
+THEORY_TEXTS_KEPT = 8
+
+
 def load_theory(arg: Optional[str]) -> Theory:
+    """The theory a `--theory` argument names.  A document is read on every
+    call, but parsed once for each text: the last `THEORY_TEXTS_KEPT` texts
+    keep their `Theory`, whose axioms keep what the prover derives from them
+    (canonical forms, symbols, hashes).  A text that fails to parse is not
+    kept, so it fails again on every call."""
     if arg is None or arg == "none":
         return Theory(Signature())
     if arg == "prefix":
         return prefix_theory()
-    return sexpr.parse_theory(sexpr.parse_sexpr(load_text(arg)))
+    return _parsed_theory(load_text(arg))
+
+
+@functools.lru_cache(maxsize=THEORY_TEXTS_KEPT)
+def _parsed_theory(text: str) -> Theory:
+    return sexpr.parse_theory(sexpr.parse_sexpr(text))
 
 
 def default_budget(args) -> Budget:

@@ -56,10 +56,9 @@ SIGNATURE = Signature(families=(FAMILY,))
 def axiom_alpha(n: int) -> Formula:
     """The n-th axiom: the n-ary predicate holds of a tuple iff some
     extension by one more variable satisfies the next predicate.  The last
-    128 built are kept, so `Theory.contains_axiom`, which reads every index
-    up to a formula's size, builds each once and canonicalises it at most
-    once; the bound keeps a large formula from keeping a sentence for each
-    of its nodes."""
+    128 built are kept, so the bounded oracle, which reads every index up
+    to a goal's arity on each call, and `Theory.contains_axiom` get the same
+    sentence again, which keeps its canonical form."""
     if n < 0:
         raise PrefixError("axiom index must be >= 0")
     head = [Var(pool_var(i)) for i in range(1, n + 1)]

@@ -296,6 +296,17 @@ def parse_formula(node: SNode) -> Formula:
 
 
 def formula_sexpr(phi: Formula) -> str:
+    """The formula's document text, kept on the node after the first call
+    as `canonical_form` keeps its result: a proof repeats the same formula
+    objects at many nodes, and each is printed once."""
+    text = getattr(phi, "_sexpr", None)
+    if text is None:
+        text = _formula_text(phi)
+        object.__setattr__(phi, "_sexpr", text)
+    return text
+
+
+def _formula_text(phi: Formula) -> str:
     if isinstance(phi, Top):
         return "true"
     if isinstance(phi, Bot):

@@ -51,10 +51,14 @@ class SyntacticError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Theory:
     """A signature with axioms; infinite axiom families are given by a rule
-    producing the n-th sentence, with a per-query sufficient index bound."""
+    producing the n-th sentence, with a per-query sufficient index bound.
+    The n-th sentence of a family opens with exactly n universal
+    quantifiers, so a formula's own prefix names the one family sentence it
+    could be.  A theory is never changed after it is built, so the CLI
+    shares one among the calls that read the same theory text."""
 
     signature: Signature
     axioms: tuple[Formula, ...] = ()
@@ -68,18 +72,13 @@ class Theory:
     def contains_axiom(self, phi: Formula) -> bool:
         if any(alpha_eq(phi, ax) for ax in self.axioms):
             return True
-        if self.axiom_family is not None:
-            # family sentences grow with the index; no match past the size,
-            # and alpha-variants have one size, so only that one is compared
-            phi_size = size(phi)
-            for n in range(phi_size + 1):
-                fam = self.axiom_family(n)
-                fam_size = size(fam)
-                if fam_size > 4 * phi_size + 8:
-                    break
-                if fam_size == phi_size and alpha_eq(phi, fam):
-                    return True
-        return False
+        if self.axiom_family is None:
+            return False
+        # alpha-variants keep the number of leading binders
+        n, body = 0, phi
+        while isinstance(body, Forall):
+            n, body = n + 1, body.body
+        return alpha_eq(phi, self.axiom_family(n))
 
     def relevant_axioms(self, family_up_to: int = -1) -> list[Formula]:
         out = list(self.axioms)

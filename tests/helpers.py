@@ -294,6 +294,67 @@ def minterm_candidates(atoms: list[Formula]) -> list[Formula]:
     ]
 
 
+# --- the plain recursive printers (oracle for the text sexpr keeps) ---------------
+
+
+def reference_term_text(t: Term) -> str:
+    if isinstance(t, Var):
+        return t.name
+    return "(" + " ".join([t.symbol] + [reference_term_text(a) for a in t.args]) + ")"
+
+
+def reference_formula_text(phi: Formula) -> str:
+    """The document text of `phi`, printed afresh from its fields at every
+    call, with nothing read from or kept on the nodes."""
+    if isinstance(phi, Top):
+        return "true"
+    if isinstance(phi, Bot):
+        return "false"
+    if isinstance(phi, Pred):
+        if not phi.args:
+            return phi.name
+        return "(" + " ".join([phi.name] + [reference_term_text(t) for t in phi.args]) + ")"
+    if isinstance(phi, Eq):
+        return f"(= {reference_term_text(phi.left)} {reference_term_text(phi.right)})"
+    if isinstance(phi, Not):
+        return f"(not {reference_formula_text(phi.body)})"
+    if isinstance(phi, (And, Or, Imp)):
+        head = {And: "and", Or: "or", Imp: "imp"}[type(phi)]
+        return f"({head} {reference_formula_text(phi.left)} {reference_formula_text(phi.right)})"
+    head = "forall" if isinstance(phi, Forall) else "exists"
+    return f"({head} {phi.var} {reference_formula_text(phi.body)})"
+
+
+def reference_proof_text(p) -> str:
+    """The certificate text of a proof tree, by recursion, each conclusion
+    printed afresh with `reference_formula_text`."""
+    from doctrina.calculus import _POSITIONAL
+
+    r = p.rule
+    parts = [r.tag]
+    if r.tag in _POSITIONAL:
+        parts.append(f"(pos {r.pos})")
+    if r.tag in ("LAnd", "ROr"):
+        parts.append(f"(which {r.which})")
+    if r.term is not None:
+        parts.append(f"(term {reference_term_text(r.term)})")
+    if r.term2 is not None:
+        parts.append(f"(term2 {reference_term_text(r.term2)})")
+    if r.var is not None:
+        parts.append(f"(var {r.var})")
+    if r.formula is not None:
+        parts.append(f"(formula {reference_formula_text(r.formula)})")
+    s = p.conclusion
+    sections = [
+        "ctx" + "".join(" " + v for v in s.context.vars),
+        "ants" + "".join(" " + reference_formula_text(f) for f in s.antecedent),
+        "sucs" + "".join(" " + reference_formula_text(f) for f in s.succedent),
+    ]
+    concl = "(seq " + " ".join(f"({section})" for section in sections) + ")"
+    premises = "".join(" " + reference_proof_text(q) for q in p.premises)
+    return f"(proof (rule {' '.join(parts)}) (concl {concl}) (premises{premises}))"
+
+
 # --- the small-model exhaustion of the relational fragment (checks decide_relational)
 
 

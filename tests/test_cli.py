@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import io
 import os
@@ -10,7 +11,7 @@ import pytest
 
 from doctrina.calculus import Sequent, check_proof, prove_bounded
 from doctrina.cli import build_parser, infer_context, main
-from doctrina import sexpr
+from doctrina import cli, sexpr
 from doctrina.sexpr import MAX_NESTING
 from doctrina.boolalg import BoolAlg
 from doctrina.category import chain_category
@@ -146,6 +147,71 @@ def test_check_proof_refuses_a_witness_outside_the_signature(capsys):
     assert code == 0
     certificate = out.splitlines()[1][len("CERTIFICATE "):]
     assert run_cli(["check-proof", certificate] + with_c, capsys) == (0, "VERDICT pass\n")
+
+
+ALL_P_THEORY = "(theory (signature (predicates (P 1))) (axioms (forall x (P x))))"
+
+
+def test_calls_with_one_theory_text_share_the_theory(tmp_path, monkeypatch, capsys):
+    # the text is parsed once: calls that give it inline or in a file hand
+    # the oracle one Theory, which nothing can change, and report alike
+    seen = []
+    make_oracle = cli.make_oracle
+
+    def recording(kind, theory, budget, model_size):
+        seen.append(theory)
+        return make_oracle(kind, theory, budget, model_size)
+
+    monkeypatch.setattr(cli, "make_oracle", recording)
+    path = tmp_path / "theory.sexpr"
+    path.write_text(ALL_P_THEORY)
+    first = run_cli(["entail", "true", "(P x)", "--theory", ALL_P_THEORY], capsys)
+    assert first[0] == 0 and "(rule TheoryAxiom (formula (forall x (P x))))" in first[1]
+    assert run_cli(["entail", "true", "(P x)", "--theory", ALL_P_THEORY], capsys) == first
+    assert run_cli(["entail", "true", "(P x)", "--theory", str(path)], capsys) == first
+    assert len(seen) == 3 and seen[0] is seen[1] is seen[2]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        seen[0].axioms = ()
+
+
+def test_a_theory_file_rewritten_between_calls_is_read_anew(tmp_path, capsys):
+    path = tmp_path / "theory.sexpr"
+    argv = ["entail", "true", "(P x)", "--theory", str(path)]
+    path.write_text(ALL_P_THEORY)
+    assert run_cli(argv, capsys)[1].startswith("VERDICT proved")
+    path.write_text("(theory (signature (predicates (P 1))) (axioms))")
+    assert run_cli(argv, capsys) == (
+        1, "VERDICT refuted method=bounded\nCERTIFICATE (structure (carrier 0) (pred P))\nNOTE assignment [x=0]\n"
+    )
+    path.write_text(ALL_P_THEORY)
+    assert run_cli(argv, capsys)[1].startswith("VERDICT proved")
+
+
+@pytest.mark.parametrize("theory, error", [
+    ("(theory (signature (predicates (P 1))) (axioms (P x)))", "parse error at 1:40: axiom P(x) is not a sentence"),
+    ("(theory (signature (predicates (P 1))) (axioms (forall x (P x)))", "parse error at 1:1: unclosed '('"),
+])
+def test_an_ill_formed_theory_exits_3_on_every_call(theory, error, capsys):
+    # a text that fails to parse is not kept, so it fails again
+    kept = cli._parsed_theory.cache_info().currsize
+    for _ in range(3):
+        assert main(["entail", "true", "(P x)", "--theory", theory]) == 3
+        assert capsys.readouterr() == ("", f"ERROR {error}\n")
+    assert cli._parsed_theory.cache_info().currsize == kept
+
+
+def test_the_theory_cache_keeps_at_most_its_bound(capsys):
+    texts = [f"(theory (signature (predicates (P 1) (R{i} 0))) (axioms))"
+             for i in range(cli.THEORY_TEXTS_KEPT + 3)]
+    oldest = cli.load_theory(texts[0])
+    for text in texts:
+        assert run_cli(["entail", "(P x)", "(P x)", "--theory", text], capsys)[0] == 0
+        assert cli._parsed_theory.cache_info().currsize <= cli.THEORY_TEXTS_KEPT
+    assert cli._parsed_theory.cache_info().maxsize == cli.THEORY_TEXTS_KEPT
+    newest = cli.load_theory(texts[-1])
+    assert cli.load_theory(texts[-1]) is newest
+    assert cli.load_theory(texts[0]) is not oldest
+    assert cli.load_theory(texts[0]) == oldest
 
 
 def test_truthtable_countermodel_reads_back(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -17,12 +18,13 @@ from doctrina.formula import (
     alpha_eq,
     free_vars,
     rectify,
+    size,
 )
 from doctrina.calculus import Sequent, check_proof
 from doctrina.semantics import eval_in_structure
 from doctrina.syntactic import Proved, Refuted, Theory, Unknown
 from doctrina.cli import infer_context, main
-from doctrina.sexpr import parse_formula, parse_sexpr, parse_structure
+from doctrina.sexpr import formula_sexpr, parse_formula, parse_sexpr, parse_structure
 from doctrina.prefix import (
     FAMILY,
     PrefixAtom,
@@ -85,6 +87,39 @@ def test_contains_axiom_answers_alike_with_the_family_kept():
             cases.append((Forall(a.body.var, Forall(a.var, a.body.body)), False))
     for phi, expected in cases:
         assert kept.contains_axiom(phi) is rebuilt.contains_axiom(phi) is expected, phi
+
+
+def balanced_conjunction(depth: int):
+    if depth == 0:
+        return Pred("R0")
+    half = balanced_conjunction(depth - 1)
+    return And(half, half)
+
+
+@pytest.mark.parametrize("depth", [8, 9])
+def test_contains_axiom_reads_the_one_family_sentence_the_prefix_names(depth, capsys):
+    # a 511- and a 1,023-node conjunction of R0 opens with no ∀, so only
+    # the 0th family sentence is read; reading every index up to the size
+    # took 0.3 s on the first and overflowed the stack on the second
+    phi = balanced_conjunction(depth)
+    assert size(phi) == 2 ** (depth + 1) - 1
+    read = []
+
+    def family(n):
+        read.append(n)
+        return axiom_alpha(n)
+
+    start = time.perf_counter()
+    assert not Theory(SIGNATURE, (), family).contains_axiom(phi)
+    assert not prefix_theory().contains_axiom(phi)
+    assert time.perf_counter() - start < 0.1
+    assert read == [0]
+    # and check-proof rejects it as a leaf, with the usual report
+    text = formula_sexpr(phi)
+    leaf = f"(proof (rule TheoryAxiom (formula {text})) (concl (seq (ctx) (ants) (sucs {text}))) (premises))"
+    assert main(["check-proof", leaf, "--theory", "prefix"]) == 1
+    out = capsys.readouterr().out
+    assert out == f"VIOLATION rule-check path=root reason={phi!r} is not an axiom of the theory\nVERDICT fail\n"
 
 
 def test_prefix_entails_examples():

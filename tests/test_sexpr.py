@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from doctrina.lang import App, Context, PredicateFamily, Signature, Var
-from doctrina.formula import And, Bot, Eq, Exists, Forall, Imp, Not, Or, Pred, Top
+from doctrina.formula import And, Bot, Eq, Exists, Forall, Imp, Not, Or, Pred, Top, subformulas
 from doctrina.calculus import Budget, ProofTree, Rule, Sequent, prove_bounded
 from doctrina.boolalg import BoolAlg
 from doctrina.category import chain_category
@@ -15,7 +15,13 @@ from doctrina.syntactic import Theory
 from doctrina import sexpr
 from doctrina.sexpr import ParseError
 
-from helpers import random_formula
+from helpers import (
+    random_formula,
+    random_qf_formula,
+    random_sequent,
+    reference_formula_text,
+    reference_proof_text,
+)
 
 
 def roundtrip_formula(phi):
@@ -158,6 +164,70 @@ def test_proof_roundtrip():
     tree3 = prove_bounded(s2, [ax], Budget(max_depth=6))
     text3 = sexpr.proof_sexpr(tree3)
     assert sexpr.parse_proof(sexpr.parse_sexpr(text3)) == tree3
+
+
+def seeded_formulas(seed: int, n: int) -> list:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        variables = tuple(f"x{i}" for i in range(1, rng.randint(1, 3) + 1))
+        size = rng.randint(1, 14)
+        if rng.random() < 0.5:
+            out.append(random_formula(rng, variables, size, equality=True))
+        else:
+            out.append(random_qf_formula(rng, variables, size, equality=True))
+    return out
+
+
+def test_kept_text_equals_the_plain_printer_on_seeded_formulas():
+    # the first call prints and keeps the text on every node it reaches; the
+    # next call hands back the kept string itself, and each subformula keeps
+    # the text the plain printer gives it
+    for phi in seeded_formulas(30, 400):
+        expected = reference_formula_text(phi)
+        text = sexpr.formula_sexpr(phi)
+        assert text == expected
+        assert sexpr.formula_sexpr(phi) is text
+        for sub in subformulas(phi):
+            assert sexpr.formula_sexpr(sub) == reference_formula_text(sub)
+
+
+def test_a_subformula_printed_before_its_parent_keeps_the_parents_text():
+    x, y = Var("x"), Var("y")
+    inner = And(Pred("P", (x,)), Eq(App("f", (x,)), y))
+    assert sexpr.formula_sexpr(inner) == "(and (P x) (= (f x) y))"
+    phi = Forall("y", Or(inner, Not(inner)))
+    assert sexpr.formula_sexpr(phi) == reference_formula_text(phi) == (
+        "(forall y (or (and (P x) (= (f x) y)) (not (and (P x) (= (f x) y)))))"
+    )
+    # seeded formulas whose subformulas, some of them, were printed first,
+    # in a random order
+    rng = random.Random(31)
+    for phi in seeded_formulas(32, 300):
+        subs = list(subformulas(phi))
+        for sub in rng.sample(subs, rng.randint(1, len(subs))):
+            sexpr.formula_sexpr(sub)
+        assert sexpr.formula_sexpr(phi) == reference_formula_text(phi)
+
+
+def test_kept_text_equals_the_plain_printer_on_seeded_certificates():
+    # certificates repeat their formula objects at many nodes; modulo an
+    # axiom set, they carry TheoryAxiom leaves with a formula argument too
+    sig = Signature(predicates=(("P", 1), ("Q", 2)))
+    symmetric = Forall("x", Forall("y", Imp(Pred("Q", (Var("x"), Var("y"))), Pred("Q", (Var("y"), Var("x"))))))
+    rng = random.Random(33)
+    proved = 0
+    for k in range(80):
+        axioms = () if k % 2 else (Forall("x", Pred("P", (Var("x"),))), symmetric)
+        tree = prove_bounded(random_sequent(rng, 5), axioms, Budget(6, 2, 2000), sig)
+        if tree is None:
+            continue
+        proved += 1
+        expected = reference_proof_text(tree)
+        assert sexpr.proof_sexpr(tree) == expected
+        assert sexpr.proof_sexpr(tree) == expected
+        assert sexpr.proof_sexpr(sexpr.parse_proof(sexpr.parse_sexpr(expected))) == expected
+    assert proved >= 40
 
 
 def test_doctrine_roundtrip():
