@@ -119,8 +119,8 @@ from .formula import (
     is_quantifier_free,
     rectify,
     subformulas,
+    structure_symbols,
     substitute,
-    symbols_of,
 )
 
 
@@ -348,10 +348,9 @@ def premises(c: Sequent, r: Rule) -> tuple[Sequent, ...]:
     return (_on_side(c, left, before + (phi.body,) + after, ctx.extended(phi.var)),)
 
 
-def _check_node(node: ProofTree, theory, functions: Optional[set], root: Sequent) -> Optional[str]:
+def _check_node(node: ProofTree, theory, functions: Optional[set]) -> Optional[str]:
     """None if the node is a correct rule instance, else the violation.  When
-    `functions` are given, a term the rule names may use only those and the
-    function symbols of the `root` sequent."""
+    `functions` are given, a term the rule names may use only those."""
     c = node.conclusion
     r = node.rule
     ps = node.premises
@@ -362,11 +361,7 @@ def _check_node(node: ProofTree, theory, functions: Optional[set], root: Sequent
 
     if functions is not None:
         for t in (r.term, r.term2):
-            if t is None:
-                continue
-            undeclared = functions_of((t,)) - functions
-            goal = (symbols_of(f)[1] for f in root.antecedent + root.succedent)
-            if undeclared and not undeclared <= set().union(*goal):
+            if t is not None and functions_of((t,)) - functions:
                 return f"{r.tag} term {t!r} uses a function symbol outside the signature and the goal"
 
     if r.tag == "Id":
@@ -467,19 +462,18 @@ def check_proof(tree: ProofTree, theory=(), signature: Optional[Signature] = Non
     first failing node and the violated side condition.
 
     Under a signature, a term that a rule names may use only the function
-    symbols of the signature and of the root sequent, which every structure
-    that evaluates the root interprets: a witness constant outside both
-    would prove `=> exists x true`, which the empty structure refutes."""
-    functions = None if signature is None else set(signature.functions)
+    symbols that every structure for the root interprets, the signature's
+    and the root's own (`structure_symbols`): a witness constant outside
+    both would prove `=> exists x true`, which the empty structure refutes."""
+    goal = tree.conclusion.antecedent + tree.conclusion.succedent
+    functions = None if signature is None else set(structure_symbols(signature, goal)[0].functions)
     stack: list[tuple[ProofTree, tuple[int, ...]]] = [(tree, ())]
     while stack:
         node, path = stack.pop()
-        err = _check_node(node, theory, functions, tree.conclusion)
+        err = _check_node(node, theory, functions)
         if err is not None:
             return ProofCheck(False, path, err)
-        for i, p in enumerate(reversed(node.premises)):
-            idx = len(node.premises) - 1 - i
-            stack.append((p, path + (idx,)))
+        stack.extend((p, path + (i,)) for i, p in reversed(list(enumerate(node.premises))))
     return ProofCheck(True)
 
 

@@ -308,7 +308,9 @@ def cmd_complete(args) -> tuple[int, list[str]]:
         atoms = atom_pool(theory.signature, ctx)
         return enumerate_qf(atoms, args.body_size)
 
-    if args.phi and args.psi:
+    if (args.phi is None) != (args.psi is None):
+        raise InputError("complete compares with --phi and --psi together; give both or neither")
+    if args.phi is not None:
         phi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.phi)))
         psi = sexpr.parse_formula(sexpr.parse_sexpr(load_text(args.psi)))
         check_arities(theory, (phi, psi))

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator
 from .lang import (
     Context,
     CtxMorphism,
+    Signature,
     Term,
     Var,
     fresh_vars,
@@ -240,6 +241,22 @@ def symbols_of(phi: Formula) -> tuple[frozenset[tuple[str, int]], frozenset[tupl
         cached = (frozenset(preds), frozenset(functions_of(terms)), eq)
         object.__setattr__(phi, "_symbols", cached)
     return cached
+
+
+def structure_symbols(signature: Signature, formulas: Iterable[Formula]) -> tuple[Signature, list[tuple[str, int]]]:
+    """The symbols a structure for `formulas` interprets, the signature's and
+    their own: `signature` with each function symbol they use and it does not
+    declare, at its first arity (the same object when none), and the sorted
+    predicates of both."""
+    functions, preds = dict(signature.functions), set(signature.predicates)
+    for phi in formulas:
+        used, fs, _ = symbols_of(phi)
+        preds |= used
+        for name, n in sorted(fs):
+            functions.setdefault(name, n)
+    if len(functions) > len(signature.functions):
+        signature = Signature(tuple(functions.items()), signature.predicates, signature.families)
+    return signature, sorted(preds)
 
 
 def all_vars(phi: Formula) -> frozenset[str]:

@@ -38,13 +38,14 @@ from .formula import (
     qa_depth,
     rectify,
     size,
+    structure_symbols,
     substitute_formula,
     symbols_of,
     to_dnf,
 )
 from .calculus import Budget, ProofTree, Sequent, prove_bounded, prove_qf
 from .doctrine import Doctrine, Violation, violation
-from .semantics import FiniteStructure, SemanticsError, countermodel_search
+from .semantics import FiniteStructure, countermodel_search
 
 
 class SyntacticError(Exception):
@@ -201,13 +202,12 @@ class TruthTableOracle(EntailmentOracle):
         terms = [t for a in atoms for t in a.args] + [Var(v) for v in s.context.vars]
         element = {t: i for i, t in enumerate(_distinct_subterms(terms))}
         carrier = tuple(range(len(element))) or (0,)
-        arities = dict(self.signature.functions)
-        arities.update((t.symbol, len(t.args)) for t in element if isinstance(t, App))
-        functions = {f: dict.fromkeys(itertools.product(carrier, repeat=n), 0) for f, n in arities.items()}
+        signature, preds = structure_symbols(self.signature, s.antecedent + s.succedent)
+        functions = {f: dict.fromkeys(itertools.product(carrier, repeat=n), 0) for f, n in signature.functions}
         for t, i in element.items():
             if isinstance(t, App):
                 functions[t.symbol][tuple(element[a] for a in t.args)] = i
-        predicates: dict[str, set] = {a.name: set() for a in atoms}
+        predicates: dict[str, set] = {name: set() for name, _ in preds}
         for a in leaf.antecedent:
             predicates[a.name].add(tuple(element[t] for t in a.args))
         m = FiniteStructure(carrier, functions, {k: frozenset(v) for k, v in predicates.items()})
@@ -216,7 +216,8 @@ class TruthTableOracle(EntailmentOracle):
 
 
 class BoundedOracle(EntailmentOracle):
-    """Bounded countermodel enumeration against the bounded axiom set, run
+    """Bounded countermodel enumeration against the bounded axiom set, over
+    the symbols of the signature, goal and axioms (`structure_symbols`), run
     first, for the negative side; bounded proof search for the positive.
     Each decides first and skips its work when the relational decision
     knows the outcome; the decision is kept on the goal, so it is made once."""
@@ -245,35 +246,20 @@ class BoundedOracle(EntailmentOracle):
             bound = max(arities)
         return self.theory.relevant_axioms(bound)
 
-    def predicates_for(self, s: Sequent, axioms: list[Formula]) -> list[tuple[str, int]]:
-        """The predicates the search interprets: the signature's and those in `s` or `axioms`."""
-        preds = set(self.theory.signature.predicates)
-        for f in [*s.antecedent, *s.succedent, *axioms]:
-            preds |= predicates_of(f)
-        return sorted(preds)
-
     def refute(self, s: Sequent) -> Optional[Refuted]:
         """The first countermodel of the bounded axiom set that falsifies `s`."""
         axioms = self.axioms_for(s)
-        found = countermodel_search(s, axioms, self.theory.signature, self.model_size, self.predicates_for(s, axioms))
+        signature, preds = structure_symbols(self.theory.signature, [*s.antecedent, *s.succedent, *axioms])
+        found = countermodel_search(s, axioms, signature, self.model_size, preds)
         return None if found is None else Refuted(found[0], found[1], self.name)
 
     def decide(self, s: Sequent) -> Verdict:
-        # Proofs are sound, so refuting first changes no verdict.  The scan
-        # fails on a function symbol the signature leaves uninterpreted, but
-        # the prover may still close the goal: the error waits for the prover.
-        try:
-            refuted, error = self.refute(s), None
-        except SemanticsError as e:
-            refuted, error = None, e
+        # proofs are sound, so refuting first changes no verdict
+        refuted = self.refute(s)
         if refuted is not None:
             return refuted
         proof = prove_bounded(s, self.axioms_for(s), self.budget, self.theory.signature)
-        if proof is not None:
-            return Proved(proof, self.name)
-        if error is not None:
-            raise error
-        return Unknown("budget exhausted")
+        return Unknown("budget exhausted") if proof is None else Proved(proof, self.name)
 
 
 def lt_leq(oracle: EntailmentOracle, phi: FormulaInContext, psi: FormulaInContext) -> Verdict:
@@ -560,8 +546,8 @@ def completion_leq(
     goal = Sequent(phi.context, (phi.formula,), (psi.formula,))
     # cheap refutation first: a countermodel of both axiom lists settles it
     axioms = [*theory.axioms, *universal_theory]
-    preds = sorted({(n, a) for f in [*axioms, phi.formula, psi.formula] for n, a in predicates_of(f)})
-    found = countermodel_search(goal, axioms, theory.signature, model_size, preds)
+    signature, preds = structure_symbols(theory.signature, [*axioms, phi.formula, psi.formula])
+    found = countermodel_search(goal, axioms, signature, model_size, preds)
     if found is not None:
         return Refuted(found[0], found[1], "completion")
     # preload only sentences about the predicates at hand, smallest first, so
@@ -580,7 +566,7 @@ def completion_leq(
         if len(kept) >= 8:
             break
         sentence = Sequent(Context(), (), (s,))
-        if countermodel_search(sentence, kept, theory.signature, model_size, preds) is not None:
+        if countermodel_search(sentence, kept, signature, model_size, preds) is not None:
             kept.append(s)
     proof = prove_bounded(goal, tuple(kept), budget, theory.signature)
     if proof is not None:

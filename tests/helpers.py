@@ -34,7 +34,9 @@ from doctrina.formula import (
     free_vars,
     is_quantifier_free,
     size,
+    structure_symbols,
     subformulas,
+    substitute,
     substitute_formula,
 )
 from doctrina.calculus import Sequent
@@ -48,6 +50,7 @@ from doctrina.syntactic import (
     Theory,
     interpret,
     lt_leq,
+    predicates_of,
 )
 
 
@@ -245,6 +248,25 @@ def random_sequent(rng: random.Random, max_size: int = 5, equality: bool = False
     return Sequent(ctx, ants, sucs)
 
 
+def goals_mixing_f(rng: random.Random, count: int, with_f: bool = True) -> list[Sequent]:
+    """`count` sequents over P/1 and Q/2 in one- or two-variable contexts;
+    with `with_f`, about half their formulas read f(x1) for x1, a function
+    symbol that no signature of the tests declares."""
+
+    def formula(ctx):
+        phi = random_formula(rng, ctx.vars, rng.randint(1, 5))
+        if with_f and rng.random() < 0.5:
+            phi = substitute(phi, {"x1": App("f", (Var("x1"),))})
+        return phi
+
+    goals = []
+    for _ in range(count):
+        ctx = canonical_context(rng.randint(1, 2))
+        ants = tuple(formula(ctx) for _ in range(rng.randint(0, 2)))
+        goals.append(Sequent(ctx, ants, tuple(formula(ctx) for _ in range(rng.randint(1, 2)))))
+    return goals
+
+
 def random_qf_formula(
     rng: random.Random, variables: tuple[str, ...], size: int, equality: bool = False
 ) -> Formula:
@@ -409,13 +431,23 @@ def exhaustive_epr_valid(signature, s: Sequent):
     every structure up to the small-model bound, without the decision that
     `countermodel_search` runs first; None outside it."""
     from doctrina.semantics import _countermodel_scan
-    from doctrina.syntactic import BoundedOracle, Theory
 
     bound = epr_bound(s)
     if bound is None or signature.functions:
         return None
-    predicates = BoundedOracle(Theory(signature)).predicates_for(s, [])
+    predicates = structure_symbols(signature, s.antecedent + s.succedent)[1]
     return _countermodel_scan(s, (), signature, bound, predicates) is None
+
+
+def scanned_predicates(signature, s: Sequent, axioms) -> list[tuple[str, int]]:
+    """The predicates the bounded oracle's scan interpreted before
+    `structure_symbols` said which symbols a structure interprets, as
+    `BoundedOracle.predicates_for` listed them: the signature's and those in
+    `s` or `axioms`."""
+    preds = set(signature.predicates)
+    for f in [*s.antecedent, *s.succedent, *axioms]:
+        preds |= predicates_of(f)
+    return sorted(preds)
 
 
 def reference_total(s: Sequent, axioms, interpreted: set[str]) -> bool:

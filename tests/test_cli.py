@@ -16,12 +16,13 @@ from doctrina.sexpr import MAX_NESTING
 from doctrina.boolalg import BoolAlg
 from doctrina.category import chain_category
 from doctrina.doctrine import full_marking, hbx_doctrine, subset_doctrine
+from doctrina.formula import conj, disj
 from doctrina.lang import canonical_context
 from doctrina.semantics import eval_in_structure, falsifying_assignment
 from doctrina.stratify import stratify
 from doctrina.syntactic import atom_pool, enumerate_qf
 
-from helpers import one_entry_mutant, record_blocks
+from helpers import goals_mixing_f, one_entry_mutant, record_blocks
 from test_stratify import chain_doctrine_with_proper_fragment
 
 
@@ -76,8 +77,8 @@ def test_entail_truthtable_unknown(capsys):
 
 
 def test_entail_proves_a_goal_the_countermodel_search_cannot_evaluate(capsys):
-    # no theory interprets f, so the search raises SemanticsError; Id still
-    # closes the goal, and the error is raised only when no proof is found
+    # no theory declares f; the search interprets it, as the checker reads
+    # the goal, and finds no countermodel, and Id closes the goal
     code, out = run_cli(["entail", "(P (f x))", "(P (f x))"], capsys)
     assert code == 0
     assert "VERDICT proved method=bounded" in out
@@ -602,13 +603,11 @@ def test_a_negative_budget_runs_no_round(capsys):
     assert (code, out) == (2, "VERDICT unknown\n")
 
 
-def test_an_unproved_valid_goal_keeps_the_scan_error(capsys):
-    # the decision closes this goal on `true` without reading `f`; the search
-    # runs out of nodes, and the scan's error for the uninterpreted `f` is
-    # the answer, as when the scan ran first
+def test_an_unproved_valid_goal_with_an_undeclared_function_is_unknown(capsys):
+    # the scan interprets the undeclared `f` and finds no countermodel; the
+    # search runs out of nodes, so the goal is unknown, not an input error
     goal = "(seq (ctx x) (ants) (sucs (or (Q (f x)) true)))"
-    assert main(["prove", goal, "--budget", "0", "--max-nodes", "1"]) == 3
-    assert capsys.readouterr().err == "ERROR function f undefined at (0,)\n"
+    assert run_cli(["prove", goal, "--budget", "0", "--max-nodes", "1"], capsys) == (2, "VERDICT unknown\n")
     # with the nodes to find it, the proof is the answer
     assert run_cli(["prove", goal, "--budget", "0"], capsys)[0] == 0
 
@@ -680,11 +679,76 @@ def test_reports_do_not_depend_on_hash_seed():
         assert (first.returncode, first.stdout) == (second.returncode, second.stdout), argv[0]
 
 
+def _falsified(formulas: tuple, m, assignment: dict) -> bool:
+    """Whether `assignment` makes the antecedent formulas true and the
+    succedent formulas false in `m`."""
+    ants, sucs = formulas
+    return all(eval_in_structure(f, m, assignment) for f in ants) and not any(
+        eval_in_structure(f, m, assignment) for f in sucs
+    )
+
+
+def test_goals_with_an_undeclared_function_get_certified_answers(capsys):
+    # half the formulas read f, which the theory does not declare: every verb
+    # answers, every countermodel reads back as a model of the theory's
+    # axioms that falsifies the goal, and every proof checks
+    theory = sexpr.parse_theory(sexpr.parse_sexpr(PQ_THEORY))
+    budget = ["--budget", "4", "--max-nodes", "100"]
+    seen = set()
+    for s in goals_mixing_f(random.Random(93), 40):
+        phi, psi = conj(s.antecedent), disj(s.succedent)
+        ctx = infer_context(phi, psi)
+        runs = {
+            "models": (["models", sexpr.sequent_sexpr(s), "--theory", PQ_THEORY], s),
+            "prove": (["prove", sexpr.sequent_sexpr(s), "--theory", PQ_THEORY] + budget, s),
+            "entail": (["entail", sexpr.formula_sexpr(phi), sexpr.formula_sexpr(psi), "--oracle", "bounded",
+                        "--theory", PQ_THEORY] + budget, Sequent(ctx, (phi,), (psi,))),
+            "complete": (["complete", PQ_THEORY, "--phi", sexpr.formula_sexpr(phi), "--psi", sexpr.formula_sexpr(psi),
+                          "--body-size", "1", "--ctx-size", "0"] + budget, Sequent(ctx, (phi,), (psi,))),
+        }
+        for verb, (argv, goal) in runs.items():
+            code, out = run_cli(argv, capsys)
+            assert code in (0, 1, 2), (verb, argv)
+            lines = out.splitlines()
+            certificate = next((l[len("CERTIFICATE "):] for l in lines if l.startswith("CERTIFICATE ")), None)
+            if certificate is None:
+                seen.add((verb, "unknown"))
+            elif certificate.startswith("(proof"):
+                proof = sexpr.parse_proof(sexpr.parse_sexpr(certificate))
+                assert proof.conclusion == goal, argv
+                assert check_proof(proof, theory, theory.signature).ok, argv
+                seen.add((verb, "proved"))
+            else:
+                m = sexpr.parse_structure(sexpr.parse_sexpr(certificate))
+                assert all(eval_in_structure(ax, m, {}) for ax in theory.axioms), argv
+                notes = [l.split("assignment ", 1)[1] for l in lines if "assignment [" in l]
+                if verb == "complete":
+                    assert not notes and falsifying_assignment(goal, m) is not None, argv
+                else:
+                    pairs = notes[0][1:-1]
+                    assignment = dict(p.split("=") for p in pairs.split(", ")) if pairs else {}
+                    assert _falsified((goal.antecedent, goal.succedent), m, assignment), argv
+                seen.add((verb, "refuted with f" if "(fun f " in certificate else "refuted"))
+    assert {(verb, "refuted with f") for verb in ("models", "prove", "entail", "complete")} <= seen, seen
+    assert {("prove", "proved"), ("entail", "proved"), ("models", "unknown")} <= seen, seen
+
+
+def test_undeclared_function_symbols_are_interpreted_by_models_and_entail(capsys):
+    goal = "(seq (ctx x1) (ants) (sucs (= (f x1) (f x1))))"
+    assert run_cli(["models", goal], capsys) == (2, "VERDICT unknown no countermodel up to size 2\n")
+    code, out = run_cli(["entail", "(P (f x))", "(P x)"], capsys)
+    verdict, certificate, note = out.splitlines()
+    assert (code, verdict) == (1, "VERDICT refuted method=bounded")
+    assert "(fun f " in certificate
+    m = sexpr.parse_structure(sexpr.parse_sexpr(certificate[len("CERTIFICATE "):]))
+    assignment = dict(p.split("=") for p in note[len("NOTE assignment ["):-1].split(", "))
+    phi, psi = (sexpr.parse_formula(sexpr.parse_sexpr(t)) for t in ("(P (f x))", "(P x)"))
+    assert _falsified(((phi,), (psi,)), m, assignment)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        # SemanticsError: the countermodel search meets f with no table
-        ["prove", "(seq (ctx x) (ants) (sucs (Q (f (f x)))))", "--budget", "3"],
         # ParseError, positioned at the axioms: a theory axiom with a free variable
         ["complete", "(theory (signature (predicates (P 1))) (axioms (P x)))",
          "--body-size", "1", "--ctx-size", "0"],
@@ -694,13 +758,27 @@ def test_reports_do_not_depend_on_hash_seed():
         # the sequent is valid, so no countermodel answers it first
         ["prove", "(seq (ctx) (ants" + " P" * 2000 + ") (sucs (or Q P)))"],
     ],
-    ids=["semantics", "syntactic", "prefix", "wide-sequent"],
+    ids=["syntactic", "prefix", "wide-sequent"],
 )
 def test_ill_formed_input_exits_3_without_traceback(argv):
     run = _run_subprocess(argv)
     assert run.returncode == 3, run.stderr[-300:]
     assert run.stderr.startswith("ERROR "), run.stderr[-300:]
     assert "Traceback" not in run.stderr
+
+
+def test_a_semantics_error_exits_3_with_one_error_line(monkeypatch, capsys):
+    # every scan of the verbs interprets the symbols it reads, so no document
+    # makes one raise; an error that still reaches `main` is an input error
+    from doctrina import syntactic
+    from doctrina.semantics import SemanticsError
+
+    def failing(*args):
+        raise SemanticsError("function f undefined at (0,)")
+
+    monkeypatch.setattr(syntactic, "countermodel_search", failing)
+    assert main(["models", "(seq (ctx x) (ants) (sucs (P x)))"]) == 3
+    assert capsys.readouterr() == ("", "ERROR function f undefined at (0,)\n")
 
 
 def test_wide_valid_sequent_is_proved_with_one_frame_per_level():
@@ -934,7 +1012,9 @@ def test_incomplete_doctrines_are_answered_without_traceback(argv, code, line):
     assert "Traceback" not in run.stderr
 
 
-@pytest.mark.parametrize("case", ["bad-utf8", "bad-budget-env", "missing-marking"])
+@pytest.mark.parametrize(
+    "case", ["bad-utf8", "bad-budget-env", "missing-marking", "phi-without-psi", "psi-without-phi"]
+)
 def test_bad_file_or_environment_exits_3_without_traceback(case, tmp_path):
     bad = tmp_path / "bad.seq"
     bad.write_bytes(b"(seq (ctx) (ants) (sucs P\xff))")
@@ -942,6 +1022,11 @@ def test_bad_file_or_environment_exits_3_without_traceback(case, tmp_path):
         run = _run_subprocess(["prove", str(bad)])
     elif case == "bad-budget-env":
         run = _run_subprocess(["prove", "(seq (ctx) (ants) (sucs P))"], extra_env={"DOCTRINA_BUDGET": "x"})
+    elif case in ("phi-without-psi", "psi-without-phi"):
+        # `complete` with one of the two formulas would print the consequences
+        option = "--" + case[:3]
+        run = _run_subprocess(["complete", PQ_THEORY, option, "(P x1)"])
+        assert run.stdout == "", run.stdout
     else:
         doc = tmp_path / "subset.doc"
         doc.write_text(sexpr.doctrine_sexpr(subset_doctrine({"E": (), "U": ("*",)})), encoding="utf-8")

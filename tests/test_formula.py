@@ -6,7 +6,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doctrina.lang import App, Context, CtxMorphism, Var, canonical_context
+from doctrina.lang import App, Context, CtxMorphism, PredicateFamily, Signature, Var, canonical_context
 from doctrina.formula import (
     And,
     Bot,
@@ -31,6 +31,7 @@ from doctrina.formula import (
     qa_depth,
     rectify,
     size,
+    structure_symbols,
     subformulas,
     substitute,
     substitute_formula,
@@ -306,6 +307,30 @@ def test_symbols_of_keeps_predicates_functions_and_equality():
     phi = Forall("x", And(Pred("P", (fx,)), Eq(App("c", ()), App("g", (fx, y)))))
     assert symbols_of(phi) == ({("P", 1)}, {("f", 1), ("c", 0), ("g", 2)}, True)
     assert predicates_of(phi) == {("P", 1)}
+
+
+def test_structure_symbols_return_the_signature_itself_when_nothing_is_added():
+    x = Var("x")
+    sig = Signature((("c", 0), ("f", 1)), (("P", 1), ("R", 2)))
+    phi = Forall("x", And(Pred("P", (App("f", (x,)),)), Eq(App("c", ()), x)))
+    for formulas in ([], [phi], [phi, Pred("Q", (x,))]):
+        extended, _ = structure_symbols(sig, formulas)
+        assert extended is sig
+    assert structure_symbols(sig, [phi, Pred("Q", (x,))])[1] == [("P", 1), ("Q", 1), ("R", 2)]
+
+
+def test_structure_symbols_add_an_undeclared_function_at_its_used_arity():
+    x, y = Var("x"), Var("y")
+    family = PredicateFamily("R")
+    sig = Signature((("c", 0),), (("P", 1),), (family,))
+    phi = Pred("P", (App("g", (App("f", (x,)), App("d", ()))),))
+    extended, preds = structure_symbols(sig, [phi, Eq(App("f", (y,)), App("c", ()))])
+    assert extended == Signature((("c", 0), ("d", 0), ("f", 1), ("g", 2)), sig.predicates, (family,))
+    assert extended.constants() == ["c", "d"]
+    assert preds == [("P", 1)]
+    # a name used at two arities gets the arity of its first use
+    extended, _ = structure_symbols(Signature(), [Pred("P", (App("f", (x, y)),)), Pred("P", (App("f", (x,)),))])
+    assert extended.functions == (("f", 2),)
 
 
 def test_qa_depth_is_alpha_invariant():

@@ -18,6 +18,7 @@ from doctrina.formula import (
     Pred,
     Top,
     free_vars,
+    structure_symbols,
 )
 from doctrina.calculus import Sequent, decide_relational
 from doctrina import semantics
@@ -42,6 +43,7 @@ from helpers import (
     record_blocks,
     reference_total,
     satisfying_tuples,
+    scanned_predicates,
 )
 
 SIG = Signature(predicates=(("P", 1), ("Q", 2)))
@@ -504,7 +506,7 @@ def test_numberings_are_shared_and_never_change(monkeypatch):
         ]
     for s in prefix_goals:
         axioms = oracle.axioms_for(s)
-        cases.append((s, axioms, PREFIX_SIG, 2, oracle.predicates_for(s, axioms)))
+        cases.append((s, axioms, PREFIX_SIG, 2, structure_symbols(PREFIX_SIG, [*s.antecedent, *s.succedent, *axioms])[1]))
     cases += [
         (Sequent(Context(("x",)), (P("x"),), (Eq(X, C),)), (Forall("x", Eq(fx(X), X)),), DIFF_SIG, 2, None),
         (Sequent(Context(("x",)), (), (Pred("R", (X,)),)), (), DIFF_SIG, 2, [("R", 1), ("P", 1)]),
@@ -554,7 +556,7 @@ def shortcut_goals():
         goal = entail.next_request()
         s = Sequent(workloads.inferred_context(goal.phi, goal.psi), (goal.phi,), (goal.psi,))
         axioms = oracle.axioms_for(s)
-        yield s, axioms, workloads.SIG, oracle.predicates_for(s, axioms)
+        yield s, axioms, workloads.SIG, structure_symbols(workloads.SIG, [*s.antecedent, *s.succedent, *axioms])[1]
     rng = random.Random(1930)
     for _ in range(200):
         yield random_sequent(rng, 4, equality=True), (), SIG, None
@@ -570,6 +572,30 @@ def shortcut_goals():
     for antecedent in ((), (P("x1"),), (Q("x1", "x1"),)):
         for body in bodies:
             yield Sequent(Context(("x1",)), antecedent, (Exists("y", Forall("z", body)),)), (), SIG, None
+
+
+def test_the_structure_symbols_keep_the_bounded_oracles_predicates():
+    # the scans read `structure_symbols`; on goals over declared function
+    # symbols it returns the signature itself and the predicate list the
+    # bounded oracle built for its scan, on 4,221 shortcut goals and on goals
+    # over the prefix theory's family with the family sentences they read
+    from doctrina.prefix import prefix_theory
+    from doctrina.syntactic import BoundedOracle
+
+    cases = [(s, axioms, signature) for s, axioms, signature, _ in shortcut_goals()]
+    assert len(cases) == 4221
+    oracle = BoundedOracle(prefix_theory())
+    workloads = bench_workloads()
+    rng = random.Random(31)
+    for i in range(300):
+        k = i % 3 + 1
+        phi, psi = workloads.prefix_formula(rng, k, rng.randint(1, 4)), workloads.prefix_formula(rng, k, 3)
+        s = Sequent(workloads.inferred_context(phi, psi), (phi,), (psi,))
+        cases.append((s, oracle.axioms_for(s), oracle.theory.signature))
+    for s, axioms, signature in cases:
+        extended, preds = structure_symbols(signature, [*s.antecedent, *s.succedent, *axioms])
+        assert extended is signature
+        assert preds == scanned_predicates(signature, s, axioms), s
 
 
 def test_a_goal_the_decision_proves_valid_is_not_scanned(monkeypatch):
@@ -705,7 +731,8 @@ def test_the_symbols_are_walked_once_per_formula(monkeypatch):
         assert len(walks) == once
         s = Sequent(workloads.inferred_context(phi, psi), (phi,), (psi,))
         axioms = oracle.axioms_for(s)
-        countermodel_search(s, axioms, theory.signature, 2, oracle.predicates_for(s, axioms))
+        signature, preds = structure_symbols(theory.signature, [*s.antecedent, *s.succedent, *axioms])
+        countermodel_search(s, axioms, signature, 2, preds)
         oracle.decide(s)
         assert len(walks) == once
         valid += decide_relational(s, axioms, theory.signature) is True

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from doctrina.lang import Context, Signature, Var, canonical_context
-from doctrina.formula import FormulaInContext, Pred, Top
+from doctrina.formula import FormulaInContext, Pred, Top, structure_symbols
 from doctrina.calculus import Budget, Sequent, check_proof, prove_bounded
 from doctrina.doctrine import subset_doctrine
 from doctrina.semantics import countermodel_search, falsifying_assignment
@@ -76,7 +76,7 @@ def test_r0_countermodel_is_the_empty_language():
     oracle = BoundedOracle(theory, Budget(max_depth=4), model_size=1, family_up_to=1)
     s = Sequent(Context(), (), (Pred("R0"),))
     axioms = oracle.axioms_for(s)
-    found = countermodel_search(s, axioms, SIGNATURE, 1, oracle.predicates_for(s, axioms))
+    found = countermodel_search(s, axioms, SIGNATURE, 1, structure_symbols(SIGNATURE, [*s.antecedent, *s.succedent, *axioms])[1])
     assert found is not None
     m, _ = found
     assert not m.predicates.get("R0")

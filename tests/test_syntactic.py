@@ -19,6 +19,7 @@ from doctrina.formula import (
     Pred,
     Top,
     free_vars,
+    structure_symbols,
 )
 from doctrina.calculus import (
     Budget,
@@ -33,21 +34,20 @@ from doctrina.calculus import (
 from doctrina.doctrine import product_doctrine, subset_doctrine
 from doctrina.semantics import (
     FiniteStructure,
-    SemanticsError,
     _countermodel_scan,
     countermodel_search,
     eval_in_structure,
     eval_term,
 )
-from doctrina.formula import substitute, substitute_formula
+from doctrina.formula import substitute_formula
 from doctrina.sexpr import formula_sexpr, parse_sexpr, parse_structure, proof_sexpr, structure_sexpr
 from helpers import (
     bench_workloads,
     epr_bound,
     exhaustive_epr_valid,
+    goals_mixing_f,
     morphism_from_family,
     naturality_of_interpretation,
-    random_formula,
     random_qf_formula,
     random_sequent,
     satisfying_tuples,
@@ -223,9 +223,8 @@ def prove_first(oracle, s):
     proof = prove_bounded(s, axioms, oracle.budget, oracle.theory.signature)
     if proof is not None:
         return Proved(proof, oracle.name)
-    found = _countermodel_scan(
-        s, axioms, oracle.theory.signature, oracle.model_size, oracle.predicates_for(s, axioms)
-    )
+    signature, preds = structure_symbols(oracle.theory.signature, [*s.antecedent, *s.succedent, *axioms])
+    found = _countermodel_scan(s, axioms, signature, oracle.model_size, preds)
     if found is not None:
         return Refuted(found[0], found[1], oracle.name)
     return Unknown("budget exhausted")
@@ -255,36 +254,23 @@ CRITERION_10_THEORY = Theory(
 
 @pytest.mark.parametrize("with_f", [False, True], ids=["criterion-10", "uninterpreted-f"])
 def test_refuting_first_keeps_every_decision(with_f):
-    # with_f puts f/1, which the signature leaves uninterpreted, into half the
-    # formulas: the search raises SemanticsError where it evaluates an
-    # f-term, and the prover may still close the goal.
+    # with_f puts f/1, which the signature does not declare, into half the
+    # formulas: the scan interprets it by the checker's rule, so no goal
+    # raises, and the prover may still close a goal that reads f
     oracle = BoundedOracle(CRITERION_10_THEORY, Budget(4, 2, 100), model_size=2)
-    rng = random.Random(90 + with_f)
-
-    def formula(ctx):
-        phi = random_formula(rng, ctx.vars, rng.randint(1, 5))
-        if with_f and rng.random() < 0.5:
-            phi = substitute(phi, {"x1": App("f", (Var("x1"),))})
-        return phi
-
-    goals = []
-    for _ in range(150):
-        ctx = canonical_context(rng.randint(1, 2))
-        ants = tuple(formula(ctx) for _ in range(rng.randint(0, 2)))
-        goals.append(Sequent(ctx, ants, tuple(formula(ctx) for _ in range(rng.randint(1, 2)))))
-    seen, fallbacks = set(), 0
+    goals = goals_mixing_f(random.Random(90 + with_f), 150, with_f)
+    seen, with_f_terms = set(), Counter()
     for s in goals:
         expected = decision(lambda g: prove_first(oracle, g), s)
         assert decision(oracle.decide, s) == expected, s
         seen.add(expected[0])
         if expected[0] == "proved":
             # no goal is both proved and refuted
-            try:
-                assert oracle.refute(s) is None, s
-            except SemanticsError:
-                fallbacks += 1
-    assert seen == {"proved", "refuted", "unknown"} | ({"error"} if with_f else set())
-    assert (fallbacks > 0) == with_f
+            assert oracle.refute(s) is None, s
+        if structure_symbols(SIG, s.antecedent + s.succedent)[0] is not SIG:
+            with_f_terms[expected[0]] += 1
+    assert seen == {"proved", "refuted", "unknown"}
+    assert (set(with_f_terms) == {"proved", "refuted", "unknown"}) == with_f, with_f_terms
 
 
 def count_walks(monkeypatch) -> list:
@@ -338,6 +324,25 @@ def test_the_bounded_oracle_decides_each_goal_once(monkeypatch):
         countermodel_search(s, (), workloads.SIG, workloads.SWEEP_MODEL_SIZE)
         assert walks == [s], s
     assert proved >= 100, proved
+
+
+def test_an_entail_goal_is_walked_once_through_the_bounded_oracle(monkeypatch):
+    # a goal over the declared symbols leaves the signature object itself to
+    # the scan, so the prover finds the decision under the key the scan left
+    walks = count_walks(monkeypatch)
+    workloads = bench_workloads()
+    oracle = BoundedOracle(workloads.UNIVERSAL_THEORY, Budget(workloads.ENTAIL_DEPTH, 2, workloads.ENTAIL_NODES))
+    entail = workloads.Entail(7)
+    verdicts = Counter()
+    for _ in range(100):
+        goal = entail.next_request()
+        s = Sequent(workloads.inferred_context(goal.phi, goal.psi), (goal.phi,), (goal.psi,))
+        formulas = [*s.antecedent, *s.succedent, *oracle.axioms_for(s)]
+        assert structure_symbols(workloads.SIG, formulas)[0] is workloads.SIG
+        del walks[:]
+        verdicts[type(oracle.decide(s)).__name__] += 1
+        assert walks == [s], s
+    assert verdicts["Proved"] and verdicts["Refuted"], verdicts
 
 
 def test_the_kept_decision_is_walked_afresh_under_other_axioms_or_signature(monkeypatch):
