@@ -473,7 +473,9 @@ def check_proof(tree: ProofTree, theory=(), signature: Optional[Signature] = Non
         err = _check_node(node, theory, functions)
         if err is not None:
             return ProofCheck(False, path, err)
-        stack.extend((p, path + (i,)) for i, p in reversed(list(enumerate(node.premises))))
+        for i, p in enumerate(reversed(node.premises)):
+            idx = len(node.premises) - 1 - i
+            stack.append((p, path + (idx,)))
     return ProofCheck(True)
 
 

@@ -244,10 +244,8 @@ def symbols_of(phi: Formula) -> tuple[frozenset[tuple[str, int]], frozenset[tupl
 
 
 def structure_symbols(signature: Signature, formulas: Iterable[Formula]) -> tuple[Signature, list[tuple[str, int]]]:
-    """The symbols a structure for `formulas` interprets, the signature's and
-    their own: `signature` with each function symbol they use and it does not
-    declare, at its first arity (the same object when none), and the sorted
-    predicates of both."""
+    """The symbols a structure for `formulas` interprets: `signature` with each function symbol they use
+    and it does not declare, at its first arity (the same object when none), and the sorted predicates of both."""
     functions, preds = dict(signature.functions), set(signature.predicates)
     for phi in formulas:
         used, fs, _ = symbols_of(phi)
