@@ -348,9 +348,9 @@ def premises(c: Sequent, r: Rule) -> tuple[Sequent, ...]:
     return (_on_side(c, left, before + (phi.body,) + after, ctx.extended(phi.var)),)
 
 
-def _check_node(node: ProofTree, theory, functions: Optional[set]) -> Optional[str]:
+def _check_node(node: ProofTree, theory, functions: Optional[set], interpreted: Callable[[], set]) -> Optional[str]:
     """None if the node is a correct rule instance, else the violation.  When
-    `functions` are given, a term the rule names may use only those."""
+    `functions` are given, a term the rule names may use only those or the `interpreted` ones."""
     c = node.conclusion
     r = node.rule
     ps = node.premises
@@ -361,7 +361,7 @@ def _check_node(node: ProofTree, theory, functions: Optional[set]) -> Optional[s
 
     if functions is not None:
         for t in (r.term, r.term2):
-            if t is not None and functions_of((t,)) - functions:
+            if t is not None and functions_of((t,)) - functions and not functions_of((t,)) <= interpreted():
                 return f"{r.tag} term {t!r} uses a function symbol outside the signature and the goal"
 
     if r.tag == "Id":
@@ -463,14 +463,16 @@ def check_proof(tree: ProofTree, theory=(), signature: Optional[Signature] = Non
 
     Under a signature, a term that a rule names may use only the function
     symbols that every structure for the root interprets, the signature's
-    and the root's own (`structure_symbols`): a witness constant outside
+    and the root's own (`structure_symbols`, read only when a term leaves the
+    signature, and raising on an arity clash): a witness constant outside
     both would prove `=> exists x true`, which the empty structure refutes."""
     goal = tree.conclusion.antecedent + tree.conclusion.succedent
-    functions = None if signature is None else set(structure_symbols(signature, goal)[0].functions)
+    functions = None if signature is None else set(signature.functions)
+    interpreted = lambda: set(structure_symbols(signature, goal)[0].functions)
     stack: list[tuple[ProofTree, tuple[int, ...]]] = [(tree, ())]
     while stack:
         node, path = stack.pop()
-        err = _check_node(node, theory, functions)
+        err = _check_node(node, theory, functions, interpreted)
         if err is not None:
             return ProofCheck(False, path, err)
         for i, p in enumerate(reversed(node.premises)):

@@ -53,6 +53,7 @@ from .syntactic import (
     completion_leq,
     enumerate_qf,
     atom_pool,
+    scan_symbols,
 )
 from .prefix import PrefixError, PrefixOracle, prefix_theory
 from . import sexpr
@@ -339,7 +340,8 @@ def cmd_models(args) -> tuple[int, list[str]]:
     s = sexpr.parse_sequent(sexpr.parse_sexpr(load_text(args.sequent)))
     theory = load_theory(args.theory)
     check_arities(theory, s.antecedent + s.succedent)
-    refuted = BoundedOracle(theory, model_size=args.size).refute(s)
+    oracle = BoundedOracle(theory, model_size=args.size)
+    refuted = oracle.refute(s)
     if refuted is not None:
         m = refuted.structure
         name = "empty structure" if not m.carrier else f"structure of size {len(m.carrier)}"
@@ -348,6 +350,8 @@ def cmd_models(args) -> tuple[int, list[str]]:
             "CERTIFICATE " + sexpr.structure_sexpr(m),
             "NOTE assignment " + _assignment_text(refuted.assignment),
         ]
+    if scan_symbols(theory.signature, [*s.antecedent, *s.succedent, *oracle.axioms_for(s)], args.size) is None:
+        return EXIT_UNKNOWN, ["VERDICT unknown not scanned: the undeclared function symbols have too many tables"]
     return EXIT_UNKNOWN, ["VERDICT unknown no countermodel up to size " + str(args.size)]
 
 

@@ -244,14 +244,16 @@ def symbols_of(phi: Formula) -> tuple[frozenset[tuple[str, int]], frozenset[tupl
 
 
 def structure_symbols(signature: Signature, formulas: Iterable[Formula]) -> tuple[Signature, list[tuple[str, int]]]:
-    """The symbols a structure for `formulas` interprets: `signature` with each function symbol they use
-    and it does not declare, at its first arity (the same object when none), and the sorted predicates of both."""
+    """The symbols a structure for `formulas` interprets: `signature` with each function symbol they use and it
+    does not declare (the same object when none), and the sorted predicates of both.  A structure interprets
+    a name at one arity, so a function symbol used at two, or at one other than declared, raises."""
     functions, preds = dict(signature.functions), set(signature.predicates)
     for phi in formulas:
         used, fs, _ = symbols_of(phi)
         preds |= used
         for name, n in sorted(fs):
-            functions.setdefault(name, n)
+            if functions.setdefault(name, n) != n:
+                raise FormulaError(f"function {name} is used at arity {n} and at arity {functions[name]}")
     if len(functions) > len(signature.functions):
         signature = Signature(tuple(functions.items()), signature.predicates, signature.families)
     return signature, sorted(preds)

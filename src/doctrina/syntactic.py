@@ -215,9 +215,18 @@ class TruthTableOracle(EntailmentOracle):
         return Refuted(m, assignment, self.name)
 
 
+def scan_symbols(signature: Signature, formulas, size: int) -> Optional[tuple[Signature, list[tuple[str, int]]]]:
+    """`structure_symbols` for a scan up to carrier `size`, or None when the function symbols it adds have
+    more than 4,096 tables at that size: k ** (k ** arity) each at size k, 4 for a unary one at size 2 but
+    2 ** 32 for a 5-ary one.  Past 12 entries, any size of 2 or more has more, so no larger power is taken."""
+    extended, preds = structure_symbols(signature, formulas)
+    entries = sum(size ** n for _, n in extended.functions[len(signature.functions):])
+    return None if size ** min(entries, 13) > 4096 else (extended, preds)
+
+
 class BoundedOracle(EntailmentOracle):
     """Bounded countermodel enumeration against the bounded axiom set, over
-    the symbols of the signature, goal and axioms (`structure_symbols`), run
+    the symbols of the signature, goal and axioms (`scan_symbols`), run
     first, for the negative side; bounded proof search for the positive.
     Each decides first and skips its work when the relational decision
     knows the outcome; the decision is kept on the goal, so it is made once."""
@@ -247,10 +256,10 @@ class BoundedOracle(EntailmentOracle):
         return self.theory.relevant_axioms(bound)
 
     def refute(self, s: Sequent) -> Optional[Refuted]:
-        """The first countermodel of the bounded axiom set that falsifies `s`."""
+        """The first countermodel of the bounded axiom set that falsifies `s`; None also without a scan."""
         axioms = self.axioms_for(s)
-        signature, preds = structure_symbols(self.theory.signature, [*s.antecedent, *s.succedent, *axioms])
-        found = countermodel_search(s, axioms, signature, self.model_size, preds)
+        scan = scan_symbols(self.theory.signature, [*s.antecedent, *s.succedent, *axioms], self.model_size)
+        found = None if scan is None else countermodel_search(s, axioms, scan[0], self.model_size, scan[1])
         return None if found is None else Refuted(found[0], found[1], self.name)
 
     def decide(self, s: Sequent) -> Verdict:
@@ -546,8 +555,8 @@ def completion_leq(
     goal = Sequent(phi.context, (phi.formula,), (psi.formula,))
     # cheap refutation first: a countermodel of both axiom lists settles it
     axioms = [*theory.axioms, *universal_theory]
-    signature, preds = structure_symbols(theory.signature, [*axioms, phi.formula, psi.formula])
-    found = countermodel_search(goal, axioms, signature, model_size, preds)
+    scan = scan_symbols(theory.signature, [*axioms, phi.formula, psi.formula], model_size)
+    found = None if scan is None else countermodel_search(goal, axioms, scan[0], model_size, scan[1])
     if found is not None:
         return Refuted(found[0], found[1], "completion")
     # preload only sentences about the predicates at hand, smallest first, so
@@ -560,13 +569,13 @@ def completion_leq(
     relevant.sort(key=size)
     # greedily drop sentences already true in every small model of the kept
     # ones (every valid sentence among them): redundant preloads only blow
-    # up the search
+    # up the search; a sentence no scan can check is kept
     kept: list[Formula] = []
     for s in relevant:
         if len(kept) >= 8:
             break
-        sentence = Sequent(Context(), (), (s,))
-        if countermodel_search(sentence, kept, signature, model_size, preds) is not None:
+        sentence, scan = Sequent(Context(), (), (s,)), scan_symbols(theory.signature, [s, *kept], model_size)
+        if scan is None or countermodel_search(sentence, kept, scan[0], model_size, scan[1]) is not None:
             kept.append(s)
     proof = prove_bounded(goal, tuple(kept), budget, theory.signature)
     if proof is not None:

@@ -28,6 +28,7 @@ from doctrina.formula import (
     Or,
     Pred,
     Top,
+    FormulaError,
     canonical_form,
     subformulas,
     substitute,
@@ -217,6 +218,28 @@ def test_a_rule_term_outside_the_signature_is_refused():
     refused = check_proof(cut, signature=SIG)
     assert refused.path == (1,)
     assert refused.reason == "EqSubst term f(x) uses a function symbol outside the signature and the goal"
+
+
+def test_the_checker_reads_the_goals_symbols_only_for_a_term_outside_the_signature(monkeypatch):
+    # the root's symbols are read only when a rule term leaves the
+    # signature, once for each such term; a goal that uses f at another
+    # arity than declared has no structure, so reading it raises
+    calls = []
+    real = calculus.structure_symbols
+    monkeypatch.setattr(calculus, "structure_symbols", lambda *a: calls.append(a) or real(*a))
+    x, fx = Var("x"), App("f", (Var("x"),))
+    ctx = Context(("x",))
+    refl = ProofTree(Sequent(ctx, (), (Eq(fx, fx),)), Rule("EqRefl", term=fx))
+    both = ProofTree(Sequent(ctx, (), (And(Eq(fx, fx), Eq(fx, fx)),)), Rule("RAnd", pos=0), (refl, refl))
+    assert check_proof(both, signature=Signature(functions=(("f", 1),))).ok
+    assert calls == []
+    assert check_proof(both, signature=Signature()).ok
+    assert len(calls) == 2
+    fxx = App("f", (x, x))
+    clash = ProofTree(Sequent(ctx, (), (Eq(fxx, fxx),)), Rule("EqRefl", term=fxx))
+    assert check_proof(clash, signature=Signature(functions=(("f", 2),))).ok
+    with pytest.raises(FormulaError, match="function f is used at arity 2 and at arity 1"):
+        check_proof(clash, signature=Signature(functions=(("f", 1),)))
 
 
 def test_equality_goals_are_proved_without_a_signature():

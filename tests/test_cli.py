@@ -746,6 +746,35 @@ def test_undeclared_function_symbols_are_interpreted_by_models_and_entail(capsys
     assert _falsified(((phi,), (psi,)), m, assignment)
 
 
+def test_a_valid_goal_with_a_five_ary_undeclared_function_is_proved_without_a_scan(monkeypatch, capsys):
+    # f/5 has 2 ** 32 tables at size 2, so no scan runs: the prover answers
+    # each verb at once, and `models` says that it did not scan
+    from doctrina import syntactic
+
+    real = syntactic.countermodel_search
+
+    def search(s, axioms, signature, size, predicates=None):
+        assert ("f", 5) not in signature.functions, "a scan of 2 ** 32 tables"
+        return real(s, axioms, signature, size, predicates)
+
+    monkeypatch.setattr(syntactic, "countermodel_search", search)
+    atom = "(P (f x x x x x))"
+    goal = f"(seq (ctx x) (ants {atom}) (sucs {atom}))"
+    assert run_cli(["entail", atom, atom], capsys)[1].startswith("VERDICT proved method=bounded\n")
+    code, out = run_cli(["prove", goal], capsys)
+    assert (code, out.splitlines()[0]) == (0, "VERDICT proved")
+    proof = out.splitlines()[1][len("CERTIFICATE "):]
+    assert run_cli(["check-proof", proof], capsys) == (0, "VERDICT pass\n")
+    complete = ["complete", P1_THEORY, "--phi", atom, "--body-size", "1", "--ctx-size", "0"]
+    assert run_cli(complete + ["--psi", atom], capsys)[1].startswith("VERDICT proved\n")
+    assert run_cli(complete + ["--psi", "(P x)", "--max-nodes", "100"], capsys) == (2, "VERDICT unknown\n")
+    assert run_cli(["models", goal], capsys) == (
+        2, "VERDICT unknown not scanned: the undeclared function symbols have too many tables\n")
+    # f/3 has 256 tables, within the scan
+    code, out = run_cli(["entail", "(P (f x x x))", "(P x)"], capsys)
+    assert code == 1 and "(fun f " in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -328,9 +328,16 @@ def test_structure_symbols_add_an_undeclared_function_at_its_used_arity():
     assert extended == Signature((("c", 0), ("d", 0), ("f", 1), ("g", 2)), sig.predicates, (family,))
     assert extended.constants() == ["c", "d"]
     assert preds == [("P", 1)]
-    # a name used at two arities gets the arity of its first use
-    extended, _ = structure_symbols(Signature(), [Pred("P", (App("f", (x, y)),)), Pred("P", (App("f", (x,)),))])
-    assert extended.functions == (("f", 2),)
+    # a structure interprets a name at one arity: a second arity, in one
+    # formula, across formulas or against the declared one, raises
+    fx, fxy = App("f", (x,)), App("f", (x, y))
+    for signature, formulas in [
+        (Signature(), [Eq(fx, fxy)]),
+        (Signature(), [Pred("P", (fxy,)), Pred("P", (fx,))]),
+        (Signature((("f", 1),)), [Pred("P", (fxy,))]),
+    ]:
+        with pytest.raises(FormulaError, match="function f is used at arity"):
+            structure_symbols(signature, formulas)
 
 
 def test_qa_depth_is_alpha_invariant():

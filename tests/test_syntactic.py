@@ -12,6 +12,7 @@ from doctrina.formula import (
     Bot,
     Exists,
     Forall,
+    FormulaError,
     FormulaInContext,
     Imp,
     Not,
@@ -73,6 +74,7 @@ from doctrina.syntactic import (
     one_step_layer,
     one_step_beck_chevalley,
     qa_depth_modulo,
+    scan_symbols,
     sequent_valid,
     universal_consequences,
     universal_closure,
@@ -271,6 +273,64 @@ def test_refuting_first_keeps_every_decision(with_f):
             with_f_terms[expected[0]] += 1
     assert seen == {"proved", "refuted", "unknown"}
     assert (set(with_f_terms) == {"proved", "refuted", "unknown"}) == with_f, with_f_terms
+
+
+def _pf(*args):
+    return Pred("P", (App("f", args),))
+
+
+def test_the_scan_declines_an_undeclared_function_with_too_many_tables(monkeypatch):
+    # an undeclared function symbol of arity a has k ** (k ** a) tables at
+    # carrier size k; past 4,096 picks of them no scan runs, and the prover
+    # answers alone: a valid goal is proved, an invalid one is unknown
+    from doctrina import syntactic
+
+    x = Var("x")
+    cases = [
+        ([_pf(x)], 2, True),  # 4 picks
+        ([_pf(x)], 3, True),  # 27
+        ([_pf(x, x, x), Pred("P", (App("g", (x, x)),))], 2, True),  # 2 ** (8 + 4), the cap
+        ([_pf(x, x, x), Pred("P", (App("g", (x, x, x)),))], 2, False),  # 2 ** 16
+        ([_pf(x, x)], 3, False),  # 3 ** 9
+        ([_pf(*[x] * 5)], 2, False),  # 2 ** 32
+        ([_pf(*[x] * 40)], 3, False),  # the power is never taken
+        ([_pf(*[x] * 40)], 1, True),  # one table at size 1
+        ([_pf(*[x] * 40)], 0, True),  # none on the empty carrier
+    ]
+    for formulas, size, scanned in cases:
+        found = scan_symbols(SIG, formulas, size)
+        assert found == (structure_symbols(SIG, formulas) if scanned else None), (formulas, size)
+    # a declared symbol is scanned whatever its tables
+    declared = Signature((("f", 5),), SIG.predicates)
+    assert scan_symbols(declared, [_pf(*[x] * 5)], 2) == (declared, [("P", 1), ("Q", 2)])
+
+    real = syntactic.countermodel_search
+
+    def search(s, axioms, signature, size, predicates=None):
+        assert ("f", 5) not in signature.functions, "a scan of 2 ** 32 tables"
+        return real(s, axioms, signature, size, predicates)
+
+    monkeypatch.setattr(syntactic, "countermodel_search", search)
+    oracle = BoundedOracle(EMPTY_THEORY, Budget(4, 2, 100), model_size=2)
+    ctx = Context(("x",))
+    fx = _pf(*[x] * 5)
+    valid, invalid = Sequent(ctx, (fx,), (fx,)), Sequent(ctx, (fx,), (P("x"),))
+    assert oracle.refute(valid) is None and oracle.refute(invalid) is None
+    assert isinstance(oracle.decide(valid), Proved)
+    assert oracle.decide(invalid) == Unknown("budget exhausted")
+    phi = FormulaInContext(fx, ctx)
+    assert isinstance(completion_leq(EMPTY_THEORY, phi, phi, [Forall("x", Or(P("x"), Not(P("x"))))]), Proved)
+    assert isinstance(completion_leq(EMPTY_THEORY, phi, FormulaInContext(P("x"), ctx), [], Budget(4, 2, 100)), Unknown)
+
+
+def test_the_truth_table_refuses_a_function_at_two_arities():
+    # its term model interprets each function symbol at one arity, as every
+    # structure does; the CLI's `check_arities` refuses such input first
+    x = Var("x")
+    s = Sequent(Context(("x",)), (Pred("P", (App("f", (x, x)),)),), (P("x"),))
+    assert isinstance(TruthTableOracle(SIG).decide(s), Refuted)
+    with pytest.raises(FormulaError, match="function f is used at arity 2 and at arity 1"):
+        TruthTableOracle(Signature((("f", 1),), SIG.predicates)).decide(s)
 
 
 def count_walks(monkeypatch) -> list:
